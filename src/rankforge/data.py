@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -148,6 +148,14 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
     judgments: Mapping[tuple[str, str], int]
+    # {query_id: {doc_id: grade}} in judgment order, built once
+    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_query: dict[str, dict[str, int]] = {}
+        for (q, d), r in self.judgments.items():
+            by_query.setdefault(q, {})[d] = r
+        object.__setattr__(self, "_by_query", by_query)
 
     def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
         return self.judgments.get((query_id, doc_id), default)
@@ -156,7 +164,7 @@ class Qrels:
         return {qid for qid, _ in self.judgments}
 
     def docs_for(self, query_id: str) -> dict[str, int]:
-        return {d: r for (q, d), r in self.judgments.items() if q == query_id}
+        return dict(self._by_query.get(query_id, {}))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ A query-document pair is encoded as F = buckets + 6 interaction features:
   [6:] hashed overlap block: bucket fnv1a64(t) % buckets accumulates idf(t)
        for each overlapping term t, L2-normalized when nonzero
 
+`extract_features` computes these for one query and a list of documents at
+once, returning a (len(docs), F) matrix: the query side (tokens, idf,
+buckets, bigrams) is done once per call, and term overlap and document
+length come from the inverted index, which must be built from the same
+corpus. `ScoringContext` memoizes the result per query in compact form: the
+dense features plus the hashed block's nonzeros (on average a few of the
+`buckets` entries), expanded to a dense matrix on each lookup.
+
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
 against finite differences.
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -115,39 +124,51 @@ def extract_features(
     index: InvertedIndex,
     params: Bm25Params,
     query: Query,
-    doc: Document,
+    docs: Sequence[Document],
     buckets: int = 1024,
 ) -> np.ndarray:
-    """Feature vector for one query-document pair (layout in module docstring)."""
+    """Feature matrix of shape (len(docs), buckets + N_DENSE), one row per
+    document in order (layout in module docstring).
+
+    `index` must be built from the corpus the documents come from: term
+    overlap and document length are read from its postings and lengths,
+    not recomputed from the text. A document missing from the index raises
+    ValueError.
+    """
     q_tokens = tokenize(query.text)
-    d_tokens = tokenize(doc.text)
-    q_set = set(q_tokens)
-    d_set = set(d_tokens)
-    overlap = q_set & d_set
+    # sorted terms: accumulation order must not depend on the process hash
+    # seed or the result is not bit-reproducible across runs
+    q_terms = sorted(set(q_tokens))
+    q_postings = [index.postings.get(t, {}) for t in q_terms]
+    q_idf = [index.idf(t) for t in q_terms]
+    idf_q = sum(q_idf)
+    q_buckets = [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in q_terms]
+    q_bigrams = list(zip(q_tokens, q_tokens[1:]))
 
-    x = np.zeros(buckets + N_DENSE, dtype=np.float64)
-
-    bm25 = bm25_score(index, params, q_tokens, doc.id)
-    x[0] = bm25 / (1.0 + bm25)
-    x[1] = len(overlap) / max(1, len(q_set))
-    # sorted iteration: accumulation order must not depend on the process
-    # hash seed or the result is not bit-reproducible across runs
-    idf_q = sum(index.idf(t) for t in sorted(q_set))
-    idf_overlap = sum(index.idf(t) for t in sorted(overlap))
-    x[2] = idf_overlap / max(_EPS, idf_q)
-    x[3] = math.log1p(len(d_tokens)) / 10.0
-    x[4] = math.log1p(len(q_tokens)) / 10.0
-    if len(q_tokens) >= 2:
-        d_bigrams = set(zip(d_tokens, d_tokens[1:]))
-        q_bigrams = list(zip(q_tokens, q_tokens[1:]))
-        x[5] = sum(bg in d_bigrams for bg in q_bigrams) / len(q_bigrams)
-
-    block = x[N_DENSE:]
-    for t in sorted(overlap):
-        block[fnv1a64(t.encode("utf-8")) % buckets] += index.idf(t)
-    norm = math.sqrt(float(np.dot(block, block)))
-    if norm > 0.0:
-        block /= norm
+    x = np.zeros((len(docs), buckets + N_DENSE), dtype=np.float64)
+    x[:, 4] = math.log1p(len(q_tokens)) / 10.0
+    for row, doc in zip(x, docs):
+        bm25 = bm25_score(index, params, q_tokens, doc.id)
+        hits = [j for j, plist in enumerate(q_postings) if doc.id in plist]
+        row[0] = bm25 / (1.0 + bm25)
+        row[1] = len(hits) / max(1, len(q_terms))
+        row[2] = sum(q_idf[j] for j in hits) / max(_EPS, idf_q)
+        row[3] = math.log1p(index.doc_lengths[doc.id]) / 10.0
+        if not hits:
+            continue
+        overlap = {q_terms[j] for j in hits}
+        # a bigram can occur in the doc only if both its terms do
+        if any(a in overlap and b in overlap for a, b in q_bigrams):
+            d_tokens = tokenize(doc.text)
+            d_bigrams = set(zip(d_tokens, d_tokens[1:]))
+            row[5] = sum(bg in d_bigrams for bg in q_bigrams) / len(q_bigrams)
+        for j in hits:
+            row[q_buckets[j]] += q_idf[j]
+        block = row[N_DENSE:]
+        # per-row np.dot, not a vectorised norm, which may round differently
+        norm = math.sqrt(float(np.dot(block, block)))
+        if norm > 0.0:
+            block /= norm
     return x
 
 
@@ -241,11 +262,57 @@ def load_params(blob: bytes) -> ScorerParams:
     return ScorerParams(w1.copy(), rest[:m].copy(), rest[m : 2 * m].copy(), float(rest[2 * m]))
 
 
+class _QueryFeatures:
+    """One query's extracted rows: a doc -> row map, the (m, N_DENSE) dense
+    features, and the nonzeros of the hashed block in CSR form (row offsets,
+    column indices into the full feature vector, values)."""
+
+    __slots__ = ("rows", "dense", "indptr", "cols", "vals")
+
+    def __init__(self):
+        self.rows: dict[str, int] = {}
+        self.dense = np.empty((0, N_DENSE))
+        self.indptr = np.zeros(1, dtype=np.intp)
+        self.cols = np.empty(0, dtype=np.intp)
+        self.vals = np.empty(0)
+
+    def add(self, doc_ids: list[str], x: np.ndarray) -> None:
+        """Append the rows of x, a feature matrix of doc_ids not yet held."""
+        # the nonzeros lie in the few columns of the query's terms: find those
+        # first, since a full np.nonzero scan costs more than the extraction
+        cols = N_DENSE + np.flatnonzero(x[:, N_DENSE:].any(axis=0))
+        r, c = np.nonzero(x[:, cols])
+        c = cols[c]
+        base = len(self.rows)
+        self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
+        self.dense = np.concatenate([self.dense, x[:, :N_DENSE]])
+        counts = np.bincount(r, minlength=len(doc_ids))
+        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + np.cumsum(counts)])
+        self.cols = np.concatenate([self.cols, c])
+        self.vals = np.concatenate([self.vals, x[r, c]])
+
+    def gather(self, doc_ids: list[str], width: int) -> np.ndarray:
+        """A new dense (len(doc_ids), width) matrix of the held rows."""
+        rows = np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
+        out = np.zeros((len(rows), width))
+        out[:, :N_DENSE] = self.dense[rows]
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # positions starts[i] .. starts[i] + counts[i] - 1 of each row, in order
+        src = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        out[np.repeat(np.arange(len(rows)), counts), self.cols[src]] = self.vals[src]
+        return out
+
+
 class ScoringContext:
     """Bundles corpus, index, and BM25 params; memoizes feature extraction.
 
     Feature vectors are pure functions of (query, doc), so the memo never
-    invalidates. Shared read-only across systems being compared.
+    invalidates. It is keyed by query id and holds each query's rows
+    compactly (dense features plus the hashed block's nonzeros); every
+    lookup returns a new dense matrix, so callers may modify it. `index`
+    must be built from `corpus`. Shared read-only across systems being
+    compared.
     """
 
     def __init__(self, corpus: Corpus, index: InvertedIndex,
@@ -254,19 +321,21 @@ class ScoringContext:
         self.index = index
         self.bm25 = bm25 if bm25 is not None else Bm25Params()
         self.buckets = buckets
-        self._memo: dict[tuple[str, str], np.ndarray] = {}
+        self._memo: dict[str, _QueryFeatures] = {}
 
     def features(self, query: Query, doc_id: str) -> np.ndarray:
-        key = (query.id, doc_id)
-        cached = self._memo.get(key)
-        if cached is None:
-            if doc_id not in self.corpus:
-                raise DataError(f"query {query.id}: document {doc_id!r} has no text in corpus")
-            cached = extract_features(
-                self.index, self.bm25, query, self.corpus.get(doc_id), self.buckets
-            )
-            self._memo[key] = cached
-        return cached
+        return self.feature_matrix(query, [doc_id])[0]
 
     def feature_matrix(self, query: Query, doc_ids: list[str]) -> np.ndarray:
-        return np.stack([self.features(query, d) for d in doc_ids])
+        """(len(doc_ids), F) features; docs not yet held are extracted in one block."""
+        held = self._memo.get(query.id)
+        if held is None:
+            held = self._memo[query.id] = _QueryFeatures()
+        missing = [d for d in dict.fromkeys(doc_ids) if d not in held.rows]
+        if missing:
+            for d in missing:
+                if d not in self.corpus:
+                    raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
+            docs = [self.corpus.get(d) for d in missing]
+            held.add(missing, extract_features(self.index, self.bm25, query, docs, self.buckets))
+        return held.gather(doc_ids, self.buckets + N_DENSE)

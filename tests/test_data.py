@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rankforge.data import (
     ContrastiveInstance,
+    Qrels,
     Ranking,
     RunEntry,
     TeacherRanking,
@@ -92,6 +93,14 @@ class TestParseQrels:
     def test_docs_for(self):
         qrels = parse_qrels("q1 0 d1 1\nq1 0 d2 0\nq2 0 d1 3\n")
         assert qrels.docs_for("q1") == {"d1": 1, "d2": 0}
+        assert qrels.docs_for("q3") == {}
+
+    def test_docs_for_keeps_judgment_order_and_returns_a_copy(self):
+        qrels = Qrels({("q1", "d9"): 2, ("q2", "d1"): 1, ("q1", "d3"): 0, ("q1", "d5"): 1})
+        assert list(qrels.docs_for("q1").items()) == [("d9", 2), ("d3", 0), ("d5", 1)]
+        qrels.docs_for("q1")["d9"] = 0
+        qrels.docs_for("q3")["d1"] = 1
+        assert qrels.docs_for("q1")["d9"] == 2
         assert qrels.docs_for("q3") == {}
 
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from rankforge import scorer
 from rankforge.data import Document, Query, parse_corpus
 from rankforge.errors import DataError
-from rankforge.retrieval import Bm25Params, bm25_score, build_index
+from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_topk, tokenize
 from rankforge.scorer import (
     N_DENSE,
     ScorerConfig,
@@ -57,12 +58,12 @@ class TestExtractFeatures:
 
     def test_full_overlap_f2(self, feature_world):
         corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "cat"), corpus.get("d1"), 16)
+        x = extract_features(index, Bm25Params(), Query("q", "cat"), [corpus.get("d1")], 16)[0]
         assert x[1] == 1.0
 
     def test_disjoint_pair_zeros(self, feature_world):
         corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "owl"), corpus.get("d1"), 16)
+        x = extract_features(index, Bm25Params(), Query("q", "owl"), [corpus.get("d1")], 16)[0]
         assert x[0] == 0.0 and x[1] == 0.0 and x[2] == 0.0 and x[5] == 0.0
         assert np.all(x[N_DENSE:] == 0.0)
 
@@ -71,8 +72,8 @@ class TestExtractFeatures:
         for qtext in ("cat", "owl", "cat dog", "dog fox cat"):
             for did in ("d1", "d2", "d3"):
                 x = extract_features(
-                    index, Bm25Params(), Query("q", qtext), corpus.get(did), 16
-                )
+                    index, Bm25Params(), Query("q", qtext), [corpus.get(did)], 16
+                )[0]
                 norm = float(np.linalg.norm(x[N_DENSE:]))
                 assert norm == pytest.approx(0.0, abs=1e-15) or norm == pytest.approx(
                     1.0, rel=1e-12
@@ -82,7 +83,7 @@ class TestExtractFeatures:
         corpus, index = feature_world
         q = Query("q", "cat dog")
         doc = corpus.get("d3")  # "cat dog runs fast"
-        x = extract_features(index, Bm25Params(), q, doc, 16)
+        x = extract_features(index, Bm25Params(), q, [doc], 16)[0]
         bm = bm25_score(index, Bm25Params(), ["cat", "dog"], "d3")
         assert x[0] == pytest.approx(bm / (1 + bm), rel=1e-12)
         assert x[1] == 1.0  # both query terms present
@@ -94,21 +95,107 @@ class TestExtractFeatures:
     def test_bigram_fraction_partial(self, feature_world):
         corpus, index = feature_world
         # "dog cat": doc d3 has "cat dog" but not "dog cat"
-        x = extract_features(index, Bm25Params(), Query("q", "dog cat"), corpus.get("d3"), 16)
+        x = extract_features(index, Bm25Params(), Query("q", "dog cat"), [corpus.get("d3")], 16)[0]
         assert x[5] == 0.0
 
     def test_bounded_features(self, feature_world):
         corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "cat dog"), corpus.get("d3"), 16)
+        x = extract_features(index, Bm25Params(), Query("q", "cat dog"), [corpus.get("d3")], 16)[0]
         for i in (0, 1, 2, 5):
             assert 0.0 <= x[i] <= 1.0
 
     def test_purity(self, feature_world):
         corpus, index = feature_world
         q = Query("q", "cat dog")
-        a = extract_features(index, Bm25Params(), q, corpus.get("d3"), 16)
-        b = extract_features(index, Bm25Params(), q, corpus.get("d3"), 16)
+        a = extract_features(index, Bm25Params(), q, [corpus.get("d3")], 16)[0]
+        b = extract_features(index, Bm25Params(), q, [corpus.get("d3")], 16)[0]
         np.testing.assert_array_equal(a, b)
+
+
+def _reference_features(index, params, query, doc, buckets):
+    """The per-pair extractor the batch one replaced, frozen as a reference."""
+    q_tokens = tokenize(query.text)
+    d_tokens = tokenize(doc.text)
+    q_set = set(q_tokens)
+    d_set = set(d_tokens)
+    overlap = q_set & d_set
+
+    x = np.zeros(buckets + N_DENSE, dtype=np.float64)
+
+    bm25 = bm25_score(index, params, q_tokens, doc.id)
+    x[0] = bm25 / (1.0 + bm25)
+    x[1] = len(overlap) / max(1, len(q_set))
+    idf_q = sum(index.idf(t) for t in sorted(q_set))
+    idf_overlap = sum(index.idf(t) for t in sorted(overlap))
+    x[2] = idf_overlap / max(1e-12, idf_q)
+    x[3] = math.log1p(len(d_tokens)) / 10.0
+    x[4] = math.log1p(len(q_tokens)) / 10.0
+    if len(q_tokens) >= 2:
+        d_bigrams = set(zip(d_tokens, d_tokens[1:]))
+        q_bigrams = list(zip(q_tokens, q_tokens[1:]))
+        x[5] = sum(bg in d_bigrams for bg in q_bigrams) / len(q_bigrams)
+
+    block = x[N_DENSE:]
+    for t in sorted(overlap):
+        block[fnv1a64(t.encode("utf-8")) % buckets] += index.idf(t)
+    norm = math.sqrt(float(np.dot(block, block)))
+    if norm > 0.0:
+        block /= norm
+    return x
+
+
+def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestExtractionMatchesReference:
+    """The batch extractor and the context's compact memo reproduce the
+    per-pair reference bit for bit."""
+
+    @pytest.mark.parametrize("buckets", [64, 1])  # 1: every term collides
+    def test_generated_world_top100(self, small_world, buckets):
+        w = small_world
+        bm25 = Bm25Params()
+        for q in w.queries:
+            docs = [w.corpus.get(d) for d in retrieve_topk(w.index, bm25, q, 100).doc_ids()]
+            want = np.stack([_reference_features(w.index, bm25, q, d, buckets) for d in docs])
+            _assert_bits_equal(extract_features(w.index, bm25, q, docs, buckets), want)
+
+    def test_context_store_matches_reference(self, small_world):
+        w = small_world
+        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets=64)
+        for q in w.queries[:10]:
+            ids = retrieve_topk(w.index, Bm25Params(), q, 100).doc_ids()
+            # a partial block first, then the whole list reversed with a repeat,
+            # so rows come from two extractions and are gathered out of order
+            ctx.feature_matrix(q, ids[::3])
+            asked = ids[::-1] + ids[:1]
+            want = np.stack([
+                _reference_features(w.index, Bm25Params(), q, w.corpus.get(d), 64) for d in asked
+            ])
+            _assert_bits_equal(ctx.feature_matrix(q, asked), want)
+
+    @pytest.mark.parametrize("qtext", [
+        "cat cat dog cat",  # repeated terms
+        "dog",  # one token, no bigrams
+        "owl heron",  # no overlap with any doc
+        "fox dog cat runs",  # bigram terms in the doc, but not adjacent
+    ])
+    def test_edge_queries(self, feature_world, qtext):
+        corpus, index = feature_world
+        docs = list(corpus)
+        q = Query("q", qtext)
+        want = np.stack([_reference_features(index, Bm25Params(), q, d, 16) for d in docs])
+        _assert_bits_equal(extract_features(index, Bm25Params(), q, docs, 16), want)
+
+    def test_doc_missing_from_index_raises(self, feature_world):
+        corpus, index = feature_world
+        stray = Document("d9", "cat dog")
+        with pytest.raises(ValueError, match="d9"):
+            _reference_features(index, Bm25Params(), Query("q", "cat"), stray, 16)
+        with pytest.raises(ValueError, match="d9"):
+            extract_features(index, Bm25Params(), Query("q", "cat"), [corpus.get("d1"), stray], 16)
 
 
 class TestScore:
@@ -279,14 +366,40 @@ class TestScoringContext:
         q = Query("q", "cat dog")
         via_ctx = ctx.features(q, "d2")
         direct = extract_features(
-            tiny_index, Bm25Params(), q, tiny_corpus.get("d2"), 16
-        )
+            tiny_index, Bm25Params(), q, [tiny_corpus.get("d2")], 16
+        )[0]
         np.testing.assert_array_equal(via_ctx, direct)
 
-    def test_memo_returns_same_array(self, tiny_corpus, tiny_index):
+    def test_memo_extracts_each_pair_once(self, tiny_corpus, tiny_index, monkeypatch):
+        extracted = []
+        real = scorer.extract_features
+
+        def counting(index, params, query, docs, buckets):
+            extracted.append([d.id for d in docs])
+            return real(index, params, query, docs, buckets)
+
+        monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
         q = Query("q", "cat")
-        assert ctx.features(q, "d1") is ctx.features(q, "d1")
+        first = ctx.features(q, "d1")
+        assert extracted == [["d1"]]
+        np.testing.assert_array_equal(ctx.features(q, "d1"), first)
+        assert extracted == [["d1"]]
+        ctx.feature_matrix(q, ["d2", "d1", "d2"])
+        assert extracted == [["d1"], ["d2"]]
+        ctx.feature_matrix(q, ["d1", "d2"])
+        assert extracted == [["d1"], ["d2"]]
+
+    def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
+        ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
+        q = Query("q", "cat")
+        x = ctx.features(q, "d1")
+        want = x.copy()
+        x[:] = -1.0
+        np.testing.assert_array_equal(ctx.features(q, "d1"), want)
+        mat = ctx.feature_matrix(q, ["d1", "d1"])
+        mat[0] = 7.0
+        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0], want)
 
     def test_missing_doc_raises(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
