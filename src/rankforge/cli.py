@@ -12,7 +12,6 @@ does not change behavior.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -35,18 +34,10 @@ from .evaluation import (
     report_csv,
     rerank,
 )
-from .experiment import (
-    load_config,
-    merged_train_csv,
-    merged_val_csv,
-    plan_dir_name,
-    prepare,
-    run_experiment,
-)
+from .experiment import load_config, run_experiment, train_plan
 from .retrieval import Bm25Params, build_index, retrieve_topk
-from .scorer import ScoringContext, load_params, save_params
+from .scorer import ScoringContext, load_params
 from .synth import SynthSpec, generate, write_dataset
-from .training import run_plan
 
 __all__ = ["main"]
 
@@ -122,24 +113,10 @@ def cmd_retrieve(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, seed=args.seed, out=args.out)
-    chosen = [p for p in cfg.plans if p.name == args.plan]
-    if not chosen:
-        known = [p.name for p in cfg.plans]
-        raise DataError(f"plan {args.plan!r} not in config (have {known})")
-    cfg = dataclasses.replace(cfg, plans=(chosen[0],))
-    prep = prepare(cfg)
-    started = time.perf_counter()
-    params, logs = run_plan(
-        cfg.scorer, chosen[0].plan, prep.train_examples, prep.val_examples, prep.ctx
-    )
-    elapsed = time.perf_counter() - started
-    plan_dir = cfg.out / plan_dir_name(chosen[0].name)
-    plan_dir.mkdir(parents=True, exist_ok=True)
-    (plan_dir / "params.bin").write_bytes(save_params(params))
-    (plan_dir / "train.csv").write_text(merged_train_csv(logs), encoding="utf-8")
-    (plan_dir / "val.csv").write_text(merged_val_csv(logs), encoding="utf-8")
+    plan_dir, logs = train_plan(cfg, args.plan)
     steps = sum(len(log.losses) for log in logs)
-    print(f"trained plan {chosen[0].name}: {steps} steps in {elapsed:.1f}s")
+    elapsed = sum(log.wall_seconds for log in logs)
+    print(f"trained plan {args.plan}: {steps} steps in {elapsed:.1f}s")
     print(f"wrote {plan_dir / 'params.bin'}")
     return 0
 
@@ -239,7 +216,9 @@ def cmd_experiment(args) -> int:
     }
     for label in sorted(ndcg):
         if ndcg[label] is not None:
-            print(f"nDCG@10 {label}: {ndcg[label]:.4f}")
+            delta = summary["vs_bm25"].get(label, {}).get("nDCG@10")
+            vs = "" if delta is None else f" ({delta:+.4f} vs bm25)"
+            print(f"nDCG@10 {label}: {ndcg[label]:.4f}{vs}")
     print(f"best single: {summary['best_single']}, best multi: {summary['best_multi']}")
     print(f"completed in {elapsed:.1f}s")
     return 0

@@ -2,21 +2,25 @@
 
 A JSON config is the single source of truth: data paths, scorer and sampler
 settings, named train plans, metric specs, and seeds. The driver trains
-every named plan from one shared initialization, re-ranks the first-stage
-run with each checkpoint (plus the untrained scorer as baseline), evaluates,
-and emits three markdown tables: single-stage C vs D, C->D vs D->C, and
-best-single vs best-multi by mean nDCG@10.
+every named plan from one shared initialization, training each distinct
+stage prefix once: a multi-stage plan such as C->D continues from the
+checkpoint of C, whose stage it starts with. It re-ranks the
+first-stage run with each checkpoint (plus the untrained scorer as
+baseline), evaluates, and emits three markdown tables: single-stage C vs D,
+C->D vs D->C, and best-single vs best-multi by mean nDCG@10.
 
 All component randomness is derived from the master seed via tagged
 substreams, so outputs are byte-identical across runs on one platform.
-Timing is never written into artifacts.
+A stage's seeds follow the master seed and the stage's position in its
+plan, not the plan's name, so plans with identical leading stages share
+them. Timing is never written into artifacts.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -73,6 +77,7 @@ __all__ = [
     "prepare",
     "choose_positive",
     "plan_dir_name",
+    "train_plan",
     "merged_train_csv",
     "merged_val_csv",
 ]
@@ -135,9 +140,7 @@ _STAGE_KEYS = {
 }
 
 
-def _stage_from_dict(
-    raw: Mapping, seed: int, plan_name: str, stage_idx: int
-) -> StageConfig:
+def _stage_from_dict(raw: Mapping, plan_name: str, stage_idx: int) -> StageConfig:
     unknown = set(raw) - _STAGE_KEYS
     if unknown:
         raise DataError(f"plan {plan_name}: unknown stage keys {sorted(unknown)}")
@@ -151,7 +154,6 @@ def _stage_from_dict(
             negatives=int(raw.get("negatives", 99)),
             pool_depth=int(raw.get("pool_depth", 200)),
             policy=str(raw.get("policy", "hard")),
-            seed=substream(seed, _SAMPLER_TAG, stage_idx),
         )
     return StageConfig(
         loss=loss,
@@ -159,31 +161,34 @@ def _stage_from_dict(
         max_steps=int(raw["steps"]),
         val_interval=int(raw.get("val_interval", 500)),
         sampler=sampler,
-        seed=substream(seed, _STAGE_TAG, stage_idx),
     )
+
+
+def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
+    """The stage with seeds drawn from the master seed and its position only."""
+    sampler = stage.sampler
+    if sampler is not None:
+        sampler = replace(sampler, seed=substream(seed, _SAMPLER_TAG, stage_idx))
+    return replace(stage, sampler=sampler, seed=substream(seed, _STAGE_TAG, stage_idx))
 
 
 def _resolve_plans(raw_plans: Mapping, seed: int) -> tuple[NamedPlan, ...]:
     plans = []
     for name, body in raw_plans.items():
-        plan_seed = substream(seed, _STAGE_TAG, *(ord(c) for c in name))
         if isinstance(body, Mapping) and body.get("preset") == "reference":
-            plan = preset_plan(
+            stages = preset_plan(
                 name,
                 variant=body.get("variant", "base"),
                 scale=float(body.get("scale", 1.0)),
-                sampler=SamplerConfig(seed=substream(plan_seed, _SAMPLER_TAG)),
-                seed=plan_seed,
-            )
+            ).stages
         elif isinstance(body, Sequence) and not isinstance(body, (str, bytes)):
             stages = tuple(
-                _stage_from_dict(stage, plan_seed, name, i)
-                for i, stage in enumerate(body)
+                _stage_from_dict(stage, name, i) for i, stage in enumerate(body)
             )
-            plan = TrainPlan(stages)
         else:
             raise DataError(f"plan {name}: expected a stage list or a preset reference")
-        plans.append(NamedPlan(name, plan))
+        seeded = tuple(_seeded(stage, seed, i) for i, stage in enumerate(stages))
+        plans.append(NamedPlan(name, TrainPlan(seeded)))
     names = [p.name for p in plans]
     if len(set(names)) != len(names):
         raise DataError("plan names must be unique")
@@ -508,14 +513,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         ws.write_text("untrained/rerank.txt", write_run(untrained_rankings, tag="untrained"))
         ws.write_text("untrained/metrics.csv", report_csv(systems["untrained"].reports))
 
+        trained: dict = {}
         for named in cfg.plans:
             params, logs = run_plan(
-                cfg.scorer, named.plan, prep.train_examples, prep.val_examples, prep.ctx
+                cfg.scorer, named.plan, prep.train_examples, prep.val_examples,
+                prep.ctx, trained,
             )
-            sub = plan_dir_name(named.name)
-            ws.write_bytes(f"{sub}/params.bin", save_params(params))
-            ws.write_text(f"{sub}/train.csv", merged_train_csv(logs))
-            ws.write_text(f"{sub}/val.csv", merged_val_csv(logs))
+            sub = _write_checkpoint(ws, named.name, params, logs)
             rankings = rerank_eval_set(params, prep, cfg.rerank_depth)
             ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
             systems[named.name] = _system_result(
@@ -545,6 +549,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         ws.write_text("rq2.md", "# RQ2: stage order in multi-stage fine-tuning\n\n" + rq2.to_markdown())
         ws.write_text("rq3.md", "# RQ3: best single stage vs best multi stage\n\n" + rq3.to_markdown())
 
+        bm25_means = {col: rep.mean for col, rep in systems["bm25"].reports.items()}
         summary = {
             "seed": cfg.seed,
             "queries": {"train": len(prep.train_examples), "val": len(prep.val_examples),
@@ -554,6 +559,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 label: {col: rep.mean for col, rep in system.reports.items()}
                 for label, system in systems.items()
             },
+            "vs_bm25": {
+                label: {col: rep.mean - bm25_means[col] for col, rep in system.reports.items()}
+                for label, system in systems.items()
+                if label != "bm25"
+            },
             "best_single": best_single,
             "best_multi": best_multi,
         }
@@ -562,6 +572,43 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except BaseException:
         ws.cleanup()
         raise
+
+
+def _write_checkpoint(
+    ws: _Workspace, name: str, params: ScorerParams, logs: Sequence[TrainLog]
+) -> str:
+    """Write a plan's params.bin, train.csv and val.csv; returns its directory."""
+    sub = plan_dir_name(name)
+    ws.write_bytes(f"{sub}/params.bin", save_params(params))
+    ws.write_text(f"{sub}/train.csv", merged_train_csv(logs))
+    ws.write_text(f"{sub}/val.csv", merged_val_csv(logs))
+    return sub
+
+
+def train_plan(cfg: ExperimentConfig, name: str) -> tuple[Path, list[TrainLog]]:
+    """Train one named plan alone and write its checkpoint and curves.
+
+    Returns the plan's output directory and its per-stage logs. Only this
+    plan's stages decide which queries are trainable; unless the config's
+    other plans drop more (a distillation stage needs a teacher entry, a
+    sampler a deep enough pool), the files equal those `run_experiment`
+    writes for the plan.
+    """
+    chosen = [p for p in cfg.plans if p.name == name]
+    if not chosen:
+        raise DataError(f"plan {name!r} not in config (have {[p.name for p in cfg.plans]})")
+    cfg = replace(cfg, plans=(chosen[0],))
+    prep = prepare(cfg)
+    params, logs = run_plan(
+        cfg.scorer, chosen[0].plan, prep.train_examples, prep.val_examples, prep.ctx
+    )
+    ws = _Workspace(cfg.out, created_out=not cfg.out.exists())
+    try:
+        sub = _write_checkpoint(ws, name, params, logs)
+    except BaseException:
+        ws.cleanup()
+        raise
+    return cfg.out / sub, logs
 
 
 def merged_train_csv(logs: Sequence[TrainLog]) -> str:

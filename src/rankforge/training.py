@@ -159,14 +159,6 @@ class TrainLog:
     val: list[tuple[int, float]] = field(default_factory=list)
     wall_seconds: float = 0.0
 
-    def train_csv(self) -> str:
-        rows = [f"{i + 1},{loss!r}" for i, loss in enumerate(self.losses)]
-        return "step,loss\n" + "".join(r + "\n" for r in rows)
-
-    def val_csv(self) -> str:
-        rows = [f"{step},{loss!r}" for step, loss in self.val]
-        return "step,val_loss\n" + "".join(r + "\n" for r in rows)
-
 
 @dataclass(frozen=True)
 class QueryExample:
@@ -272,16 +264,26 @@ def run_plan(
     train: Sequence[QueryExample],
     val: Sequence[QueryExample],
     ctx: ScoringContext,
+    trained: dict[tuple[StageConfig, ...], tuple[ScorerParams, list[TrainLog]]]
+    | None = None,
 ) -> tuple[ScorerParams, list[TrainLog]]:
     """Initialize from config and apply stages left to right.
 
     Parameters carry across stage boundaries; optimizer state does not.
+    A stage's result depends only on its start parameters, its config and
+    the data, so `trained` memoises (params, logs) by stage prefix: the plan
+    continues from its longest prefix found there, and every prefix it trains
+    is added. Plans that share a memo must share `config` and the data.
     """
-    params = init_params(config)
-    logs = []
-    for stage in plan.stages:
-        params, log = run_stage(params, stage, train, val, ctx)
-        logs.append(log)
+    memo = {} if trained is None else trained
+    memo.setdefault((), (init_params(config), []))
+    stages = plan.stages
+    done = max(k for k in range(len(stages) + 1) if stages[:k] in memo)
+    params, logs = memo[stages[:done]]
+    for k in range(done, len(stages)):
+        params, log = run_stage(params, stages[k], train, val, ctx)
+        logs = [*logs, log]
+        memo[stages[: k + 1]] = (params, logs)
     return params, logs
 
 

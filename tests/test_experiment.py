@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import rankforge.training
+from rankforge.cli import main
 from rankforge.data import Qrels, parse_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
@@ -58,6 +60,14 @@ def _write_workspace(root: Path, **over) -> Path:
     path = root / "exp.json"
     path.write_text(json.dumps(_config_dict(**over)), encoding="utf-8")
     return path
+
+
+def _assert_same_tree(a: Path, b: Path) -> None:
+    mine = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    theirs = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert mine == theirs
+    for rel in mine:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +186,25 @@ class TestLoadConfig:
         assert named.plan.stages[0].max_steps == 25
         assert named.plan.stages[1].lr == 1e-8
 
+    def test_shared_leading_stages_are_equal(self, tmp_path):
+        cfg = load_config(_write_workspace(tmp_path))
+        plans = {p.name: p.plan.stages for p in cfg.plans}
+        assert plans["C"][0] == plans["C->D"][0]
+        assert plans["D"][0] == plans["D->C"][0]
+        # seeds follow the stage position: the same settings one stage later differ
+        assert plans["D->C"][1].seed != plans["C"][0].seed
+        assert plans["D->C"][1].sampler.seed != plans["C"][0].sampler.seed
+
+    def test_shared_leading_preset_stages_are_equal(self, tmp_path):
+        preset = {"preset": "reference", "scale": 0.001}
+        path = _write_workspace(
+            tmp_path, plans={name: preset for name in ("C", "D", "C->D", "D->C")}
+        )
+        plans = {p.name: p.plan.stages for p in load_config(path).plans}
+        assert plans["C"][0] == plans["C->D"][0]
+        assert plans["D"][0] == plans["D->C"][0]
+        assert plans["C"][0].sampler.seed != 0
+
     def test_custom_metrics(self, tmp_path):
         path = _write_workspace(
             tmp_path,
@@ -278,6 +307,11 @@ class TestRunExperiment:
         assert summary["best_single"] in ("C", "D")
         assert summary["best_multi"] in ("C->D", "D->C")
         assert summary["queries"]["eval"] == 8
+        assert set(summary["vs_bm25"]) == {"untrained", "C", "D", "C->D", "D->C"}
+        for label, deltas in summary["vs_bm25"].items():
+            assert set(deltas) == {"AP", "nDCG@10", "MRR@10"}
+            for col, delta in deltas.items():
+                assert delta == summary["means"][label][col] - summary["means"]["bm25"][col]
         on_disk = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert on_disk == summary
 
@@ -314,15 +348,50 @@ class TestRunExperiment:
         cfg, _, out = finished
         again = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
         run_experiment(again)
-        mine = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
-        theirs = sorted(
-            p.relative_to(tmp_path / "out")
-            for p in (tmp_path / "out").rglob("*")
-            if p.is_file()
-        )
-        assert mine == theirs
-        for rel in mine:
-            assert (out / rel).read_bytes() == (tmp_path / "out" / rel).read_bytes(), rel
+        _assert_same_tree(out, tmp_path / "out")
+
+    def test_shared_stage_prefixes_train_once(self, tmp_path, monkeypatch):
+        stages_run = []
+        real_run_stage = rankforge.training.run_stage
+
+        def counting_run_stage(*args, **kwargs):
+            stages_run.append(args[1])
+            return real_run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(rankforge.training, "run_stage", counting_run_stage)
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
+        run_experiment(cfg)
+        # C, D, then only the second stages of C->D and D->C
+        assert len(stages_run) == 4
+        assert len(set(stages_run)) == 4
+
+    def test_multi_stage_plan_continues_from_single_stage(self, finished):
+        _, _, out = finished
+        for single, multi in (("C", "C-to-D"), ("D", "D-to-C")):
+            for name in ("train.csv", "val.csv"):
+                head = (out / single / name).read_text(encoding="utf-8").splitlines()
+                whole = (out / multi / name).read_text(encoding="utf-8").splitlines()
+                assert whole[: len(head)] == head, (single, name)
+
+    def test_plan_order_does_not_change_artifacts(self, finished, tmp_path):
+        _, _, out = finished
+        plans = _config_dict()["plans"]
+        reordered = {name: plans[name] for name in ("C->D", "D->C", "D", "C")}
+        cfg = load_config(_write_workspace(tmp_path, plans=reordered), out=tmp_path / "out")
+        run_experiment(cfg)
+        _assert_same_tree(out, tmp_path / "out")
+
+    def test_train_command_matches_experiment_checkpoint(self, finished, tmp_path):
+        _, _, out = finished
+        rc = main([
+            "train", "--config", str(out.parent / "exp.json"), "--plan", "C->D",
+            "--out", str(tmp_path / "alone"),
+        ])
+        assert rc == 0
+        alone = tmp_path / "alone" / "C-to-D"
+        assert sorted(p.name for p in alone.iterdir()) == ["params.bin", "train.csv", "val.csv"]
+        for name in ("params.bin", "train.csv", "val.csv"):
+            assert (alone / name).read_bytes() == (out / "C-to-D" / name).read_bytes(), name
 
     def test_requires_all_rq_plans(self, tmp_path):
         path = _write_workspace(tmp_path, plans={"C": [_LCE]})

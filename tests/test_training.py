@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import rankforge.training
 from rankforge.data import TeacherRanking
 from rankforge.errors import DataError
+from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import ranknet
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import (
@@ -318,6 +320,39 @@ class TestRunPlan:
         p_merged, _ = run_plan(small_world.scorer_config, merged, train, [], small_world.ctx)
         assert not np.array_equal(p_split.w1, p_merged.w1)
 
+    def test_memo_continues_from_longest_trained_prefix(self, small_world, monkeypatch):
+        train = [e for e in small_world.examples if e.teacher is not None][:10]
+        first = _lce_stage(12, seed=5)
+        plan = TrainPlan((first, StageConfig("ranknet", 1e-3, 6, seed=6)))
+        alone, alone_logs = run_plan(small_world.scorer_config, plan, train, [],
+                                     small_world.ctx)
+
+        stages_run = []
+        real_run_stage = rankforge.training.run_stage
+
+        def counting_run_stage(params, stage, *args):
+            stages_run.append(stage)
+            return real_run_stage(params, stage, *args)
+
+        monkeypatch.setattr(rankforge.training, "run_stage", counting_run_stage)
+        memo = {}
+        head, _ = run_plan(small_world.scorer_config, TrainPlan((first,)), train, [],
+                           small_world.ctx, memo)
+        head_w1 = head.w1.copy()
+        shared, shared_logs = run_plan(small_world.scorer_config, plan, train, [],
+                                       small_world.ctx, memo)
+        again, _ = run_plan(small_world.scorer_config, plan, train, [], small_world.ctx, memo)
+        # the shared first stage ran once, the repeated plan not at all
+        assert stages_run == list(plan.stages)
+        assert again is shared
+        for name in ("w1", "b1", "w2"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
+        assert shared.b2 == alone.b2
+        assert [l.losses for l in shared_logs] == [l.losses for l in alone_logs]
+        # continuing from the memoised prefix leaves its params untouched
+        assert np.array_equal(head.w1, head_w1)
+        assert not np.array_equal(head.w1, shared.w1)
+
     def test_deterministic(self, small_world):
         plan = TrainPlan((_lce_stage(20, seed=9), StageConfig("ranknet", 1e-4, 10, seed=9)))
         train = [e for e in small_world.examples if e.teacher is not None][:10]
@@ -420,20 +455,20 @@ class TestPresetPlan:
 class TestTrainLog:
     def test_train_csv_format(self):
         log = TrainLog(losses=[0.5, 0.25])
-        assert log.train_csv() == "step,loss\n1,0.5\n2,0.25\n"
+        assert merged_train_csv([log]) == "step,loss\n1,0.5\n2,0.25\n"
 
     def test_val_csv_format(self):
         log = TrainLog(val=[(500, 1.5), (1000, 1.25)])
-        assert log.val_csv() == "step,val_loss\n500,1.5\n1000,1.25\n"
+        assert merged_val_csv([log]) == "step,val_loss\n500,1.5\n1000,1.25\n"
 
     def test_empty_logs(self):
         log = TrainLog()
-        assert log.train_csv() == "step,loss\n"
-        assert log.val_csv() == "step,val_loss\n"
+        assert merged_train_csv([log]) == "step,loss\n"
+        assert merged_val_csv([log]) == "step,val_loss\n"
 
     def test_losses_round_trip_exactly(self):
         # repr() keeps every float bit, so parsing the CSV back is lossless
         value = 1.0 / 3.0
         log = TrainLog(losses=[value])
-        line = log.train_csv().splitlines()[1]
+        line = merged_train_csv([log]).splitlines()[1]
         assert float(line.split(",")[1]) == value
