@@ -61,15 +61,12 @@ from .rng import SplitMix64, substream
 from .sampling import SamplerConfig, sample_hard, sample_instance, sample_random
 from .scorer import (
     ScorerConfig,
-    ScorerGrads,
     ScorerParams,
     ScoringContext,
     extract_features,
     init_params,
     load_params,
     save_params,
-    score,
-    score_backward,
 )
 from .synth import SynthDataset, SynthSpec, generate, write_dataset
 from .training import (
@@ -99,9 +96,8 @@ __all__ = [
     "Bm25Params", "InvertedIndex", "tokenize", "build_index", "bm25_score",
     "retrieve_topk",
     # scorer
-    "ScorerConfig", "ScorerParams", "ScorerGrads", "ScoringContext",
-    "extract_features", "score", "score_backward", "init_params",
-    "save_params", "load_params",
+    "ScorerConfig", "ScorerParams", "ScoringContext", "extract_features",
+    "init_params", "save_params", "load_params",
     # losses
     "LossOutput", "lce", "ranknet", "bce",
     # sampling

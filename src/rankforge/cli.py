@@ -3,16 +3,11 @@
 Subcommands: index, retrieve, train, rerank, evaluate, compare, synth,
 experiment. Every command is deterministic given its inputs and seeds; any
 failure prints a single `error: <message>` line on stderr and exits nonzero.
-
-RANKFORGE_THREADS caps worker parallelism. The current implementation is
-single-threaded throughout, so the variable is validated and recorded but
-does not change behavior.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,19 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # single-line machine-parseable errors
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("RANKFORGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise DataError(f"RANKFORGE_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise DataError(f"RANKFORGE_THREADS must be >= 1, got {threads}")
-    return threads
 
 
 def _parse_metrics(spec: str, threshold: int, gain: str) -> tuple[MetricSpec, ...]:
@@ -299,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _threads_from_env()
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -21,7 +21,10 @@ dense features plus the hashed block's nonzeros (on average a few of the
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
-against finite differences.
+against finite differences. Its parameters live in one float64 vector in
+checkpoint order (W1 row-major, b1, w2, b2) with the arrays as views into
+it; gradients and AdamW moments share that layout, so the optimizer and
+the checkpoint format each handle a single vector.
 """
 
 from __future__ import annotations
@@ -70,14 +73,46 @@ class ScorerConfig:
         return self.buckets + N_DENSE
 
 
-@dataclass
 class ScorerParams:
-    """Trainable parameters; w1 is (hidden, F), b1/w2 are (hidden,), b2 scalar."""
+    """Trainable parameters, held in one float64 vector `flat`.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
+    `flat` is laid out in checkpoint order: w1 (hidden, F) row-major, then
+    b1 (hidden,), w2 (hidden,) and the scalar b2. `w1`, `b1` and `w2` are
+    views into it, so modify them in place; `b2` reads and writes
+    `flat[-1]`. Gradients and AdamW moments use this same type.
+    """
+
+    __slots__ = ("flat", "w1", "b1", "w2")
+
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float):
+        w1 = np.asarray(w1, dtype=np.float64)
+        if w1.ndim != 2 or np.shape(b1) != (w1.shape[0],) or np.shape(w2) != np.shape(b1):
+            raise ValueError("w1 must be (hidden, F) and b1, w2 must be (hidden,)")
+        flat = np.concatenate([w1.ravel(), b1, w2, [b2]], dtype=np.float64)
+        self._view(flat, *w1.shape)
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, hidden: int, feature_dim: int) -> "ScorerParams":
+        """Parameters over `flat` itself (not copied)."""
+        params = cls.__new__(cls)
+        params._view(flat, hidden, feature_dim)
+        return params
+
+    def _view(self, flat: np.ndarray, m: int, f: int) -> None:
+        if flat.dtype != np.float64 or flat.shape != (m * f + 2 * m + 1,):
+            raise ValueError(f"flat must be float64 of size {m * f + 2 * m + 1}")
+        self.flat = flat
+        self.w1 = flat[: m * f].reshape(m, f)
+        self.b1 = flat[m * f : m * f + m]
+        self.w2 = flat[m * f + m : -1]
+
+    @property
+    def b2(self) -> float:
+        return float(self.flat[-1])
+
+    @b2.setter
+    def b2(self, value: float) -> None:
+        self.flat[-1] = value
 
     @property
     def hidden(self) -> int:
@@ -92,32 +127,7 @@ class ScorerParams:
         return self.w1.shape[1] - N_DENSE
 
     def copy(self) -> "ScorerParams":
-        return ScorerParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), float(self.b2))
-
-
-@dataclass
-class ScorerGrads:
-    """Parameter gradients, same shapes as ScorerParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-    @staticmethod
-    def zeros_like(params: ScorerParams) -> "ScorerGrads":
-        return ScorerGrads(
-            np.zeros_like(params.w1),
-            np.zeros_like(params.b1),
-            np.zeros_like(params.w2),
-            0.0,
-        )
-
-    def add_(self, other: "ScorerGrads") -> None:
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
+        return ScorerParams.from_flat(self.flat.copy(), *self.w1.shape)
 
 
 def extract_features(
@@ -172,22 +182,6 @@ def extract_features(
     return x
 
 
-def score(params: ScorerParams, x: np.ndarray) -> float:
-    """s = w2 . tanh(W1 x + b1) + b2."""
-    if x.shape != (params.feature_dim,):
-        raise ValueError(f"feature dim {x.shape} does not match params {params.feature_dim}")
-    return float(params.w2 @ np.tanh(params.w1 @ x + params.b1) + params.b2)
-
-
-def score_backward(params: ScorerParams, x: np.ndarray, upstream: float) -> ScorerGrads:
-    """Exact gradient of the score w.r.t. every parameter, scaled by upstream."""
-    if x.shape != (params.feature_dim,):
-        raise ValueError(f"feature dim {x.shape} does not match params {params.feature_dim}")
-    a = np.tanh(params.w1 @ x + params.b1)
-    dz = upstream * params.w2 * (1.0 - a * a)
-    return ScorerGrads(np.outer(dz, x), dz, upstream * a, upstream)
-
-
 def score_batch(params: ScorerParams, x_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores for a (n, F) feature matrix; also returns hidden activations for backward."""
     a = np.tanh(x_mat @ params.w1.T + params.b1)
@@ -196,15 +190,15 @@ def score_batch(params: ScorerParams, x_mat: np.ndarray) -> tuple[np.ndarray, np
 
 def backward_batch(
     params: ScorerParams, x_mat: np.ndarray, activations: np.ndarray, upstream: np.ndarray
-) -> ScorerGrads:
-    """Gradient of sum_i upstream_i * s_i w.r.t. parameters (batched score_backward)."""
+) -> ScorerParams:
+    """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter."""
     dz = (upstream[:, None] * params.w2[None, :]) * (1.0 - activations * activations)
-    return ScorerGrads(
-        dz.T @ x_mat,
-        dz.sum(axis=0),
-        activations.T @ upstream,
-        float(upstream.sum()),
-    )
+    grads = ScorerParams.from_flat(np.empty_like(params.flat), *params.w1.shape)
+    np.matmul(dz.T, x_mat, out=grads.w1)
+    grads.b1[:] = dz.sum(axis=0)
+    grads.w2[:] = activations.T @ upstream
+    grads.b2 = upstream.sum()
+    return grads
 
 
 def init_params(config: ScorerConfig) -> ScorerParams:
@@ -234,14 +228,8 @@ _HEADER = struct.Struct("<4sHII")  # magic, version, buckets, hidden
 
 def save_params(params: ScorerParams) -> bytes:
     """Serialize to the versioned little-endian checkpoint format."""
-    m, f = params.w1.shape
-    buckets = f - N_DENSE
-    header = _HEADER.pack(_MAGIC, _VERSION, buckets, m)
-    body = b"".join(
-        arr.astype("<f8").tobytes()
-        for arr in (params.w1.ravel(), params.b1, params.w2, np.array([params.b2]))
-    )
-    return header + body
+    header = _HEADER.pack(_MAGIC, _VERSION, params.buckets, params.hidden)
+    return header + params.flat.astype("<f8").tobytes()
 
 
 def load_params(blob: bytes) -> ScorerParams:
@@ -257,9 +245,8 @@ def load_params(blob: bytes) -> ScorerParams:
     expected = _HEADER.size + 8 * (m * f + m + m + 1)
     if len(blob) != expected:
         raise DataError(f"checkpoint length {len(blob)} != expected {expected}")
-    vals = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    w1, rest = vals[: m * f].reshape(m, f), vals[m * f :]
-    return ScorerParams(w1.copy(), rest[:m].copy(), rest[m : 2 * m].copy(), float(rest[2 * m]))
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
+    return ScorerParams.from_flat(flat, m, f)
 
 
 class _QueryFeatures:

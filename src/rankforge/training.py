@@ -9,7 +9,6 @@ parameters carry across.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -23,7 +22,6 @@ from .rng import SplitMix64, substream
 from .sampling import SamplerConfig, sample_instance
 from .scorer import (
     ScorerConfig,
-    ScorerGrads,
     ScorerParams,
     ScoringContext,
     backward_batch,
@@ -55,8 +53,8 @@ TEACHER_GROUP_CAP = 20  # forwards per distillation step
 class OptimizerState:
     """AdamW moments plus the (decoupled) hyperparameters."""
 
-    m: ScorerGrads
-    v: ScorerGrads
+    m: ScorerParams
+    v: ScorerParams
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -65,56 +63,37 @@ class OptimizerState:
 
     @staticmethod
     def for_params(params: ScorerParams, **hyper) -> "OptimizerState":
-        return OptimizerState(
-            ScorerGrads.zeros_like(params), ScorerGrads.zeros_like(params), **hyper
-        )
+        m, v = (ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
+                for _ in range(2))
+        return OptimizerState(m, v, **hyper)
 
 
 def adamw_step(
-    params: ScorerParams, grads: ScorerGrads, state: OptimizerState, lr: float
+    params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float
 ) -> tuple[ScorerParams, OptimizerState]:
     """One AdamW update with decoupled weight decay (mutates params and state).
 
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2 ; bias-corrected m^, v^ ;
-    w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ).
+    w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`.
 
     lr = 0 leaves parameters bit-identical while the moments still advance.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    finite = (
-        np.isfinite(grads.w1).all()
-        and np.isfinite(grads.b1).all()
-        and np.isfinite(grads.w2).all()
-        and math.isfinite(grads.b2)
-    )
-    if not finite:
+    g, m, v, w = grads.flat, state.m.flat, state.v.flat, params.flat
+    if not np.isfinite(g).all():
         raise ValueError("non-finite gradient passed to adamw_step")
 
     state.t += 1
-    b1, b2m = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2m ** state.t
-
-    for w, g, m, v in (
-        (params.w1, grads.w1, state.m.w1, state.v.w1),
-        (params.b1, grads.b1, state.m.b1, state.v.b1),
-        (params.w2, grads.w2, state.m.w2, state.v.w2),
-    ):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2m
-        v += (1.0 - b2m) * (g * g)
-        if lr != 0.0:
-            w -= lr * ((m / bc1) / (np.sqrt(v / bc2) + state.eps) + state.weight_decay * w)
-
-    state.m.b2 = b1 * state.m.b2 + (1.0 - b1) * grads.b2
-    state.v.b2 = b2m * state.v.b2 + (1.0 - b2m) * grads.b2 * grads.b2
+    b1, b2 = state.beta1, state.beta2
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
     if lr != 0.0:
-        params.b2 -= lr * (
-            (state.m.b2 / bc1) / (math.sqrt(state.v.b2 / bc2) + state.eps)
-            + state.weight_decay * params.b2
-        )
+        m_hat = m / (1.0 - b1 ** state.t)
+        v_hat = v / (1.0 - b2 ** state.t)
+        w -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * w)
     return params, state
 
 
@@ -305,35 +284,28 @@ def split_train_val(
     return train, val
 
 
-def preset_plan(
-    name: str,
-    variant: str = "base",
-    scale: float = 1.0,
-    sampler: SamplerConfig | None = None,
-    seed: int = 0,
-) -> TrainPlan:
+def preset_plan(name: str, variant: str = "base", scale: float = 1.0) -> TrainPlan:
     """Long-schedule presets for plans C, D, C->D, D->C.
 
     Two preset families are shipped, "base" and "alt". lr is 1e-5 throughout
     except second-stage distillation (1e-8 for base, 1e-9 for alt). Step
     budgets: C 25k first stage / 31k second; D 2k (base) or 1k (alt) first
     stage, second stage 1k @ 1e-8 / 3k @ 1e-9. `scale` shrinks the budgets
-    for desk-size runs.
+    for desk-size runs. Stages use the default sampler and seed 0; the
+    experiment re-seeds each stage by its position in the plan.
     """
     if variant not in ("base", "alt"):
         raise ValueError(f"unknown variant {variant!r}")
     el = variant == "base"
-    if sampler is None:
-        sampler = SamplerConfig(seed=seed)
 
     def steps(base: int) -> int:
         return max(1, round(base * scale))
 
     def c_stage(budget: int) -> StageConfig:
-        return StageConfig("lce", 1e-5, steps(budget), sampler=sampler, seed=seed)
+        return StageConfig("lce", 1e-5, steps(budget), sampler=SamplerConfig())
 
     def d_stage(budget: int, lr: float) -> StageConfig:
-        return StageConfig("ranknet", lr, steps(budget), seed=seed)
+        return StageConfig("ranknet", lr, steps(budget))
 
     key = name.replace("→", "->")
     plans = {

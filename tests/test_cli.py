@@ -340,23 +340,6 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith("error:")
 
 
-class TestThreadsEnv:
-    def test_valid_value_accepted(self, ws, capsys, monkeypatch):
-        monkeypatch.setenv("RANKFORGE_THREADS", "4")
-        assert main(["index", "--corpus", str(ws / "data" / "corpus.tsv")]) == 0
-        capsys.readouterr()
-
-    def test_zero_rejected(self, ws, capsys, monkeypatch):
-        monkeypatch.setenv("RANKFORGE_THREADS", "0")
-        assert main(["index", "--corpus", str(ws / "data" / "corpus.tsv")]) == 2
-        assert ">= 1" in capsys.readouterr().err
-
-    def test_non_integer_rejected(self, ws, capsys, monkeypatch):
-        monkeypatch.setenv("RANKFORGE_THREADS", "lots")
-        assert main(["index", "--corpus", str(ws / "data" / "corpus.tsv")]) == 2
-        assert "integer" in capsys.readouterr().err
-
-
 class TestConsoleEntryPoint:
     def test_installed_script(self, ws, tmp_path):
         """The `rankforge` script that an install generates from pyproject.toml.

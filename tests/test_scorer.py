@@ -12,7 +12,6 @@ from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_to
 from rankforge.scorer import (
     N_DENSE,
     ScorerConfig,
-    ScorerGrads,
     ScorerParams,
     ScoringContext,
     backward_batch,
@@ -21,8 +20,6 @@ from rankforge.scorer import (
     init_params,
     load_params,
     save_params,
-    score,
-    score_backward,
     score_batch,
 )
 
@@ -198,14 +195,36 @@ class TestExtractionMatchesReference:
             extract_features(index, Bm25Params(), Query("q", "cat"), [corpus.get("d1"), stray], 16)
 
 
+def _score(params: ScorerParams, x: np.ndarray) -> float:
+    """The single-row scorer the batch one replaced, kept as a reference."""
+    return float(params.w2 @ np.tanh(params.w1 @ x + params.b1) + params.b2)
+
+
+def _score_backward(params: ScorerParams, x: np.ndarray, upstream: float) -> ScorerParams:
+    """Single-row reference gradient of upstream * score, in the params layout."""
+    a = np.tanh(params.w1 @ x + params.b1)
+    dz = upstream * params.w2 * (1.0 - a * a)
+    return ScorerParams(np.outer(dz, x), dz, upstream * a, upstream)
+
+
+def _score_one(params: ScorerParams, x: np.ndarray) -> float:
+    scores, _ = score_batch(params, x[None, :])
+    return float(scores[0])
+
+
+def _backward_one(params: ScorerParams, x: np.ndarray, upstream: float) -> ScorerParams:
+    _, acts = score_batch(params, x[None, :])
+    return backward_batch(params, x[None, :], acts, np.array([upstream]))
+
+
 class TestScore:
     def test_zero_params_score_zero(self):
         params = ScorerParams(np.zeros((3, 14)), np.zeros(3), np.zeros(3), 0.0)
-        assert score(params, np.ones(14)) == 0.0
+        assert _score_one(params, np.ones(14)) == 0.0
 
     def test_bias_passthrough(self):
         params = ScorerParams(np.zeros((3, 14)), np.zeros(3), np.zeros(3), 1.0)
-        assert score(params, np.ones(14)) == 1.0
+        assert _score_one(params, np.ones(14)) == 1.0
 
     def test_matches_straight_line_formula(self):
         """Random cases against an independent evaluation of the formula."""
@@ -218,12 +237,12 @@ class TestScore:
                 pre = float(np.dot(params.w1[j], x)) + float(params.b1[j])
                 expected += float(params.w2[j]) * math.tanh(pre)
             expected += params.b2
-            assert score(params, x) == pytest.approx(expected, rel=1e-12)
+            assert _score_one(params, x) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         params = ScorerParams(np.zeros((2, 14)), np.zeros(2), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            score(params, np.ones(13))
+            score_batch(params, np.ones((1, 13)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(8)
@@ -231,25 +250,25 @@ class TestScore:
         xs = np.stack([_random_x(rng) for _ in range(6)])
         scores, _ = score_batch(params, xs)
         for i in range(6):
-            assert scores[i] == pytest.approx(score(params, xs[i]), rel=1e-12)
+            assert scores[i] == pytest.approx(_score(params, xs[i]), rel=1e-12)
 
 
 class TestScoreBackward:
     def test_zero_upstream_zero_grad(self):
         rng = np.random.default_rng(9)
         params = _random_params(rng)
-        g = score_backward(params, _random_x(rng), 0.0)
+        g = _backward_one(params, _random_x(rng), 0.0)
         assert np.all(g.w1 == 0) and np.all(g.b1 == 0) and np.all(g.w2 == 0)
         assert g.b2 == 0.0
 
     def test_b2_grad_equals_upstream(self):
         rng = np.random.default_rng(10)
         params = _random_params(rng)
-        g = score_backward(params, _random_x(rng), 2.5)
+        g = _backward_one(params, _random_x(rng), 2.5)
         assert g.b2 == pytest.approx(2.5, rel=1e-15)
 
     def test_finite_differences(self):
-        """Every parameter component vs central differences, step 1e-4."""
+        """Every component of the reference gradient vs central differences, step 1e-4."""
         rng = np.random.default_rng(11)
         step = 1e-4
 
@@ -262,24 +281,24 @@ class TestScoreBackward:
             params = _random_params(rng)
             x = _random_x(rng)
             upstream = float(rng.normal())
-            g = score_backward(params, x, upstream)
+            g = _score_backward(params, x, upstream)
 
             for j in range(params.hidden):
                 for k in range(params.feature_dim):
                     orig = params.w1[j, k]
                     params.w1[j, k] = orig + step
-                    hi = score(params, x)
+                    hi = _score(params, x)
                     params.w1[j, k] = orig - step
-                    lo = score(params, x)
+                    lo = _score(params, x)
                     params.w1[j, k] = orig
                     check(g.w1[j, k], upstream * (hi - lo) / (2 * step))
             for j in range(params.hidden):
                 for arr, garr in ((params.b1, g.b1), (params.w2, g.w2)):
                     orig = arr[j]
                     arr[j] = orig + step
-                    hi = score(params, x)
+                    hi = _score(params, x)
                     arr[j] = orig - step
-                    lo = score(params, x)
+                    lo = _score(params, x)
                     arr[j] = orig
                     check(garr[j], upstream * (hi - lo) / (2 * step))
 
@@ -290,13 +309,45 @@ class TestScoreBackward:
         upstream = rng.normal(size=5)
         _, acts = score_batch(params, xs)
         batched = backward_batch(params, xs, acts, upstream)
-        total = ScorerGrads.zeros_like(params)
-        for i in range(5):
-            total.add_(score_backward(params, xs[i], float(upstream[i])))
+        total = sum(_score_backward(params, xs[i], float(upstream[i])).flat for i in range(5))
+        total = ScorerParams.from_flat(total, *params.w1.shape)
         np.testing.assert_allclose(batched.w1, total.w1, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(batched.b1, total.b1, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(batched.w2, total.w2, rtol=1e-12, atol=1e-14)
         assert batched.b2 == pytest.approx(total.b2, rel=1e-12)
+
+
+class TestParamsLayout:
+    def test_one_flat_vector_in_checkpoint_order(self):
+        """Weights, checkpoint body, copies and gradients share one flat layout."""
+        rng = np.random.default_rng(13)
+        p = _random_params(rng, buckets=8, hidden=3)
+        m, f = p.w1.shape
+        np.testing.assert_array_equal(
+            p.flat, np.concatenate([p.w1.ravel(), p.b1, p.w2, [p.b2]])
+        )
+        p.w1[1, 2] = 5.0
+        p.w1.ravel()[0] = 4.0  # ravel of the w1 view is a view too
+        p.b1[0] = 6.0
+        p.w2[2] = 7.0
+        p.b2 = 8.0
+        p.b2 += 1.0
+        assert p.flat[f + 2] == 5.0 and p.flat[0] == 4.0
+        assert p.flat[m * f] == 6.0
+        assert p.flat[m * f + m + 2] == 7.0
+        assert p.flat[-1] == 9.0 and p.b2 == 9.0
+
+        assert save_params(p)[scorer._HEADER.size :] == p.flat.astype("<f8").tobytes()
+
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        np.testing.assert_array_equal(p.flat, q.flat)
+
+        xs = np.stack([_random_x(rng) for _ in range(4)])
+        _, acts = score_batch(p, xs)
+        g = backward_batch(p, xs, acts, rng.normal(size=4))
+        assert g.flat.shape == p.flat.shape
+        assert not np.shares_memory(g.flat, p.flat)
 
 
 class TestInitParams:

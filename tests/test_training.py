@@ -13,7 +13,6 @@ from rankforge.losses import ranknet
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import (
     ScorerConfig,
-    ScorerGrads,
     ScorerParams,
     init_params,
     score_batch,
@@ -34,13 +33,17 @@ from rankforge.training import (
 CONFIG = ScorerConfig(buckets=8, hidden=3, seed=0)
 
 
-def _random_grads(params: ScorerParams, rng: np.random.Generator) -> ScorerGrads:
-    return ScorerGrads(
+def _random_grads(params: ScorerParams, rng: np.random.Generator) -> ScorerParams:
+    return ScorerParams(
         rng.standard_normal(params.w1.shape),
         rng.standard_normal(params.b1.shape),
         rng.standard_normal(params.w2.shape),
         float(rng.standard_normal()),
     )
+
+
+def _zero_grads(params: ScorerParams) -> ScorerParams:
+    return ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
 
 
 def _reference_adamw(params, grad_seq, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):
@@ -108,7 +111,7 @@ class TestAdamwStep:
     def test_decay_pulls_weights_toward_zero(self):
         params = init_params(CONFIG)
         params.w2[:] = 100.0
-        zero = ScorerGrads.zeros_like(params)
+        zero = _zero_grads(params)
         state = OptimizerState.for_params(params)
         params, _ = adamw_step(params, zero, state, lr=0.1)
         assert np.all(params.w2 < 100.0)
@@ -118,19 +121,22 @@ class TestAdamwStep:
         params = init_params(CONFIG)
         state = OptimizerState.for_params(params)
         with pytest.raises(ValueError, match=">= 0"):
-            adamw_step(params, ScorerGrads.zeros_like(params), state, lr=-1e-3)
+            adamw_step(params, _zero_grads(params), state, lr=-1e-3)
 
     def test_non_finite_grads_rejected(self):
         params = init_params(CONFIG)
         state = OptimizerState.for_params(params)
-        grads = ScorerGrads.zeros_like(params)
-        grads.b1[0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            adamw_step(params, grads, state, lr=1e-3)
-        grads = ScorerGrads.zeros_like(params)
+        for name, idx, value in (("w1", (2, 5), math.inf), ("b1", 0, np.nan),
+                                 ("w2", 1, -math.inf)):
+            grads = _zero_grads(params)
+            getattr(grads, name)[idx] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                adamw_step(params, grads, state, lr=1e-3)
+        grads = _zero_grads(params)
         grads.b2 = math.inf
         with pytest.raises(ValueError, match="non-finite"):
             adamw_step(params, grads, state, lr=1e-3)
+        assert state.t == 0
 
 
 class TestStageConfig:
@@ -439,11 +445,6 @@ class TestPresetPlan:
         plan = preset_plan("C", scale=0.001)
         assert plan.stages[0].max_steps == 25
         assert preset_plan("D", scale=1e-9).stages[0].max_steps == 1
-
-    def test_custom_sampler_threaded_through(self):
-        sampler = SamplerConfig(negatives=7, pool_depth=20, seed=3)
-        plan = preset_plan("C", sampler=sampler)
-        assert plan.stages[0].sampler == sampler
 
     def test_unknown_names(self):
         with pytest.raises(ValueError, match="plan"):
