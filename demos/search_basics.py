@@ -17,7 +17,7 @@ index = build_index(corpus)
 params = Bm25Params()  # k1=0.9, b=0.4
 
 print(f"indexed {corpus.size} documents, "
-      f"{len(index.postings)} distinct terms, "
+      f"{len(index.terms)} distinct terms, "
       f"avg length {index.avg_doc_length:.2f} tokens\n")
 
 for text in ("cat on a mat", "dog park", "singing bird"):

@@ -76,8 +76,8 @@ def cmd_index(args) -> int:
     corpus = parse_path(args.corpus, parse_corpus)
     index = build_index(corpus)
     print(f"documents: {index.size}")
-    print(f"terms: {len(index.postings)}")
-    print(f"postings: {sum(len(p) for p in index.postings.values())}")
+    print(f"terms: {len(index.terms)}")
+    print(f"postings: {len(index.docs)}")
     print(f"avg_doc_length: {index.avg_doc_length:.4f}")
     return 0
 

@@ -13,10 +13,13 @@ A query-document pair is encoded as F = buckets + 6 interaction features:
 
 `extract_features` computes these for one query and a list of documents at
 once, returning a (len(docs), F) matrix: the query side (tokens, idf,
-buckets, bigrams) is done once per call, and term overlap and document
-length come from the inverted index, which must be built from the same
-corpus. `ScoringContext` memoizes the result per query in compact form: the
-dense features plus the hashed block's nonzeros (on average a few of the
+buckets, bigrams) is done once per call, and the document side is read
+from the inverted index's arrays with numpy operations over the whole
+block: term frequencies from the query terms' postings, lengths from
+`lengths`, and [5] from adjacent term ids in the token stream. The index
+must be built from the same corpus; no document text is re-tokenized.
+`ScoringContext` memoizes the result per query in compact form: the dense
+features plus the hashed block's nonzeros (on average a few of the
 `buckets` entries), expanded to a dense matrix on each lookup.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,7 +42,7 @@ import numpy as np
 
 from .data import Corpus, Document, Query
 from .errors import DataError
-from .retrieval import Bm25Params, InvertedIndex, bm25_score, tokenize
+from .retrieval import Bm25Params, InvertedIndex, bm25_block, concat_ranges, tokenize
 from .rng import SplitMix64
 
 _EPS = 1e-12
@@ -140,46 +144,65 @@ def extract_features(
     """Feature matrix of shape (len(docs), buckets + N_DENSE), one row per
     document in order (layout in module docstring).
 
-    `index` must be built from the corpus the documents come from: term
-    overlap and document length are read from its postings and lengths,
-    not recomputed from the text. A document missing from the index raises
-    ValueError.
+    `index` must be built from the corpus the documents come from: every
+    document-side quantity is read from its arrays, and no document text
+    is tokenized. A document missing from the index raises ValueError.
     """
+    nums = index.doc_numbers([d.id for d in docs])
     q_tokens = tokenize(query.text)
     # sorted terms: accumulation order must not depend on the process hash
     # seed or the result is not bit-reproducible across runs
     q_terms = sorted(set(q_tokens))
-    q_postings = [index.postings.get(t, {}) for t in q_terms]
+    tf = index.tf_matrix(q_terms, nums)
+    hit = tf > 0  # (query terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
-    idf_q = sum(q_idf)
     q_buckets = [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in q_terms]
-    q_bigrams = list(zip(q_tokens, q_tokens[1:]))
 
     x = np.zeros((len(docs), buckets + N_DENSE), dtype=np.float64)
+    bm25 = bm25_block(index, params, q_tokens, q_terms, tf, nums)
+    x[:, 0] = bm25 / (1.0 + bm25)
+    x[:, 1] = hit.sum(axis=0) / max(1, len(q_terms))
+    idf_overlap = np.zeros(len(docs))
+    for j, idf in enumerate(q_idf):
+        idf_overlap[hit[j]] += idf
+        x[hit[j], q_buckets[j]] += idf
+    x[:, 2] = idf_overlap / max(_EPS, sum(q_idf))
+    x[:, 3] = [math.log1p(n) / 10.0 for n in index.lengths[nums].tolist()]
     x[:, 4] = math.log1p(len(q_tokens)) / 10.0
-    for row, doc in zip(x, docs):
-        bm25 = bm25_score(index, params, q_tokens, doc.id)
-        hits = [j for j, plist in enumerate(q_postings) if doc.id in plist]
-        row[0] = bm25 / (1.0 + bm25)
-        row[1] = len(hits) / max(1, len(q_terms))
-        row[2] = sum(q_idf[j] for j in hits) / max(_EPS, idf_q)
-        row[3] = math.log1p(index.doc_lengths[doc.id]) / 10.0
-        if not hits:
-            continue
-        overlap = {q_terms[j] for j in hits}
-        # a bigram can occur in the doc only if both its terms do
-        if any(a in overlap and b in overlap for a, b in q_bigrams):
-            d_tokens = tokenize(doc.text)
-            d_bigrams = set(zip(d_tokens, d_tokens[1:]))
-            row[5] = sum(bg in d_bigrams for bg in q_bigrams) / len(q_bigrams)
-        for j in hits:
-            row[q_buckets[j]] += q_idf[j]
-        block = row[N_DENSE:]
-        # per-row np.dot, not a vectorised norm, which may round differently
-        norm = math.sqrt(float(np.dot(block, block)))
-        if norm > 0.0:
-            block /= norm
+    x[:, 5] = _bigram_fraction(index, q_tokens, nums)
+    # every idf is > 0, so a row with a hit has a nonzero hashed block, and
+    # its nonzeros lie in the query's buckets; per-row np.dot over the whole
+    # block, not a vectorised norm, which may round differently
+    rows = np.flatnonzero(hit.any(axis=0))
+    blocks = x[:, N_DENSE:]
+    norms = [math.sqrt(np.dot(blocks[i], blocks[i])) for i in rows.tolist()]
+    x[np.ix_(rows, sorted(set(q_buckets)))] /= np.array(norms).reshape(-1, 1)
     return x
+
+
+def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray) -> np.ndarray:
+    """Per document, the share of the query's bigrams (repeats counted) that
+    occur as adjacent tokens in it, read from the index's token stream."""
+    q_bigrams = list(zip(q_tokens, q_tokens[1:]))
+    # a bigram with a term missing from the index occurs nowhere
+    multiplicity = Counter(
+        (index.terms[a], index.terms[b])
+        for a, b in q_bigrams if a in index.terms and b in index.terms
+    )
+    count = np.zeros(len(nums), dtype=np.intp)
+    if multiplicity:
+        # each stream position whose successor is in the same document, so
+        # no pair spans a document boundary
+        lo = index.starts[nums]
+        spans = np.maximum(index.starts[nums + 1] - lo - 1, 0)
+        pos = concat_ranges(lo, lo + spans)
+        col = np.repeat(np.arange(len(nums)), spans)
+        left, right = index.tokens[pos], index.tokens[pos + 1]
+        for (a, b), times in multiplicity.items():
+            found = np.zeros(len(nums), dtype=bool)
+            found[col[(left == a) & (right == b)]] = True
+            count += times * found
+    return count / max(1, len(q_bigrams))
 
 
 def score_batch(params: ScorerParams, x_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,11 +306,9 @@ class _QueryFeatures:
         rows = np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
         out = np.zeros((len(rows), width))
         out[:, :N_DENSE] = self.dense[rows]
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        # positions starts[i] .. starts[i] + counts[i] - 1 of each row, in order
-        src = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        out[np.repeat(np.arange(len(rows)), counts), self.cols[src]] = self.vals[src]
+        lo, hi = self.indptr[rows], self.indptr[rows + 1]
+        src = concat_ranges(lo, hi)
+        out[np.repeat(np.arange(len(rows)), hi - lo), self.cols[src]] = self.vals[src]
         return out
 
 

@@ -68,6 +68,14 @@ class TestIndex:
         assert "documents: 100" in out
         assert "terms:" in out and "postings:" in out and "avg_doc_length:" in out
 
+    def test_tiny_corpus_counts(self, tiny_corpus, tmp_path, capsys):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("".join(f"{d.id}\t{d.text}\n" for d in tiny_corpus), encoding="utf-8")
+        assert main(["index", "--corpus", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "documents: 5\nterms: 18\npostings: 23\navg_doc_length: 5.4000\n"
+        )
+
     def test_missing_corpus(self, ws, capsys):
         assert main(["index", "--corpus", str(ws / "nope.tsv")]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -38,10 +38,24 @@ class TestTokenize:
 class TestBuildIndex:
     def test_counting(self):
         index = build_index(parse_corpus("d\tcat cat dog\n"))
-        assert index.tf("cat", "d") == 2
-        assert index.tf("dog", "d") == 1
+        docs, tfs = index.postings("cat")
+        assert docs.tolist() == [0] and tfs.tolist() == [2]
+        docs, tfs = index.postings("dog")
+        assert docs.tolist() == [0] and tfs.tolist() == [1]
         assert index.df("cat") == 1
         assert index.avg_doc_length == 3.0
+
+    def test_documents_numbered_in_id_order(self):
+        index = build_index(parse_corpus("b\tdog cat\na\tcat cat\nc\t--\n"))
+        assert index.doc_ids == ("a", "b", "c")
+        docs, tfs = index.postings("cat")
+        assert docs.tolist() == [0, 1] and tfs.tolist() == [2, 1]
+        assert index.lengths.tolist() == [2, 2, 0]
+        # the token stream holds each document's term ids in text order
+        names = {i: t for t, i in index.terms.items()}
+        assert [[names[i] for i in index.tokens[lo:hi]]
+                for lo, hi in zip(index.starts, index.starts[1:])] == [
+            ["cat", "cat"], ["dog", "cat"], []]
 
     def test_empty_corpus(self):
         index = build_index(parse_corpus(""))
@@ -58,7 +72,8 @@ class TestBuildIndex:
     def test_unknown_term(self):
         index = build_index(parse_corpus("d1\ta\n"))
         assert index.df("zzz") == 0
-        assert index.tf("zzz", "d1") == 0
+        docs, tfs = index.postings("zzz")
+        assert len(docs) == 0 and len(tfs) == 0
 
 
 class TestBm25:
@@ -189,3 +204,103 @@ class TestRetrievalProperties:
             for doc in corpus:
                 if doc.id not in returned:
                     assert bm25_score(index, params, tokens, doc.id) <= cutoff
+
+
+class _ReferenceIndex:
+    """The dict-of-dicts index the array-backed one replaced: term ->
+    {doc_id: tf} in corpus order, and doc_id -> token count."""
+
+    def __init__(self, corpus):
+        self.postings: dict[str, dict[str, int]] = {}
+        self.doc_lengths: dict[str, int] = {}
+        for doc in corpus:
+            tokens = tokenize(doc.text)
+            self.doc_lengths[doc.id] = len(tokens)
+            for t in tokens:
+                bucket = self.postings.setdefault(t, {})
+                bucket[doc.id] = bucket.get(doc.id, 0) + 1
+        n = len(self.doc_lengths)
+        self.avg_doc_length = sum(self.doc_lengths.values()) / n if n else 0.0
+        self.size = n
+
+    def idf(self, term):
+        df = len(self.postings.get(term, ()))
+        return math.log(1.0 + (self.size - df + 0.5) / (df + 0.5))
+
+
+def _reference_bm25_score(index, params, query_tokens, doc_id):
+    """The per-document bm25_score the array one replaced, frozen as a reference."""
+    length = index.doc_lengths[doc_id]
+    norm = params.k1 * (1.0 - params.b + params.b * length / index.avg_doc_length) \
+        if index.avg_doc_length > 0 else params.k1
+    score = 0.0
+    for t in query_tokens:
+        tf = index.postings.get(t, {}).get(doc_id, 0)
+        if tf == 0:
+            continue
+        score += index.idf(t) * tf * (params.k1 + 1.0) / (tf + norm)
+    return score
+
+
+def _reference_retrieve_topk(index, params, query, k):
+    """The dict-accumulating retrieve_topk the array one replaced."""
+    scores: dict[str, float] = {}
+    for t in tokenize(query.text):
+        plist = index.postings.get(t)
+        if not plist:
+            continue
+        idf = index.idf(t)
+        for doc_id, tf in plist.items():
+            length = index.doc_lengths[doc_id]
+            norm = params.k1 * (1.0 - params.b + params.b * length / index.avg_doc_length)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (params.k1 + 1.0) / (tf + norm)
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def _assert_ranking_bits(got, want):
+    assert [(e.doc_id, e.score.hex()) for e in got.entries] == [
+        (d, s.hex()) for d, s in want
+    ]
+
+
+class TestRetrievalMatchesReference:
+    """retrieve_topk and bm25_score reproduce the dict-based reference:
+    the same documents in the same order, with the same score bits."""
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_generated_world(self, small_world, full):
+        w = small_world
+        ref = _ReferenceIndex(w.corpus)
+        params = Bm25Params()
+        k = w.corpus.size if full else 100
+        for q in w.queries:
+            got = retrieve_topk(w.index, params, q, k)
+            _assert_ranking_bits(got, _reference_retrieve_topk(ref, params, q, k))
+            tokens = tokenize(q.text)
+            for e in got.entries[:10]:
+                want = _reference_bm25_score(ref, params, tokens, e.doc_id)
+                assert bm25_score(w.index, params, tokens, e.doc_id).hex() == want.hex()
+
+    def test_random_worlds_with_ties_in_shuffled_file_order(self):
+        rng = SplitMix64(77)
+        ties = 0
+        for trial in range(30):
+            lines = _random_corpus(rng, 5 + rng.below(25)).splitlines(keepends=True)
+            # file order is not id order: ties must still go to the lower id
+            for i in range(len(lines) - 1, 0, -1):
+                j = rng.below(i + 1)
+                lines[i], lines[j] = lines[j], lines[i]
+            corpus = parse_corpus("".join(lines))
+            index, ref = build_index(corpus), _ReferenceIndex(corpus)
+            params = Bm25Params(k1=0.5 + rng.uniform(), b=rng.uniform())
+            query = Query("q", " ".join(f"w{rng.below(30)}" for _ in range(1 + rng.below(4))))
+            tokens = tokenize(query.text)
+            for k in (3, corpus.size):
+                got = retrieve_topk(index, params, query, k)
+                _assert_ranking_bits(got, _reference_retrieve_topk(ref, params, query, k))
+            scores = [e.score for e in got.entries]
+            ties += len(scores) - len(set(scores))
+            for doc in corpus:
+                want = _reference_bm25_score(ref, params, tokens, doc.id)
+                assert bm25_score(index, params, tokens, doc.id).hex() == want.hex()
+        assert ties > 0  # the worlds did exercise the tie-break

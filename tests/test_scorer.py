@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rankforge import scorer
+from rankforge import retrieval, scorer
 from rankforge.data import Document, Query, parse_corpus
 from rankforge.errors import DataError
 from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_topk, tokenize
@@ -101,6 +101,19 @@ class TestExtractFeatures:
         for i in (0, 1, 2, 5):
             assert 0.0 <= x[i] <= 1.0
 
+    def test_no_document_text_tokenized(self, feature_world, monkeypatch):
+        corpus, index = feature_world
+        seen = []
+
+        def recording(text):
+            seen.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(scorer, "tokenize", recording)
+        monkeypatch.setattr(retrieval, "tokenize", recording)
+        extract_features(index, Bm25Params(), Query("q", "cat dog runs"), list(corpus), 16)
+        assert seen == ["cat dog runs"]
+
     def test_purity(self, feature_world):
         corpus, index = feature_world
         q = Query("q", "cat dog")
@@ -181,6 +194,23 @@ class TestExtractionMatchesReference:
     ])
     def test_edge_queries(self, feature_world, qtext):
         corpus, index = feature_world
+        docs = list(corpus)
+        q = Query("q", qtext)
+        want = np.stack([_reference_features(index, Bm25Params(), q, d, 16) for d in docs])
+        _assert_bits_equal(extract_features(index, Bm25Params(), q, docs, 16), want)
+
+    @pytest.mark.parametrize("qtext", [
+        "fox owl",  # last token of d1, first token of d2: spans a document end
+        "cat dog",  # d2 ends with cat, then the empty d3, then d4 starts with dog
+        "cat zebra dog",  # both bigrams hold a term missing from the vocabulary
+        "zebra zebra",  # a repeated bigram of a missing term
+        "cat dog cat dog",  # (cat, dog) twice: counted twice
+        "dog dog",  # a bigram of one term, adjacent in no document
+    ])
+    def test_token_stream_edges(self, qtext):
+        # d3 has no tokens at all
+        corpus = parse_corpus("d1\tcat dog fox\nd2\towl cat\nd3\t--\nd4\tdog owl cat\n")
+        index = build_index(corpus)
         docs = list(corpus)
         q = Query("q", qtext)
         want = np.stack([_reference_features(index, Bm25Params(), q, d, 16) for d in docs])
