@@ -222,8 +222,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--depth", type=int, default=100, help="retrieval depth (default 100)")
-    p.add_argument("--k1", type=float, default=0.9)
-    p.add_argument("--b", type=float, default=0.4)
+    p.add_argument("--k1", type=float, default=Bm25Params.k1)
+    p.add_argument("--b", type=float, default=Bm25Params.b)
     p.add_argument("--out", default=None, help="run file (stdout if omitted)")
 
     p = add("train", cmd_train, "train one named plan from an experiment config")
@@ -238,8 +238,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--run", required=True, help="first-stage TREC run")
     p.add_argument("--params", required=True, help="checkpoint file")
     p.add_argument("--depth", type=int, default=100, help="rerank depth (default 100)")
-    p.add_argument("--k1", type=float, default=0.9)
-    p.add_argument("--b", type=float, default=0.4)
+    p.add_argument("--k1", type=float, default=Bm25Params.k1)
+    p.add_argument("--b", type=float, default=Bm25Params.b)
     p.add_argument("--out", default=None, help="run file (stdout if omitted)")
 
     p = add("evaluate", cmd_evaluate, "evaluate a run against qrels, CSV output")

@@ -5,7 +5,8 @@ Formats handled here:
   qrels             TREC         ``qid 0 docid rel`` (whitespace separated)
   run               TREC         ``qid Q0 docid rank score tag`` (scores
                                  serialized with 6 decimals, bit-exact)
-  teacher rankings  JSONL        ``{"qid": ..., "ranked": [...], "texts": [...]?}``
+  teacher rankings  JSONL        ``{"qid": ..., "ranked": [...]}`` (other keys
+                                 are ignored)
 
 All parsers are total: any byte stream either yields validated values or a
 ParseError; nothing partially parsed escapes. Parsed values are immutable.
@@ -173,15 +174,12 @@ class TeacherRanking:
 
     query_id: str
     doc_ids: tuple[str, ...]
-    texts: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError(f"query {self.query_id}: duplicate doc in teacher ranking")
         if len(self.doc_ids) < 2:
             raise ValueError(f"query {self.query_id}: teacher ranking needs >= 2 docs")
-        if self.texts is not None and len(self.texts) != len(self.doc_ids):
-            raise ValueError(f"query {self.query_id}: texts/ranked length mismatch")
 
 
 @dataclass(frozen=True)
@@ -315,15 +313,8 @@ def parse_teacher(stream: str | Iterable[str]) -> list[TeacherRanking]:
         ranked = obj["ranked"]
         if not isinstance(ranked, list) or not all(isinstance(d, str) for d in ranked):
             raise ParseError(f"query {qid}: 'ranked' must be a list of doc id strings", line=no)
-        texts = obj.get("texts")
-        if texts is not None and (
-            not isinstance(texts, list) or not all(isinstance(t, str) for t in texts)
-        ):
-            raise ParseError(f"query {qid}: 'texts' must be a list of strings", line=no)
         try:
-            teachers.append(
-                TeacherRanking(qid, tuple(ranked), tuple(texts) if texts is not None else None)
-            )
+            teachers.append(TeacherRanking(qid, tuple(ranked)))
         except ValueError as exc:
             raise ParseError(str(exc), line=no) from None
     return teachers

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .data import (
-    Corpus,
     Qrels,
     Query,
     Ranking,
@@ -48,7 +47,7 @@ from .evaluation import (
     report_csv,
     rerank,
 )
-from .retrieval import Bm25Params, InvertedIndex, build_index, retrieve_topk
+from .retrieval import Bm25Params, build_index, retrieve_topk
 from .rng import substream
 from .sampling import SamplerConfig
 from .scorer import (
@@ -138,29 +137,54 @@ _TOP_KEYS = {
 _STAGE_KEYS = {
     "loss", "lr", "steps", "val_interval", "negatives", "pool_depth", "policy",
 }
+_PRESET_KEYS = {"preset", "variant", "scale"}
+_SCORER_KEYS = {"buckets", "hidden", "seed"}
+_BM25_KEYS = {"k1", "b"}
+_METRIC_KEYS = {"kind", "cutoff", "threshold", "gain"}
 
 
-def _stage_from_dict(raw: Mapping, plan_name: str, stage_idx: int) -> StageConfig:
-    unknown = set(raw) - _STAGE_KEYS
+def _object(value: object, where: str, keys: set[str]) -> Mapping:
+    """value, checked to be a JSON object whose keys all lie in keys."""
+    if not isinstance(value, Mapping):
+        raise DataError(f"{where} must be a JSON object")
+    unknown = set(value) - keys
     if unknown:
-        raise DataError(f"plan {plan_name}: unknown stage keys {sorted(unknown)}")
+        raise DataError(f"{where} has unknown keys {sorted(unknown)}")
+    return value
+
+
+def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig:
+    where = f"plan {plan_name} stage {stage_idx}"
+    raw = _object(raw, where, _STAGE_KEYS)
     for key in ("loss", "lr", "steps"):
         if key not in raw:
-            raise DataError(f"plan {plan_name}: stage {stage_idx} missing {key!r}")
+            raise DataError(f"{where} missing {key!r}")
     loss = raw["loss"]
     sampler = None
     if loss in ("lce", "bce"):
         sampler = SamplerConfig(
-            negatives=int(raw.get("negatives", 99)),
-            pool_depth=int(raw.get("pool_depth", 200)),
-            policy=str(raw.get("policy", "hard")),
+            negatives=int(raw.get("negatives", SamplerConfig.negatives)),
+            pool_depth=int(raw.get("pool_depth", SamplerConfig.pool_depth)),
+            policy=str(raw.get("policy", SamplerConfig.policy)),
         )
     return StageConfig(
         loss=loss,
         lr=float(raw["lr"]),
         max_steps=int(raw["steps"]),
-        val_interval=int(raw.get("val_interval", 500)),
+        val_interval=int(raw.get("val_interval", StageConfig.val_interval)),
         sampler=sampler,
+    )
+
+
+def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
+    raw = _object(raw, f"metric {idx}", _METRIC_KEYS)
+    if "kind" not in raw:
+        raise DataError(f"metric {idx} missing 'kind'")
+    return MetricSpec(
+        kind=raw["kind"],
+        cutoff=raw.get("cutoff"),
+        threshold=int(raw.get("threshold", MetricSpec.threshold)),
+        gain=raw.get("gain", MetricSpec.gain),
     )
 
 
@@ -172,10 +196,13 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
     return replace(stage, sampler=sampler, seed=substream(seed, _STAGE_TAG, stage_idx))
 
 
-def _resolve_plans(raw_plans: Mapping, seed: int) -> tuple[NamedPlan, ...]:
+def _resolve_plans(raw_plans: object, seed: int) -> tuple[NamedPlan, ...]:
+    if not isinstance(raw_plans, Mapping):
+        raise DataError("config 'plans' must be a JSON object")
     plans = []
     for name, body in raw_plans.items():
         if isinstance(body, Mapping) and body.get("preset") == "reference":
+            body = _object(body, f"plan {name}", _PRESET_KEYS)
             stages = preset_plan(
                 name,
                 variant=body.get("variant", "base"),
@@ -209,14 +236,16 @@ def load_config(
         raise DataError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"config {path} must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise DataError(f"config has unknown keys {sorted(unknown)}")
+    _object(raw, f"config {path}", _TOP_KEYS)
+    try:
+        return _config_from_dict(raw, path.parent, seed, out)
+    except TypeError as exc:  # a value of the wrong JSON type, such as null for a number
+        raise DataError(f"config {path}: {exc}") from None
 
-    base = path.parent
 
+def _config_from_dict(
+    raw: Mapping, base: Path, seed: int | None, out: str | Path | None
+) -> ExperimentConfig:
     def resolve(p: str) -> Path:
         candidate = Path(p)
         return candidate if candidate.is_absolute() else base / candidate
@@ -247,29 +276,23 @@ def load_config(
     else:
         raise DataError("config missing output directory (key 'out' or --out)")
 
-    scorer_raw = raw.get("scorer", {})
+    scorer_raw = _object(raw.get("scorer", {}), "config 'scorer'", _SCORER_KEYS)
     scorer = ScorerConfig(
-        buckets=int(scorer_raw.get("buckets", 1024)),
-        hidden=int(scorer_raw.get("hidden", 16)),
+        buckets=int(scorer_raw.get("buckets", ScorerConfig.buckets)),
+        hidden=int(scorer_raw.get("hidden", ScorerConfig.hidden)),
         seed=int(scorer_raw.get("seed", substream(master_seed, _INIT_TAG))),
     )
-    bm25_raw = raw.get("bm25", {})
+    bm25_raw = _object(raw.get("bm25", {}), "config 'bm25'", _BM25_KEYS)
     bm25 = Bm25Params(
-        k1=float(bm25_raw.get("k1", 0.9)), b=float(bm25_raw.get("b", 0.4))
+        k1=float(bm25_raw.get("k1", Bm25Params.k1)), b=float(bm25_raw.get("b", Bm25Params.b))
     )
     metrics_raw = raw.get(
         "metrics",
         [{"kind": "ap"}, {"kind": "ndcg", "cutoff": 10}, {"kind": "mrr", "cutoff": 10}],
     )
-    metrics = tuple(
-        MetricSpec(
-            kind=m["kind"],
-            cutoff=m.get("cutoff"),
-            threshold=int(m.get("threshold", 1)),
-            gain=m.get("gain", "linear"),
-        )
-        for m in metrics_raw
-    )
+    if not isinstance(metrics_raw, list):
+        raise DataError("config 'metrics' must be a list of objects")
+    metrics = tuple(_metric_from_dict(m, i) for i, m in enumerate(metrics_raw))
     labels = [m.label for m in metrics]
     if len(set(labels)) != len(labels):
         raise DataError("metric labels must be unique")
@@ -308,11 +331,8 @@ def choose_positive(qrels: Qrels, query_id: str) -> str | None:
 class PreparedData:
     """Everything the driver needs after parsing, indexing, and splitting."""
 
-    corpus: Corpus
     queries: dict[str, Query]
     qrels: Qrels
-    teachers: dict[str, TeacherRanking]
-    index: InvertedIndex
     ctx: ScoringContext
     first_stage: dict[str, Ranking]
     built_first_stage: bool
@@ -393,11 +413,8 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
         )
 
     return PreparedData(
-        corpus=corpus,
         queries=queries,
         qrels=qrels,
-        teachers=teachers,
-        index=index,
         ctx=ctx,
         first_stage=first_stage,
         built_first_stage=built,

@@ -18,9 +18,11 @@ from the inverted index's arrays with numpy operations over the whole
 block: term frequencies from the query terms' postings, lengths from
 `lengths`, and [5] from adjacent term ids in the token stream. The index
 must be built from the same corpus; no document text is re-tokenized.
-`ScoringContext` memoizes the result per query in compact form: the dense
-features plus the hashed block's nonzeros (on average a few of the
-`buckets` entries), expanded to a dense matrix on each lookup.
+`ScoringContext` memoizes the result per query as one narrow dense block
+over the only columns a row of that query can fill: the N_DENSE features
+and the query terms' buckets. Every other column is 0 by construction,
+since the hashed block is written only at those buckets, so a lookup
+scatters the held columns into a zero matrix of full width.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
@@ -139,7 +141,7 @@ def extract_features(
     params: Bm25Params,
     query: Query,
     docs: Sequence[Document],
-    buckets: int = 1024,
+    buckets: int,
 ) -> np.ndarray:
     """Feature matrix of shape (len(docs), buckets + N_DENSE), one row per
     document in order (layout in module docstring).
@@ -156,7 +158,7 @@ def extract_features(
     tf = index.tf_matrix(q_terms, nums)
     hit = tf > 0  # (query terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
-    q_buckets = [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in q_terms]
+    q_buckets = [_bucket(t, buckets) for t in q_terms]
 
     x = np.zeros((len(docs), buckets + N_DENSE), dtype=np.float64)
     bm25 = bm25_block(index, params, q_tokens, q_terms, tf, nums)
@@ -178,6 +180,11 @@ def extract_features(
     norms = [math.sqrt(np.dot(blocks[i], blocks[i])) for i in rows.tolist()]
     x[np.ix_(rows, sorted(set(q_buckets)))] /= np.array(norms).reshape(-1, 1)
     return x
+
+
+def _bucket(term: str, buckets: int) -> int:
+    """The feature column of a term's hashed bucket."""
+    return N_DENSE + fnv1a64(term.encode("utf-8")) % buckets
 
 
 def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray) -> np.ndarray:
@@ -273,42 +280,29 @@ def load_params(blob: bytes) -> ScorerParams:
 
 
 class _QueryFeatures:
-    """One query's extracted rows: a doc -> row map, the (m, N_DENSE) dense
-    features, and the nonzeros of the hashed block in CSR form (row offsets,
-    column indices into the full feature vector, values)."""
+    """One query's extracted rows: a doc -> row map and the rows' values in
+    `cols`, the N_DENSE dense columns then the query terms' distinct buckets
+    in ascending order. A row is 0 in every other column."""
 
-    __slots__ = ("rows", "dense", "indptr", "cols", "vals")
+    __slots__ = ("rows", "cols", "vals")
 
-    def __init__(self):
+    def __init__(self, query: Query, buckets: int):
         self.rows: dict[str, int] = {}
-        self.dense = np.empty((0, N_DENSE))
-        self.indptr = np.zeros(1, dtype=np.intp)
-        self.cols = np.empty(0, dtype=np.intp)
-        self.vals = np.empty(0)
+        q_buckets = sorted({_bucket(t, buckets) for t in tokenize(query.text)})
+        self.cols = np.array([*range(N_DENSE), *q_buckets], dtype=np.intp)
+        self.vals = np.empty((0, len(self.cols)))
 
     def add(self, doc_ids: list[str], x: np.ndarray) -> None:
         """Append the rows of x, a feature matrix of doc_ids not yet held."""
-        # the nonzeros lie in the few columns of the query's terms: find those
-        # first, since a full np.nonzero scan costs more than the extraction
-        cols = N_DENSE + np.flatnonzero(x[:, N_DENSE:].any(axis=0))
-        r, c = np.nonzero(x[:, cols])
-        c = cols[c]
         base = len(self.rows)
         self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
-        self.dense = np.concatenate([self.dense, x[:, :N_DENSE]])
-        counts = np.bincount(r, minlength=len(doc_ids))
-        self.indptr = np.concatenate([self.indptr, self.indptr[-1] + np.cumsum(counts)])
-        self.cols = np.concatenate([self.cols, c])
-        self.vals = np.concatenate([self.vals, x[r, c]])
+        self.vals = np.concatenate([self.vals, x[:, self.cols]])
 
     def gather(self, doc_ids: list[str], width: int) -> np.ndarray:
         """A new dense (len(doc_ids), width) matrix of the held rows."""
         rows = np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
         out = np.zeros((len(rows), width))
-        out[:, :N_DENSE] = self.dense[rows]
-        lo, hi = self.indptr[rows], self.indptr[rows + 1]
-        src = concat_ranges(lo, hi)
-        out[np.repeat(np.arange(len(rows)), hi - lo), self.cols[src]] = self.vals[src]
+        out[:, self.cols] = self.vals[rows]
         return out
 
 
@@ -316,18 +310,18 @@ class ScoringContext:
     """Bundles corpus, index, and BM25 params; memoizes feature extraction.
 
     Feature vectors are pure functions of (query, doc), so the memo never
-    invalidates. It is keyed by query id and holds each query's rows
-    compactly (dense features plus the hashed block's nonzeros); every
-    lookup returns a new dense matrix, so callers may modify it. `index`
-    must be built from `corpus`. Shared read-only across systems being
-    compared.
+    invalidates. It is keyed by query id and holds each query's rows as
+    one dense block over the query's own columns (the dense features and
+    its terms' distinct buckets, so at most N_DENSE + distinct query terms
+    wide); every lookup returns a new dense (n, F) matrix, so callers may
+    modify it. `index` must be built from `corpus`. Shared read-only across
+    systems being compared.
     """
 
-    def __init__(self, corpus: Corpus, index: InvertedIndex,
-                 bm25: Bm25Params | None = None, buckets: int = 1024):
+    def __init__(self, corpus: Corpus, index: InvertedIndex, bm25: Bm25Params, buckets: int):
         self.corpus = corpus
         self.index = index
-        self.bm25 = bm25 if bm25 is not None else Bm25Params()
+        self.bm25 = bm25
         self.buckets = buckets
         self._memo: dict[str, _QueryFeatures] = {}
 
@@ -338,7 +332,7 @@ class ScoringContext:
         """(len(doc_ids), F) features; docs not yet held are extracted in one block."""
         held = self._memo.get(query.id)
         if held is None:
-            held = self._memo[query.id] = _QueryFeatures()
+            held = self._memo[query.id] = _QueryFeatures(query, self.buckets)
         missing = [d for d in dict.fromkeys(doc_ids) if d not in held.rows]
         if missing:
             for d in missing:

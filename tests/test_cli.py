@@ -333,6 +333,23 @@ class TestExperimentCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("section", [
+        {"metrics": [{"cutoff": 10}]},
+        {"scorer": [1]},
+        {"scorer": {"bucket": 8}},
+        {"bm25": {"k1": 0.9, "k": 1}},
+    ])
+    def test_malformed_section_exits_two(self, ws, tmp_path, capsys, section):
+        config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
+        config.update({k: str(ws / config[k]) for k in ("corpus", "queries", "qrels", "teacher")})
+        config.update(section)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):

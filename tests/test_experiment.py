@@ -169,6 +169,25 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="plan C"):
             load_config(path)
 
+    @pytest.mark.parametrize("over, match", [
+        ({"metrics": [{"cutoff": 10}]}, "metric 0 missing 'kind'"),
+        ({"metrics": [{"kind": "ap"}, "ndcg"]}, "metric 1 must be"),
+        ({"metrics": [{"kind": "ap", "cutof": 5}]}, "cutof"),
+        ({"metrics": {"kind": "ap"}}, "'metrics' must be a list"),
+        ({"scorer": [1]}, "'scorer' must be"),
+        ({"scorer": {"bucket": 8}}, "bucket"),
+        ({"scorer": {"buckets": None}}, "NoneType"),
+        ({"bm25": 0.9}, "'bm25' must be"),
+        ({"bm25": {"k1": 0.9, "k": 1}}, r"\['k'\]"),
+        ({"plans": ["C"]}, "'plans' must be"),
+        ({"plans": {"C": [1]}}, "plan C stage 0 must be"),
+        ({"plans": {"C": {"preset": "reference", "scal": 2}}}, "scal"),
+    ])
+    def test_malformed_section(self, tmp_path, over, match):
+        path = _write_workspace(tmp_path, **over)
+        with pytest.raises(DataError, match=match):
+            load_config(path)
+
     def test_duplicate_metric_labels(self, tmp_path):
         path = _write_workspace(tmp_path, metrics=[{"kind": "ap"}, {"kind": "ap"}])
         with pytest.raises(DataError, match="unique"):

@@ -172,17 +172,29 @@ class TestExtractionMatchesReference:
             want = np.stack([_reference_features(w.index, bm25, q, d, buckets) for d in docs])
             _assert_bits_equal(extract_features(w.index, bm25, q, docs, buckets), want)
 
-    def test_context_store_matches_reference(self, small_world):
+    @pytest.mark.parametrize("buckets, first", [
+        (64, "every third"),
+        (1, "every third"),  # every term shares one column
+        (64, "no shared term"),  # the first block's hashed columns are all 0
+    ])
+    def test_context_store_matches_reference(self, small_world, buckets, first):
         w = small_world
-        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets=64)
+        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets)
         for q in w.queries[:10]:
             ids = retrieve_topk(w.index, Bm25Params(), q, 100).doc_ids()
+            if first == "every third":
+                head = ids[::3]
+            else:
+                q_terms = set(tokenize(q.text))
+                head = [d.id for d in w.corpus if not q_terms & set(tokenize(d.text))][:5]
+                assert head
             # a partial block first, then the whole list reversed with a repeat,
             # so rows come from two extractions and are gathered out of order
-            ctx.feature_matrix(q, ids[::3])
-            asked = ids[::-1] + ids[:1]
+            ctx.feature_matrix(q, head)
+            asked = ids[::-1] + head[:1]
             want = np.stack([
-                _reference_features(w.index, Bm25Params(), q, w.corpus.get(d), 64) for d in asked
+                _reference_features(w.index, Bm25Params(), q, w.corpus.get(d), buckets)
+                for d in asked
             ])
             _assert_bits_equal(ctx.feature_matrix(q, asked), want)
 
@@ -460,7 +472,7 @@ class TestScoringContext:
             return real(index, params, query, docs, buckets)
 
         monkeypatch.setattr(scorer, "extract_features", counting)
-        ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
         first = ctx.features(q, "d1")
         assert extracted == [["d1"]]
@@ -472,7 +484,7 @@ class TestScoringContext:
         assert extracted == [["d1"], ["d2"]]
 
     def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
-        ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
         x = ctx.features(q, "d1")
         want = x.copy()
@@ -483,12 +495,12 @@ class TestScoringContext:
         np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0], want)
 
     def test_missing_doc_raises(self, tiny_corpus, tiny_index):
-        ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         with pytest.raises(DataError, match="d99"):
             ctx.features(Query("q", "cat"), "d99")
 
     def test_feature_matrix_rows(self, tiny_corpus, tiny_index):
-        ctx = ScoringContext(tiny_corpus, tiny_index, buckets=16)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
         mat = ctx.feature_matrix(q, ["d1", "d2"])
         np.testing.assert_array_equal(mat[0], ctx.features(q, "d1"))
