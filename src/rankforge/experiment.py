@@ -153,6 +153,26 @@ def _object(value: object, where: str, keys: set[str]) -> Mapping:
     return value
 
 
+def _integer(raw: Mapping, key: str, where: str, default: int | None = None) -> int | None:
+    """raw[key], checked to be a JSON integer (not a bool); default when absent."""
+    if key not in raw:
+        return default
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{where}: {key!r} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
+def _number(raw: Mapping, key: str, where: str, default: float | None = None) -> float | None:
+    """raw[key] as a float, checked to be a JSON number (not a bool); default when absent."""
+    if key not in raw:
+        return default
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{where}: {key!r} must be a JSON number, not {type(value).__name__}")
+    return float(value)
+
+
 def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig:
     where = f"plan {plan_name} stage {stage_idx}"
     raw = _object(raw, where, _STAGE_KEYS)
@@ -163,27 +183,28 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
     sampler = None
     if loss in ("lce", "bce"):
         sampler = SamplerConfig(
-            negatives=int(raw.get("negatives", SamplerConfig.negatives)),
-            pool_depth=int(raw.get("pool_depth", SamplerConfig.pool_depth)),
+            negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
+            pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
             policy=str(raw.get("policy", SamplerConfig.policy)),
         )
     return StageConfig(
         loss=loss,
-        lr=float(raw["lr"]),
-        max_steps=int(raw["steps"]),
-        val_interval=int(raw.get("val_interval", StageConfig.val_interval)),
+        lr=_number(raw, "lr", where),
+        max_steps=_integer(raw, "steps", where),
+        val_interval=_integer(raw, "val_interval", where, StageConfig.val_interval),
         sampler=sampler,
     )
 
 
 def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
-    raw = _object(raw, f"metric {idx}", _METRIC_KEYS)
+    where = f"metric {idx}"
+    raw = _object(raw, where, _METRIC_KEYS)
     if "kind" not in raw:
-        raise DataError(f"metric {idx} missing 'kind'")
+        raise DataError(f"{where} missing 'kind'")
     return MetricSpec(
         kind=raw["kind"],
-        cutoff=raw.get("cutoff"),
-        threshold=int(raw.get("threshold", MetricSpec.threshold)),
+        cutoff=_integer(raw, "cutoff", where),
+        threshold=_integer(raw, "threshold", where, MetricSpec.threshold),
         gain=raw.get("gain", MetricSpec.gain),
     )
 
@@ -206,7 +227,7 @@ def _resolve_plans(raw_plans: object, seed: int) -> tuple[NamedPlan, ...]:
             stages = preset_plan(
                 name,
                 variant=body.get("variant", "base"),
-                scale=float(body.get("scale", 1.0)),
+                scale=_number(body, "scale", f"plan {name}", 1.0),
             ).stages
         elif isinstance(body, Sequence) and not isinstance(body, (str, bytes)):
             stages = tuple(
@@ -239,7 +260,7 @@ def load_config(
     _object(raw, f"config {path}", _TOP_KEYS)
     try:
         return _config_from_dict(raw, path.parent, seed, out)
-    except TypeError as exc:  # a value of the wrong JSON type, such as null for a number
+    except TypeError as exc:  # a value of the wrong JSON type, such as a number for a path
         raise DataError(f"config {path}: {exc}") from None
 
 
@@ -254,7 +275,7 @@ def _config_from_dict(
         if key not in raw:
             raise DataError(f"config missing required key {key!r}")
 
-    master_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
+    master_seed = _integer(raw, "seed", "config", 0) if seed is None else int(seed)
 
     data_paths = {key: resolve(raw[key]) for key in ("corpus", "queries", "qrels")}
     teacher = resolve(raw["teacher"]) if raw.get("teacher") else None
@@ -276,15 +297,18 @@ def _config_from_dict(
     else:
         raise DataError("config missing output directory (key 'out' or --out)")
 
-    scorer_raw = _object(raw.get("scorer", {}), "config 'scorer'", _SCORER_KEYS)
+    where = "config 'scorer'"
+    scorer_raw = _object(raw.get("scorer", {}), where, _SCORER_KEYS)
     scorer = ScorerConfig(
-        buckets=int(scorer_raw.get("buckets", ScorerConfig.buckets)),
-        hidden=int(scorer_raw.get("hidden", ScorerConfig.hidden)),
-        seed=int(scorer_raw.get("seed", substream(master_seed, _INIT_TAG))),
+        buckets=_integer(scorer_raw, "buckets", where, ScorerConfig.buckets),
+        hidden=_integer(scorer_raw, "hidden", where, ScorerConfig.hidden),
+        seed=_integer(scorer_raw, "seed", where, substream(master_seed, _INIT_TAG)),
     )
-    bm25_raw = _object(raw.get("bm25", {}), "config 'bm25'", _BM25_KEYS)
+    where = "config 'bm25'"
+    bm25_raw = _object(raw.get("bm25", {}), where, _BM25_KEYS)
     bm25 = Bm25Params(
-        k1=float(bm25_raw.get("k1", Bm25Params.k1)), b=float(bm25_raw.get("b", Bm25Params.b))
+        k1=_number(bm25_raw, "k1", where, Bm25Params.k1),
+        b=_number(bm25_raw, "b", where, Bm25Params.b),
     )
     metrics_raw = raw.get(
         "metrics",
@@ -307,10 +331,10 @@ def _config_from_dict(
         first_stage=first_stage,
         out=out_path,
         seed=master_seed,
-        retrieve_depth=int(raw.get("retrieve_depth", 100)),
-        rerank_depth=int(raw.get("rerank_depth", 100)),
-        eval_fraction=float(raw.get("eval_fraction", 0.2)),
-        val_fraction=float(raw.get("val_fraction", 0.01)),
+        retrieve_depth=_integer(raw, "retrieve_depth", "config", 100),
+        rerank_depth=_integer(raw, "rerank_depth", "config", 100),
+        eval_fraction=_number(raw, "eval_fraction", "config", 0.2),
+        val_fraction=_number(raw, "val_fraction", "config", 0.01),
         scorer=scorer,
         bm25=bm25,
         metrics=metrics,
@@ -491,20 +515,21 @@ def _system_result(
 
 
 def _mean_ndcg10(system: SystemResult) -> float:
-    if "nDCG@10" not in system.reports:
-        raise DataError("experiment requires an nDCG@10 metric for best-plan selection")
     return system.reports["nDCG@10"].mean
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train all plans, re-rank, evaluate, and emit RQ1-RQ3 tables.
 
-    Returns a summary dict (also written as summary.json). On any failure
-    partially written outputs are removed.
+    Returns a summary dict (also written as summary.json). A config without
+    the RQ plans or an nDCG@10 metric is rejected before anything is read or
+    written. On any failure partially written outputs are removed.
     """
     missing = [n for n in RQ_PLAN_NAMES if n not in {p.name for p in cfg.plans}]
     if missing:
         raise DataError(f"experiment needs plans {list(RQ_PLAN_NAMES)}; missing {missing}")
+    if "nDCG@10" not in {m.label for m in cfg.metrics}:
+        raise DataError("experiment requires an nDCG@10 metric for best-plan selection")
 
     ws = _Workspace(cfg.out, created_out=not cfg.out.exists())
     try:

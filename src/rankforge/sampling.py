@@ -13,7 +13,7 @@ from .data import ContrastiveInstance, Corpus, Ranking
 from .errors import DataError
 from .rng import SplitMix64, substream
 
-__all__ = ["SamplerConfig", "sample_hard", "sample_random", "sample_instance"]
+__all__ = ["SamplerConfig", "hard_pool", "sample_hard", "sample_random", "sample_instance"]
 
 _HARD_TAG = 0x48415244  # "HARD"
 _RAND_TAG = 0x524E444D  # "RNDM"
@@ -37,6 +37,11 @@ class SamplerConfig:
             raise ValueError(f"unknown sampling policy {self.policy!r}")
 
 
+def hard_pool(ranking: Ranking, config: SamplerConfig) -> list[str]:
+    """The ranked docs hard negatives are drawn from: the top pool_depth."""
+    return ranking.doc_ids()[: config.pool_depth]
+
+
 def sample_hard(
     ranking: Ranking,
     positive_id: str,
@@ -50,8 +55,7 @@ def sample_hard(
     """
     if config.policy != "hard":
         raise ValueError(f"sample_hard called with policy {config.policy!r}")
-    pool = ranking.doc_ids()[: config.pool_depth]
-    eligible = [d for d in pool if d != positive_id]
+    eligible = [d for d in hard_pool(ranking, config) if d != positive_id]
     h = config.negatives
     if len(eligible) < h:
         raise DataError(

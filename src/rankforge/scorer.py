@@ -314,8 +314,8 @@ class ScoringContext:
     one dense block over the query's own columns (the dense features and
     its terms' distinct buckets, so at most N_DENSE + distinct query terms
     wide); every lookup returns a new dense (n, F) matrix, so callers may
-    modify it. `index` must be built from `corpus`. Shared read-only across
-    systems being compared.
+    modify it, and `warm` extracts docs ahead of their lookups. `index` must
+    be built from `corpus`. Shared read-only across systems being compared.
     """
 
     def __init__(self, corpus: Corpus, index: InvertedIndex, bm25: Bm25Params, buckets: int):
@@ -330,6 +330,11 @@ class ScoringContext:
 
     def feature_matrix(self, query: Query, doc_ids: list[str]) -> np.ndarray:
         """(len(doc_ids), F) features; docs not yet held are extracted in one block."""
+        self.warm(query, doc_ids)
+        return self._memo[query.id].gather(doc_ids, self.buckets + N_DENSE)
+
+    def warm(self, query: Query, doc_ids: list[str]) -> None:
+        """Extract in one block the docs of doc_ids not yet held for query."""
         held = self._memo.get(query.id)
         if held is None:
             held = self._memo[query.id] = _QueryFeatures(query, self.buckets)
@@ -340,4 +345,3 @@ class ScoringContext:
                     raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
             docs = [self.corpus.get(d) for d in missing]
             held.add(missing, extract_features(self.index, self.bm25, query, docs, self.buckets))
-        return held.gather(doc_ids, self.buckets + N_DENSE)

@@ -5,6 +5,12 @@ One optimizer step consumes one query group: a sampled contrastive instance
 20 docs) for RankNet stages. Queries are visited in a seeded shuffle,
 reshuffled every epoch. Optimizer state is reset at stage boundaries;
 parameters carry across.
+
+Before its first step a stage warms the feature memo with one extraction
+block per train and validation query, holding every document the stage can
+group with it, so steps only gather held rows. A row does not depend on the
+block it was extracted in, so no value changes. AdamW updates in place, in
+scratch vectors held by the optimizer state.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, lce, ranknet, sigmoid, softplus
 from .rng import SplitMix64, substream
-from .sampling import SamplerConfig, sample_instance
+from .sampling import SamplerConfig, hard_pool, sample_instance
 from .scorer import (
     ScorerConfig,
     ScorerParams,
@@ -51,7 +57,8 @@ TEACHER_GROUP_CAP = 20  # forwards per distillation step
 
 @dataclass
 class OptimizerState:
-    """AdamW moments plus the (decoupled) hyperparameters."""
+    """AdamW moments plus the (decoupled) hyperparameters, and two scratch
+    vectors of the moments' size that `adamw_step` computes in."""
 
     m: ScorerParams
     v: ScorerParams
@@ -60,6 +67,10 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
 
     @staticmethod
     def for_params(params: ScorerParams, **hyper) -> "OptimizerState":
@@ -74,7 +85,8 @@ def adamw_step(
     """One AdamW update with decoupled weight decay (mutates params and state).
 
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2 ; bias-corrected m^, v^ ;
-    w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`.
+    w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`,
+    one operation at a time in that order, into the state's scratch vectors.
 
     lr = 0 leaves parameters bit-identical while the moments still advance.
     """
@@ -86,14 +98,18 @@ def adamw_step(
 
     state.t += 1
     b1, b2 = state.beta1, state.beta2
+    a, b = state.scratch
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=a)
     v *= b2
-    v += (1.0 - b2) * (g * g)
+    np.multiply(g, g, out=a)
+    v += np.multiply(1.0 - b2, a, out=a)
     if lr != 0.0:
-        m_hat = m / (1.0 - b1 ** state.t)
-        v_hat = v / (1.0 - b2 ** state.t)
-        w -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * w)
+        m_hat = np.divide(m, 1.0 - b1 ** state.t, out=a)
+        v_hat = np.divide(v, 1.0 - b2 ** state.t, out=b)
+        step = np.divide(m_hat, np.add(np.sqrt(v_hat, out=b), state.eps, out=b), out=a)
+        step += np.multiply(state.weight_decay, w, out=b)
+        w -= np.multiply(lr, step, out=a)
     return params, state
 
 
@@ -149,10 +165,11 @@ class QueryExample:
     teacher: TeacherRanking | None = None
 
 
-def _group_docs(
-    example: QueryExample, stage: StageConfig, ordinal: int, epoch: int, ctx: ScoringContext
-) -> list[str]:
-    """Doc ids forming this step's group, in loss-alignment order."""
+def _pool(example: QueryExample, stage: StageConfig) -> list[str] | None:
+    """Every doc a group of this example can contain in this stage: the
+    teacher's head (the whole group, in loss-alignment order) for ranknet,
+    else the positive and the hard-sampling pool. None for a random sampler,
+    which draws from the whole corpus, and for a hard one with no ranking."""
     qid = example.query.id
     if stage.loss == "ranknet":
         if example.teacher is None:
@@ -160,8 +177,20 @@ def _group_docs(
         return list(example.teacher.doc_ids[:TEACHER_GROUP_CAP])
     if example.positive_id is None:
         raise DataError(f"query {qid}: no positive document for {stage.loss} stage")
+    if stage.sampler.policy != "hard" or example.ranking is None:
+        return None
+    return [example.positive_id, *hard_pool(example.ranking, stage.sampler)]
+
+
+def _group_docs(
+    example: QueryExample, stage: StageConfig, ordinal: int, epoch: int, ctx: ScoringContext
+) -> list[str]:
+    """Doc ids forming this step's group, in loss-alignment order, for an
+    example that `_pool` has accepted."""
+    if stage.loss == "ranknet":
+        return _pool(example, stage)
     instance = sample_instance(
-        stage.sampler, qid, example.positive_id, ordinal, epoch,
+        stage.sampler, example.query.id, example.positive_id, ordinal, epoch,
         ranking=example.ranking, corpus=ctx.corpus,
     )
     return [instance.positive_id, *instance.negatives]
@@ -190,7 +219,9 @@ def run_stage(
 
     The input params object is not mutated. Validation loss is computed every
     val_interval steps over fixed validation groups (sampled once, epoch 0 of
-    a dedicated substream) and never gates training.
+    a dedicated substream) and never gates training. Before the first step
+    ctx is warmed with each train and val query's `_pool`, one block per
+    query whose pool it does not hold yet. AdamW updates the copy in place.
     """
     if not train:
         raise DataError("training data is empty")
@@ -198,6 +229,11 @@ def run_stage(
     state = OptimizerState.for_params(params)
     log = TrainLog()
     started = time.perf_counter()
+
+    for ex in (*train, *val):
+        pool = _pool(ex, stage)
+        if pool is not None:
+            ctx.warm(ex.query, pool)
 
     val_stage = stage
     if stage.sampler is not None:

@@ -335,7 +335,9 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("section", [
         {"metrics": [{"cutoff": 10}]},
+        {"metrics": [{"kind": "ap"}]},
         {"scorer": [1]},
+        {"scorer": {"buckets": 8.7}},
         {"scorer": {"bucket": 8}},
         {"bm25": {"k1": 0.9, "k": 1}},
     ])

@@ -182,6 +182,9 @@ class TestLoadConfig:
         ({"plans": ["C"]}, "'plans' must be"),
         ({"plans": {"C": [1]}}, "plan C stage 0 must be"),
         ({"plans": {"C": {"preset": "reference", "scal": 2}}}, "scal"),
+        ({"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
+        ({"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
+        ({"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -416,6 +419,18 @@ class TestRunExperiment:
         path = _write_workspace(tmp_path, plans={"C": [_LCE]})
         cfg = load_config(path, out=tmp_path / "out")
         with pytest.raises(DataError, match="missing"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    def test_requires_ndcg10_metric_before_any_work(self, tmp_path, monkeypatch):
+        path = _write_workspace(tmp_path, metrics=[{"kind": "ap"}])
+        cfg = load_config(path, out=tmp_path / "out")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("prepared data for a config it should reject")
+
+        monkeypatch.setattr("rankforge.experiment.prepare", boom)
+        with pytest.raises(DataError, match="nDCG@10"):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 

@@ -483,6 +483,25 @@ class TestScoringContext:
         ctx.feature_matrix(q, ["d1", "d2"])
         assert extracted == [["d1"], ["d2"]]
 
+    def test_warm_extracts_missing_docs_in_one_block(self, tiny_corpus, tiny_index,
+                                                     monkeypatch):
+        extracted = []
+        real = scorer.extract_features
+
+        def counting(index, params, query, docs, buckets):
+            extracted.append([d.id for d in docs])
+            return real(index, params, query, docs, buckets)
+
+        monkeypatch.setattr(scorer, "extract_features", counting)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
+        q = Query("q", "cat")
+        ctx.warm(q, ["d1"])
+        ctx.warm(q, ["d3", "d1", "d2", "d3"])
+        assert extracted == [["d1"], ["d3", "d2"]]
+        ctx.warm(q, ["d2"])
+        ctx.feature_matrix(q, ["d2", "d3", "d1"])
+        assert extracted == [["d1"], ["d3", "d2"]]
+
     def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import rankforge.scorer
 import rankforge.training
 from rankforge.data import TeacherRanking
 from rankforge.errors import DataError
 from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import ranknet
+from rankforge.retrieval import Bm25Params
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
+    ScoringContext,
     init_params,
     score_batch,
 )
@@ -63,7 +66,31 @@ def _reference_adamw(params, grad_seq, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):
     return w
 
 
+def _allocating_adamw(w, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):
+    """adamw_step's update on flat vectors, with a new array per operation."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    if lr != 0.0:
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        w -= lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * w)
+
+
 class TestAdamwStep:
+    def test_bit_identical_to_allocating_update(self):
+        params = init_params(CONFIG)
+        w, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = OptimizerState.for_params(params)
+        rng = np.random.default_rng(23)
+        for t, lr in enumerate([1e-2, 0.0, 1e-3, 1e-2, 0.0, 0.0, 3e-4, 1e-2, 0.0, 1e-3], 1):
+            grads = _random_grads(params, rng)
+            params, state = adamw_step(params, grads, state, lr)
+            _allocating_adamw(w, grads.flat, m, v, t, lr)
+            for got, want in ((params.flat, w), (state.m.flat, m), (state.v.flat, v)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
+
     def test_matches_reference_over_ten_steps(self):
         params = init_params(CONFIG)
         rng = np.random.default_rng(17)
@@ -275,6 +302,38 @@ class TestRunStage:
         assert np.array_equal(p1.w1, p2.w1)
         assert p1.b2 == p2.b2
         assert l1.losses == l2.losses
+
+    def test_memo_warmed_once_per_query(self, small_world, monkeypatch):
+        extracted = []
+        real = rankforge.scorer.extract_features
+
+        def counting(index, bm25, query, docs, buckets):
+            extracted.append(query.id)
+            return real(index, bm25, query, docs, buckets)
+
+        monkeypatch.setattr(rankforge.scorer, "extract_features", counting)
+        w = small_world
+        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), w.scorer_config.buckets)
+        train, val = w.examples[:8], w.examples[8:11]
+        stage = _lce_stage(40, seed=2, val_interval=10)
+        params = init_params(w.scorer_config)
+        first, first_log = run_stage(params, stage, train, val, ctx)
+        assert sorted(extracted) == sorted({e.query.id for e in train + val})
+        again, again_log = run_stage(params, stage, train, val, ctx)
+        assert len(extracted) == len(train) + len(val)
+        assert np.array_equal(again.flat.view(np.uint64), first.flat.view(np.uint64))
+        assert again_log.losses == first_log.losses
+
+        # rows held from other blocks, in another order, train the same bits
+        filled = ScoringContext(w.corpus, w.index, Bm25Params(), w.scorer_config.buckets)
+        for ex in reversed(train + val):
+            docs = [ex.positive_id, *ex.ranking.doc_ids()][::-1]
+            for k in range(0, len(docs), 7):
+                filled.feature_matrix(ex.query, docs[k : k + 7])
+        prefilled, prefilled_log = run_stage(params, stage, train, val, filled)
+        assert np.array_equal(prefilled.flat.view(np.uint64), first.flat.view(np.uint64))
+        assert prefilled_log.losses == first_log.losses
+        assert prefilled_log.val == first_log.val
 
     def test_wall_time_recorded(self, small_world):
         params = init_params(small_world.scorer_config)
