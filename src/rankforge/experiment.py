@@ -134,9 +134,7 @@ _TOP_KEYS = {
     "retrieve_depth", "rerank_depth", "eval_fraction", "val_fraction",
     "scorer", "bm25", "metrics", "plans",
 }
-_STAGE_KEYS = {
-    "loss", "lr", "steps", "val_interval", "negatives", "pool_depth", "policy",
-}
+_STAGE_KEYS = {"loss", "lr", "steps", "val_interval", "negatives", "pool_depth"}
 _PRESET_KEYS = {"preset", "variant", "scale"}
 _SCORER_KEYS = {"buckets", "hidden", "seed"}
 _BM25_KEYS = {"k1", "b"}
@@ -185,7 +183,6 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
         sampler = SamplerConfig(
             negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
             pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
-            policy=str(raw.get("policy", SamplerConfig.policy)),
         )
     return StageConfig(
         loss=loss,
@@ -237,10 +234,17 @@ def _resolve_plans(raw_plans: object, seed: int) -> tuple[NamedPlan, ...]:
             raise DataError(f"plan {name}: expected a stage list or a preset reference")
         seeded = tuple(_seeded(stage, seed, i) for i, stage in enumerate(stages))
         plans.append(NamedPlan(name, TrainPlan(seeded)))
-    names = [p.name for p in plans]
-    if len(set(names)) != len(names):
-        raise DataError("plan names must be unique")
     return tuple(plans)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, rejecting a key that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DataError(f"config has duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_config(
@@ -252,7 +256,7 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
@@ -398,14 +402,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
     needs_teacher = any(stage.loss == "ranknet" for stage in stages)
     # hard sampling errors out on short pools, so a trainable query must
     # bring a first-stage ranking deep enough for the largest negative count
-    min_pool = 1 + max(
-        (
-            s.sampler.negatives
-            for s in stages
-            if s.sampler is not None and s.sampler.policy == "hard"
-        ),
-        default=0,
-    )
+    min_pool = 1 + max((s.sampler.negatives for s in stages if s.sampler), default=0)
     eligible = []
     for q in train_pool:
         ranking = first_stage.get(q.id)

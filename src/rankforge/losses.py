@@ -33,16 +33,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _group(scores: np.ndarray, loss: str) -> np.ndarray:
+    """scores as a float64 vector, checked to be 1-D, >= 2 long and finite."""
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1 or s.size < 2:
+        raise ValueError(f"{loss} needs >= 2 scores, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"{loss} scores must be finite")
+    return s
+
+
 def lce(scores: np.ndarray) -> LossOutput:
     """Contrastive loss of the positive (index 0) against hard negatives (1..h).
 
     value = -ln( e^{s_0} / sum_j e^{s_j} ), grad = softmax(s) - onehot(0).
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError(f"lce needs >= 2 scores, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("lce scores must be finite")
+    s = _group(scores, "lce")
     shifted = s - s.max()
     exp = np.exp(shifted)
     total = exp.sum()
@@ -59,11 +65,7 @@ def ranknet(scores: np.ndarray) -> LossOutput:
     over j contributes softplus(s_j - s_i), penalizing the student for
     scoring the preferred document lower.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError(f"ranknet needs >= 2 scores, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("ranknet scores must be finite")
+    s = _group(scores, "ranknet")
     # diff[i, j] = s_j - s_i; only pairs i < j (teacher rank r_i < r_j) count
     diff = s[None, :] - s[:, None]
     upper = np.triu(np.ones((s.size, s.size), dtype=bool), k=1)
@@ -73,16 +75,14 @@ def ranknet(scores: np.ndarray) -> LossOutput:
     return LossOutput(value, grad)
 
 
-def bce(score: float, label: int) -> LossOutput:
-    """Binary cross-entropy on a sigmoid relevance probability.
+def bce(scores: np.ndarray) -> LossOutput:
+    """Binary cross-entropy summed over a group: the positive (index 0) is
+    labelled 1, the negatives 0, each through a sigmoid relevance probability.
 
-    value = softplus(s) - label * s, grad = sigmoid(s) - label.
+    value = sum_j softplus(s_j) - s_0, grad = sigmoid(s) - onehot(0).
     """
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    s = np.asarray([float(score)])
-    if not np.isfinite(s[0]):
-        raise ValueError("bce score must be finite")
-    value = float(softplus(s)[0]) - label * float(score)
-    grad = sigmoid(s) - label
-    return LossOutput(value, grad)
+    s = _group(scores, "bce")
+    labels = np.zeros_like(s)
+    labels[0] = 1.0
+    value = float((softplus(s) - labels * s).sum())
+    return LossOutput(value, sigmoid(s) - labels)

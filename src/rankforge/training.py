@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
-from .losses import LossOutput, lce, ranknet, sigmoid, softplus
+from .losses import LossOutput, bce, lce, ranknet
 from .rng import SplitMix64, substream
 from .sampling import SamplerConfig, hard_pool, sample_instance
 from .scorer import (
@@ -165,11 +165,10 @@ class QueryExample:
     teacher: TeacherRanking | None = None
 
 
-def _pool(example: QueryExample, stage: StageConfig) -> list[str] | None:
+def _pool(example: QueryExample, stage: StageConfig) -> list[str]:
     """Every doc a group of this example can contain in this stage: the
     teacher's head (the whole group, in loss-alignment order) for ranknet,
-    else the positive and the hard-sampling pool. None for a random sampler,
-    which draws from the whole corpus, and for a hard one with no ranking."""
+    else the positive and the hard-sampling pool."""
     qid = example.query.id
     if stage.loss == "ranknet":
         if example.teacher is None:
@@ -177,21 +176,20 @@ def _pool(example: QueryExample, stage: StageConfig) -> list[str] | None:
         return list(example.teacher.doc_ids[:TEACHER_GROUP_CAP])
     if example.positive_id is None:
         raise DataError(f"query {qid}: no positive document for {stage.loss} stage")
-    if stage.sampler.policy != "hard" or example.ranking is None:
-        return None
+    if example.ranking is None:
+        raise DataError(f"query {qid}: no first-stage ranking for hard sampling")
     return [example.positive_id, *hard_pool(example.ranking, stage.sampler)]
 
 
 def _group_docs(
-    example: QueryExample, stage: StageConfig, ordinal: int, epoch: int, ctx: ScoringContext
+    example: QueryExample, stage: StageConfig, ordinal: int, epoch: int
 ) -> list[str]:
     """Doc ids forming this step's group, in loss-alignment order, for an
     example that `_pool` has accepted."""
     if stage.loss == "ranknet":
         return _pool(example, stage)
     instance = sample_instance(
-        stage.sampler, example.query.id, example.positive_id, ordinal, epoch,
-        ranking=example.ranking, corpus=ctx.corpus,
+        example.ranking, example.positive_id, stage.sampler, ordinal, epoch
     )
     return [instance.positive_id, *instance.negatives]
 
@@ -201,11 +199,7 @@ def _group_loss(stage: StageConfig, scores: np.ndarray) -> LossOutput:
         return lce(scores)
     if stage.loss == "ranknet":
         return ranknet(scores)
-    # bce: positive at index 0 labeled 1, negatives 0; per-doc losses summed
-    labels = np.zeros_like(scores)
-    labels[0] = 1.0
-    value = float((softplus(scores) - labels * scores).sum())
-    return LossOutput(value, sigmoid(scores) - labels)
+    return bce(scores)
 
 
 def run_stage(
@@ -231,18 +225,14 @@ def run_stage(
     started = time.perf_counter()
 
     for ex in (*train, *val):
-        pool = _pool(ex, stage)
-        if pool is not None:
-            ctx.warm(ex.query, pool)
+        ctx.warm(ex.query, _pool(ex, stage))
 
     val_stage = stage
     if stage.sampler is not None:
         val_stage = replace(
             stage, sampler=replace(stage.sampler, seed=substream(stage.sampler.seed, _VAL_TAG))
         )
-    val_groups = [
-        _group_docs(ex, val_stage, ordinal, 0, ctx) for ordinal, ex in enumerate(val)
-    ]
+    val_groups = [_group_docs(ex, val_stage, ordinal, 0) for ordinal, ex in enumerate(val)]
 
     n = len(train)
     order: list[int] = []
@@ -254,7 +244,7 @@ def run_stage(
         i = order[pos]
         example = train[i]
 
-        docs = _group_docs(example, stage, i, epoch, ctx)
+        docs = _group_docs(example, stage, i, epoch)
         x_mat = ctx.feature_matrix(example.query, docs)
         scores, acts = score_batch(params, x_mat)
         loss = _group_loss(stage, scores)

@@ -53,7 +53,7 @@ def test_01_analytic_gradients_match_central_differences():
     for _ in range(100):
         n = int(rng.integers(2, 25))
         s = rng.normal(scale=2.0, size=n)
-        for fn in (lce, ranknet):
+        for fn in (lce, ranknet, bce):
             grad = fn(s).grad
             for i in range(n):
                 hi, lo = s.copy(), s.copy()
@@ -62,24 +62,7 @@ def test_01_analytic_gradients_match_central_differences():
                 fd = (fn(hi).value - fn(lo).value) / (2 * step)
                 assert _rel_err(grad[i], fd) < 1e-5
 
-    rng = np.random.default_rng(1357)
-    for _ in range(100):
-        s = float(rng.normal(scale=2.0))
-        label = int(rng.integers(0, 2))
-        grad = float(bce(s, label).grad[0])
-        fd = (bce(s + step, label).value - bce(s - step, label).value) / (2 * step)
-        assert _rel_err(grad, fd) < 1e-5
-
-    def group_loss(kind: str, scores: np.ndarray):
-        if kind == "lce":
-            return lce(scores)
-        if kind == "ranknet":
-            return ranknet(scores)
-        outs = [bce(float(v), 1 if i == 0 else 0) for i, v in enumerate(scores)]
-        value = sum(o.value for o in outs)
-        return type(outs[0])(value, np.array([float(o.grad[0]) for o in outs]))
-
-    for seed, kind in ((101, "lce"), (202, "ranknet"), (303, "bce")):
+    for seed, loss in ((101, lce), (202, ranknet), (303, bce)):
         rng = np.random.default_rng(seed)
         f = 8 + N_DENSE
         for _ in range(100):
@@ -93,10 +76,10 @@ def test_01_analytic_gradients_match_central_differences():
 
             def composed() -> float:
                 scores, _ = score_batch(params, x_mat)
-                return group_loss(kind, scores).value
+                return loss(scores).value
 
             scores, acts = score_batch(params, x_mat)
-            g = backward_batch(params, x_mat, acts, group_loss(kind, scores).grad)
+            g = backward_batch(params, x_mat, acts, loss(scores).grad)
 
             for arr, garr in ((params.w1, g.w1), (params.b1, g.b1), (params.w2, g.w2)):
                 flat, gflat = arr.ravel(), garr.ravel()

@@ -352,6 +352,17 @@ class TestExperimentCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_duplicate_key_exits_two(self, ws, tmp_path, capsys):
+        config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
+        config.update({k: str(ws / config[k]) for k in ("corpus", "queries", "qrels", "teacher")})
+        path = tmp_path / "bad.json"
+        path.write_text('{"seed": 7, ' + json.dumps(config)[1:], encoding="utf-8")
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "duplicate key 'seed'" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):

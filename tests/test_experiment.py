@@ -185,10 +185,25 @@ class TestLoadConfig:
         ({"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
         ({"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
         ({"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
+        ({"plans": {"C": [dict(_LCE, policy="random")]}}, r"unknown keys \['policy'\]"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
         with pytest.raises(DataError, match=match):
+            load_config(path)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('{"corpus"', '{"seed": 7, "corpus"', "seed"),
+        ('"lr": 0.001', '"lr": 0.001, "lr": 0.01', "lr"),
+        ('"plans": {', '"plans": {"C": [{"loss": "ranknet", "lr": 0.001, "steps": 5}], ', "C"),
+    ], ids=["top-level", "stage", "plan-name"])
+    def test_duplicate_key(self, tmp_path, old, new, key):
+        # json.loads would keep the last value of a repeated key
+        path = _write_workspace(tmp_path)
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(DataError, match=f"duplicate key '{key}'"):
             load_config(path)
 
     def test_duplicate_metric_labels(self, tmp_path):

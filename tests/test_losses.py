@@ -139,34 +139,33 @@ class TestRanknet:
 
 class TestBce:
     def test_zero_score_positive_label(self):
-        out = bce(0.0, 1)
+        # the negative sits far below zero, so only the positive's term counts
+        out = bce(np.array([0.0, -1000.0]))
         assert out.value == pytest.approx(math.log(2), rel=1e-12)
         assert out.grad[0] == pytest.approx(-0.5, abs=1e-15)
+        assert out.grad[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_score_negative_label(self):
-        out = bce(0.0, 0)
+        # the positive sits far above zero, so only the negative's term counts
+        out = bce(np.array([1000.0, 0.0]))
         assert out.value == pytest.approx(math.log(2), rel=1e-12)
-        assert out.grad[0] == pytest.approx(0.5, abs=1e-15)
+        assert out.grad[0] == pytest.approx(0.0, abs=1e-15)
+        assert out.grad[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(8)
-        step = 1e-4
-        for _ in range(40):
-            s = float(rng.normal() * 3)
-            y = int(rng.integers(0, 2))
-            analytic = bce(s, y).grad[0]
-            est = (bce(s + step, y).value - bce(s - step, y).value) / (2 * step)
-            assert analytic == pytest.approx(est, abs=1e-7)
+        for _ in range(30):
+            s = rng.normal(size=2 + rng.integers(0, 10)) * 3
+            assert_close_grads(bce(s).grad, fd_grad(bce, s), 1e-6)
 
-    def test_label_validated(self):
+    def test_length_validation(self):
         with pytest.raises(ValueError):
-            bce(0.0, 2)
+            bce(np.zeros(1))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            bce(float("inf"), 1)
+            bce(np.array([float("inf"), 0.0]))
 
     def test_extreme_scores_stable(self):
-        assert math.isfinite(bce(1000.0, 0).value)
-        assert bce(1000.0, 1).value == pytest.approx(0.0, abs=1e-9)
-        assert bce(-1000.0, 0).value == pytest.approx(0.0, abs=1e-9)
+        assert bce(np.array([1000.0, -1000.0])).value == pytest.approx(0.0, abs=1e-9)
+        assert bce(np.array([-1000.0, 1000.0])).value == pytest.approx(2000.0, rel=1e-12)

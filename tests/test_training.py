@@ -10,9 +10,9 @@ import rankforge.training
 from rankforge.data import TeacherRanking
 from rankforge.errors import DataError
 from rankforge.experiment import merged_train_csv, merged_val_csv
-from rankforge.losses import ranknet
+from rankforge.losses import bce, ranknet
 from rankforge.retrieval import Bm25Params
-from rankforge.sampling import SamplerConfig
+from rankforge.sampling import SamplerConfig, sample_instance
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
@@ -290,6 +290,26 @@ class TestRunStage:
         params = init_params(small_world.scorer_config)
         with pytest.raises(DataError, match=ex.query.id):
             run_stage(params, _lce_stage(1), [bare], [], small_world.ctx)
+
+    def test_missing_ranking_named(self, small_world):
+        ex = small_world.examples[0]
+        bare = QueryExample(query=ex.query, positive_id=ex.positive_id)
+        params = init_params(small_world.scorer_config)
+        with pytest.raises(DataError, match=ex.query.id):
+            run_stage(params, _lce_stage(1), [bare], [], small_world.ctx)
+
+    def test_bce_step_logs_group_loss(self, small_world):
+        params = init_params(small_world.scorer_config)
+        params.w2 *= 50.0
+        ex = small_world.examples[0]
+        sampler = SamplerConfig(negatives=10, pool_depth=30, seed=3)
+        stage = StageConfig("bce", 1e-3, 1, sampler=sampler, seed=4)
+        _, log = run_stage(params, stage, [ex], [], small_world.ctx)
+        # one example, so the step's group is its epoch-0 draw at ordinal 0
+        instance = sample_instance(ex.ranking, ex.positive_id, sampler, 0, 0)
+        docs = [instance.positive_id, *instance.negatives]
+        scores, _ = score_batch(params, small_world.ctx.feature_matrix(ex.query, docs))
+        assert log.losses == [bce(scores).value]
 
     def test_deterministic(self, small_world):
         params = init_params(small_world.scorer_config)
