@@ -62,7 +62,6 @@ from .training import (
     StageConfig,
     TrainLog,
     TrainPlan,
-    preset_plan,
     run_plan,
     split_train_val,
 )
@@ -134,8 +133,8 @@ _TOP_KEYS = {
     "retrieve_depth", "rerank_depth", "eval_fraction", "val_fraction",
     "scorer", "bm25", "metrics", "plans",
 }
-_STAGE_KEYS = {"loss", "lr", "steps", "val_interval", "negatives", "pool_depth"}
-_PRESET_KEYS = {"preset", "variant", "scale"}
+_STAGE_KEYS = {"loss", "lr", "steps", "val_interval"}
+_SAMPLER_KEYS = {"negatives", "pool_depth"}
 _SCORER_KEYS = {"buckets", "hidden", "seed"}
 _BM25_KEYS = {"k1", "b"}
 _METRIC_KEYS = {"kind", "cutoff", "threshold", "gain"}
@@ -173,11 +172,12 @@ def _number(raw: Mapping, key: str, where: str, default: float | None = None) ->
 
 def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig:
     where = f"plan {plan_name} stage {stage_idx}"
-    raw = _object(raw, where, _STAGE_KEYS)
+    loss = raw.get("loss") if isinstance(raw, Mapping) else None
+    # a ranknet stage draws no negatives; an unknown loss is left to StageConfig
+    raw = _object(raw, where, _STAGE_KEYS if loss == "ranknet" else _STAGE_KEYS | _SAMPLER_KEYS)
     for key in ("loss", "lr", "steps"):
         if key not in raw:
             raise DataError(f"{where} missing {key!r}")
-    loss = raw["loss"]
     sampler = None
     if loss in ("lce", "bce"):
         sampler = SamplerConfig(
@@ -215,24 +215,16 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
 
 
 def _resolve_plans(raw_plans: object, seed: int) -> tuple[NamedPlan, ...]:
+    """Each plan's JSON list of stages as a TrainPlan, seeded by stage position."""
     if not isinstance(raw_plans, Mapping):
         raise DataError("config 'plans' must be a JSON object")
     plans = []
     for name, body in raw_plans.items():
-        if isinstance(body, Mapping) and body.get("preset") == "reference":
-            body = _object(body, f"plan {name}", _PRESET_KEYS)
-            stages = preset_plan(
-                name,
-                variant=body.get("variant", "base"),
-                scale=_number(body, "scale", f"plan {name}", 1.0),
-            ).stages
-        elif isinstance(body, Sequence) and not isinstance(body, (str, bytes)):
-            stages = tuple(
-                _stage_from_dict(stage, name, i) for i, stage in enumerate(body)
-            )
-        else:
-            raise DataError(f"plan {name}: expected a stage list or a preset reference")
-        seeded = tuple(_seeded(stage, seed, i) for i, stage in enumerate(stages))
+        if not isinstance(body, list):
+            raise DataError(f"plan {name}: expected a list of stages")
+        seeded = tuple(
+            _seeded(_stage_from_dict(stage, name, i), seed, i) for i, stage in enumerate(body)
+        )
         plans.append(NamedPlan(name, TrainPlan(seeded)))
     return tuple(plans)
 
@@ -325,6 +317,18 @@ def _config_from_dict(
     if len(set(labels)) != len(labels):
         raise DataError("metric labels must be unique")
 
+    depths = {key: _integer(raw, key, "config", 100) for key in ("retrieve_depth", "rerank_depth")}
+    for key, depth in depths.items():
+        if depth < 1:
+            raise DataError(f"config: {key!r} must be >= 1, got {depth}")
+    fractions = {
+        key: _number(raw, key, "config", default)
+        for key, default in (("eval_fraction", 0.2), ("val_fraction", 0.01))
+    }
+    for key, fraction in fractions.items():
+        if not 0.0 < fraction < 1.0:
+            raise DataError(f"config: {key!r} must be in (0, 1), got {fraction}")
+
     plans = _resolve_plans(raw.get("plans", default_plan_specs()), master_seed)
 
     return ExperimentConfig(
@@ -335,14 +339,12 @@ def _config_from_dict(
         first_stage=first_stage,
         out=out_path,
         seed=master_seed,
-        retrieve_depth=_integer(raw, "retrieve_depth", "config", 100),
-        rerank_depth=_integer(raw, "rerank_depth", "config", 100),
-        eval_fraction=_number(raw, "eval_fraction", "config", 0.2),
-        val_fraction=_number(raw, "val_fraction", "config", 0.01),
         scorer=scorer,
         bm25=bm25,
         metrics=metrics,
         plans=plans,
+        **depths,
+        **fractions,
     )
 
 
@@ -359,11 +361,9 @@ def choose_positive(qrels: Qrels, query_id: str) -> str | None:
 class PreparedData:
     """Everything the driver needs after parsing, indexing, and splitting."""
 
-    queries: dict[str, Query]
     qrels: Qrels
     ctx: ScoringContext
     first_stage: dict[str, Ranking]
-    built_first_stage: bool
     eval_queries: list[Query]
     train_examples: list[QueryExample]
     val_examples: list[QueryExample]
@@ -381,8 +381,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
     index = build_index(corpus)
     ctx = ScoringContext(corpus, index, cfg.bm25, cfg.scorer.buckets)
 
-    built = cfg.first_stage == "build"
-    if built:
+    if cfg.first_stage == "build":
         first_stage = {
             qid: retrieve_topk(index, cfg.bm25, queries[qid], cfg.retrieve_depth)
             for qid in sorted(queries)
@@ -434,11 +433,9 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
         )
 
     return PreparedData(
-        queries=queries,
         qrels=qrels,
         ctx=ctx,
         first_stage=first_stage,
-        built_first_stage=built,
         eval_queries=eval_queries,
         train_examples=[example(q) for q in train_qs],
         val_examples=[example(q) for q in val_qs],
@@ -505,12 +502,6 @@ class _Workspace:
                 pass
 
 
-def _system_result(
-    label: str, rankings: Sequence[Ranking], qrels: Qrels, metrics: Sequence[MetricSpec]
-) -> SystemResult:
-    return SystemResult(label, evaluate_all(rankings, qrels, metrics))
-
-
 def _mean_ndcg10(system: SystemResult) -> float:
     return system.reports["nDCG@10"].mean
 
@@ -533,21 +524,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         cfg.out.mkdir(parents=True, exist_ok=True)
         prep = prepare(cfg)
 
-        if prep.built_first_stage:
+        if cfg.first_stage == "build":
             ordered = [prep.first_stage[qid] for qid in sorted(prep.first_stage)]
             ws.write_text("first_stage.txt", write_run(ordered, tag="bm25"))
 
         eval_qids = sorted(q.id for q in prep.eval_queries)
         fs_rankings = [prep.first_stage[qid] for qid in eval_qids]
-        bm25_system = _system_result("bm25", fs_rankings, prep.qrels, cfg.metrics)
+        bm25_system = SystemResult("bm25", evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
         ws.write_text("bm25/metrics.csv", report_csv(bm25_system.reports))
 
         init = init_params(cfg.scorer)
         systems: dict[str, SystemResult] = {"bm25": bm25_system}
 
         untrained_rankings = rerank_eval_set(init, prep, cfg.rerank_depth)
-        systems["untrained"] = _system_result(
-            "untrained", untrained_rankings, prep.qrels, cfg.metrics
+        systems["untrained"] = SystemResult(
+            "untrained", evaluate_all(untrained_rankings, prep.qrels, cfg.metrics)
         )
         ws.write_text("untrained/rerank.txt", write_run(untrained_rankings, tag="untrained"))
         ws.write_text("untrained/metrics.csv", report_csv(systems["untrained"].reports))
@@ -561,8 +552,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             sub = _write_checkpoint(ws, named.name, params, logs)
             rankings = rerank_eval_set(params, prep, cfg.rerank_depth)
             ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
-            systems[named.name] = _system_result(
-                named.name, rankings, prep.qrels, cfg.metrics
+            systems[named.name] = SystemResult(
+                named.name, evaluate_all(rankings, prep.qrels, cfg.metrics)
             )
             ws.write_text(f"{sub}/metrics.csv", report_csv(systems[named.name].reports))
 

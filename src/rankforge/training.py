@@ -45,7 +45,6 @@ __all__ = [
     "run_stage",
     "run_plan",
     "split_train_val",
-    "preset_plan",
 ]
 
 _SHUFFLE_TAG = 0x53485546
@@ -73,10 +72,10 @@ class OptimizerState:
         self.scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
 
     @staticmethod
-    def for_params(params: ScorerParams, **hyper) -> "OptimizerState":
+    def for_params(params: ScorerParams) -> "OptimizerState":
         m, v = (ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
                 for _ in range(2))
-        return OptimizerState(m, v, **hyper)
+        return OptimizerState(m, v)
 
 
 def adamw_step(
@@ -309,37 +308,3 @@ def split_train_val(
     val = [q for i, q in enumerate(queries) if i in val_idx]
     return train, val
 
-
-def preset_plan(name: str, variant: str = "base", scale: float = 1.0) -> TrainPlan:
-    """Long-schedule presets for plans C, D, C->D, D->C.
-
-    Two preset families are shipped, "base" and "alt". lr is 1e-5 throughout
-    except second-stage distillation (1e-8 for base, 1e-9 for alt). Step
-    budgets: C 25k first stage / 31k second; D 2k (base) or 1k (alt) first
-    stage, second stage 1k @ 1e-8 / 3k @ 1e-9. `scale` shrinks the budgets
-    for desk-size runs. Stages use the default sampler and seed 0; the
-    experiment re-seeds each stage by its position in the plan.
-    """
-    if variant not in ("base", "alt"):
-        raise ValueError(f"unknown variant {variant!r}")
-    el = variant == "base"
-
-    def steps(base: int) -> int:
-        return max(1, round(base * scale))
-
-    def c_stage(budget: int) -> StageConfig:
-        return StageConfig("lce", 1e-5, steps(budget), sampler=SamplerConfig())
-
-    def d_stage(budget: int, lr: float) -> StageConfig:
-        return StageConfig("ranknet", lr, steps(budget))
-
-    key = name.replace("→", "->")
-    plans = {
-        "C": (c_stage(25_000),),
-        "D": (d_stage(2_000 if el else 1_000, 1e-5),),
-        "C->D": (c_stage(25_000), d_stage(1_000 if el else 3_000, 1e-8 if el else 1e-9)),
-        "D->C": (d_stage(2_000 if el else 1_000, 1e-5), c_stage(31_000)),
-    }
-    if key not in plans:
-        raise ValueError(f"unknown plan name {name!r} (expected C, D, C->D, D->C)")
-    return TrainPlan(plans[key])

@@ -340,6 +340,9 @@ class TestExperimentCommand:
         {"scorer": {"buckets": 8.7}},
         {"scorer": {"bucket": 8}},
         {"bm25": {"k1": 0.9, "k": 1}},
+        {"plans": {"C->D": {"preset": "reference", "variant": "base", "scale": 0.1}}},
+        {"plans": {"D": [{"loss": "ranknet", "lr": 1e-3, "steps": 5, "negatives": 7}]}},
+        {"eval_fraction": 1.5},
     ])
     def test_malformed_section_exits_two(self, ws, tmp_path, capsys, section):
         config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))

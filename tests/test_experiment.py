@@ -1,13 +1,14 @@
 """Config loading, data preparation, and the end-to-end comparison driver."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import rankforge.training
 from rankforge.cli import main
-from rankforge.data import Qrels, parse_run
+from rankforge.data import Qrels, parse_path, parse_queries, parse_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
     choose_positive,
@@ -168,6 +169,17 @@ class TestLoadConfig:
         path = _write_workspace(tmp_path, plans={"C": "lce"})
         with pytest.raises(DataError, match="plan C"):
             load_config(path)
+        path = _write_workspace(tmp_path, plans={"C": [dict(_LCE, loss="lcee")]})
+        with pytest.raises(ValueError, match="unknown loss kind 'lcee'"):
+            load_config(path)
+
+    def test_sampler_keys_belong_to_sampled_stages(self, tmp_path):
+        path = _write_workspace(
+            tmp_path, plans={"C": [dict(_LCE, loss="bce", negatives=7, pool_depth=9)]}
+        )
+        (named,) = load_config(path).plans
+        sampler = named.plan.stages[0].sampler
+        assert (sampler.negatives, sampler.pool_depth) == (7, 9)
 
     @pytest.mark.parametrize("over, match", [
         ({"metrics": [{"cutoff": 10}]}, "metric 0 missing 'kind'"),
@@ -181,11 +193,18 @@ class TestLoadConfig:
         ({"bm25": {"k1": 0.9, "k": 1}}, r"\['k'\]"),
         ({"plans": ["C"]}, "'plans' must be"),
         ({"plans": {"C": [1]}}, "plan C stage 0 must be"),
-        ({"plans": {"C": {"preset": "reference", "scal": 2}}}, "scal"),
+        ({"plans": {"C": {"preset": "reference", "scal": 2}}}, "expected a list of stages"),
         ({"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
         ({"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
         ({"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
         ({"plans": {"C": [dict(_LCE, policy="random")]}}, r"unknown keys \['policy'\]"),
+        ({"plans": {"D": [dict(_RK, negatives=7)]}},
+         r"plan D stage 0 has unknown keys \['negatives'\]"),
+        ({"plans": {"D": [dict(_RK, pool_depth=9)]}}, r"unknown keys \['pool_depth'\]"),
+        ({"eval_fraction": 1.5}, r"'eval_fraction' must be in \(0, 1\), got 1.5"),
+        ({"val_fraction": 0}, r"'val_fraction' must be in \(0, 1\), got 0.0"),
+        ({"retrieve_depth": 0}, "'retrieve_depth' must be >= 1, got 0"),
+        ({"rerank_depth": -3}, "'rerank_depth' must be >= 1, got -3"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -211,18 +230,6 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="unique"):
             load_config(path)
 
-    def test_reference_preset_plans(self, tmp_path):
-        path = _write_workspace(
-            tmp_path,
-            plans={"C->D": {"preset": "reference", "scale": 0.001}},
-        )
-        cfg = load_config(path)
-        (named,) = cfg.plans
-        assert named.name == "C->D"
-        assert [s.loss for s in named.plan.stages] == ["lce", "ranknet"]
-        assert named.plan.stages[0].max_steps == 25
-        assert named.plan.stages[1].lr == 1e-8
-
     def test_shared_leading_stages_are_equal(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
         plans = {p.name: p.plan.stages for p in cfg.plans}
@@ -231,16 +238,6 @@ class TestLoadConfig:
         # seeds follow the stage position: the same settings one stage later differ
         assert plans["D->C"][1].seed != plans["C"][0].seed
         assert plans["D->C"][1].sampler.seed != plans["C"][0].sampler.seed
-
-    def test_shared_leading_preset_stages_are_equal(self, tmp_path):
-        preset = {"preset": "reference", "scale": 0.001}
-        path = _write_workspace(
-            tmp_path, plans={name: preset for name in ("C", "D", "C->D", "D->C")}
-        )
-        plans = {p.name: p.plan.stages for p in load_config(path).plans}
-        assert plans["C"][0] == plans["C->D"][0]
-        assert plans["D"][0] == plans["D->C"][0]
-        assert plans["C"][0].sampler.seed != 0
 
     def test_custom_metrics(self, tmp_path):
         path = _write_workspace(
@@ -252,6 +249,18 @@ class TestLoadConfig:
         assert [m.label for m in cfg.metrics] == ["nDCG@5", "AP"]
         assert cfg.metrics[0].gain == "exponential"
         assert cfg.metrics[1].threshold == 2
+
+    def test_readme_example_shows_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+        _write_workspace(tmp_path)  # the example's relative data paths resolve here
+        shown = tmp_path / "shown.json"
+        shown.write_text(json.dumps(example), encoding="utf-8")
+        # the data paths and the output directory are the only keys without a default
+        required = {k: example[k] for k in ("corpus", "queries", "qrels", "teacher", "out")}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(required), encoding="utf-8")
+        assert load_config(shown) == load_config(bare)
 
 
 class TestDefaultPlanSpecs:
@@ -283,8 +292,8 @@ class TestPrepare:
     def test_built_first_stage_and_splits(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
         prep = prepare(cfg)
-        assert prep.built_first_stage
-        assert set(prep.first_stage) == {q for q in prep.queries}
+        assert cfg.first_stage == "build"
+        assert set(prep.first_stage) == {q.id for q in parse_path(cfg.queries, parse_queries)}
         assert len(prep.eval_queries) == 8  # 20% of 40
         n_train, n_val = len(prep.train_examples), len(prep.val_examples)
         assert n_val == round((n_train + n_val) * 0.15)
@@ -309,7 +318,7 @@ class TestPrepare:
         config_path = _write_workspace(root, first_stage=str(run_path))
         cfg = load_config(config_path, out=root / "out")
         prep = prepare(cfg)
-        assert not prep.built_first_stage
+        assert cfg.first_stage == str(run_path)
         direct = prepare(done_cfg)
         for qid in list(prep.first_stage)[:5]:
             assert prep.first_stage[qid].doc_ids() == direct.first_stage[qid].doc_ids()

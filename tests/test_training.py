@@ -27,7 +27,6 @@ from rankforge.training import (
     TrainLog,
     TrainPlan,
     adamw_step,
-    preset_plan,
     run_plan,
     run_stage,
     split_train_val,
@@ -488,48 +487,6 @@ class TestSplitTrainVal:
     def test_too_few_queries(self):
         with pytest.raises(DataError, match="split"):
             split_train_val(self._queries(1), fraction=0.5)
-
-
-class TestPresetPlan:
-    def test_contrastive_preset(self):
-        plan = preset_plan("C")
-        assert len(plan.stages) == 1
-        stage = plan.stages[0]
-        assert stage.loss == "lce"
-        assert stage.lr == 1e-5
-        assert stage.max_steps == 25_000
-        assert stage.sampler is not None
-
-    def test_distillation_preset_by_variant(self):
-        assert preset_plan("D").stages[0].max_steps == 2_000
-        assert preset_plan("D", variant="alt").stages[0].max_steps == 1_000
-        assert preset_plan("D").stages[0].loss == "ranknet"
-
-    def test_chained_presets(self):
-        cd = preset_plan("C->D")
-        assert [s.loss for s in cd.stages] == ["lce", "ranknet"]
-        assert cd.stages[1].lr == 1e-8
-        assert cd.stages[1].max_steps == 1_000
-        cd_r = preset_plan("C->D", variant="alt")
-        assert cd_r.stages[1].lr == 1e-9
-        assert cd_r.stages[1].max_steps == 3_000
-        dc = preset_plan("D->C")
-        assert [s.loss for s in dc.stages] == ["ranknet", "lce"]
-        assert dc.stages[1].max_steps == 31_000
-
-    def test_unicode_arrow_alias(self):
-        assert preset_plan("C→D") == preset_plan("C->D")
-
-    def test_scale_shrinks_budgets(self):
-        plan = preset_plan("C", scale=0.001)
-        assert plan.stages[0].max_steps == 25
-        assert preset_plan("D", scale=1e-9).stages[0].max_steps == 1
-
-    def test_unknown_names(self):
-        with pytest.raises(ValueError, match="plan"):
-            preset_plan("E")
-        with pytest.raises(ValueError, match="variant"):
-            preset_plan("C", variant="tiny")
 
 
 class TestTrainLog:
