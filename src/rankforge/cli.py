@@ -88,7 +88,7 @@ def cmd_retrieve(args) -> int:
     index = build_index(corpus)
     params = Bm25Params(k1=args.k1, b=args.b)
     rankings = [retrieve_topk(index, params, q, args.depth) for q in queries]
-    rankings = [r for r in rankings if r.entries]
+    rankings = [r for r in rankings if r.depth]
     _write_or_print(write_run(rankings, tag="bm25"), args.out)
     return 0
 

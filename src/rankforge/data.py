@@ -15,10 +15,11 @@ ParseError; nothing partially parsed escapes. Parsed values are immutable.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
@@ -96,52 +97,104 @@ class RunEntry:
     score: float
 
 
-@dataclass(frozen=True)
-class Ranking:
-    """Ordered scored documents for one query.
+def _check_ranking(query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
+    """Raise ValueError at the first position, in rank order, that holds a
+    duplicate id, a non-finite score, or a score above the previous one."""
+    if scores.shape != (len(ids),):
+        raise ValueError(f"query {query_id}: {len(ids)} doc ids but {scores.size} scores")
+    found = []  # (position, message) of each kind's first violation
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        i = next(i for i, d in enumerate(ids) if d in seen or seen.add(d))
+        found.append((i, f"duplicate doc {ids[i]!r}"))
+    nonfinite = np.flatnonzero(~np.isfinite(scores))
+    if nonfinite.size:
+        found.append((int(nonfinite[0]), f"non-finite score at rank {nonfinite[0] + 1}"))
+    rises = np.flatnonzero(scores[1:] > scores[:-1])
+    if rises.size:
+        i = int(rises[0]) + 1
+        prev, score = scores[i - 1].item(), scores[i].item()
+        found.append((i, f"score increases at rank {i + 1} ({score} > {prev})"))
+    if found:
+        raise ValueError(f"query {query_id}: {min(found, key=lambda f: f[0])[1]}")
 
-    Invariants: ranks are exactly 1..depth, entries sorted by rank, scores
-    non-increasing with rank (ties allowed).
+
+class Ranking:
+    """Ordered scored documents for one query: `ids`, best first, and their
+    float64 `scores` (read-only). The document at position i has rank i + 1.
+
+    Invariants: no duplicate id, every score finite, scores non-increasing
+    with rank (ties allowed). `Ranking(query_id, entries)` builds one from
+    RunEntry objects, whose ranks must be exactly 1..depth, and `entries`
+    gives them back; `from_scores` builds one from ids and scores.
     """
 
-    query_id: str
-    entries: tuple[RunEntry, ...]
+    __slots__ = ("query_id", "ids", "scores")
 
-    def __post_init__(self):
-        seen = set()
-        prev_score = None
-        for i, e in enumerate(self.entries):
-            if e.rank != i + 1:
-                raise ValueError(
-                    f"query {self.query_id}: rank sequence broken at position {i} "
-                    f"(expected {i + 1}, got {e.rank})"
-                )
-            if e.doc_id in seen:
-                raise ValueError(f"query {self.query_id}: duplicate doc {e.doc_id!r}")
-            seen.add(e.doc_id)
-            if not math.isfinite(e.score):
-                raise ValueError(f"query {self.query_id}: non-finite score at rank {e.rank}")
-            if prev_score is not None and e.score > prev_score:
-                raise ValueError(
-                    f"query {self.query_id}: score increases at rank {e.rank} "
-                    f"({e.score} > {prev_score})"
-                )
-            prev_score = e.score
+    def __init__(self, query_id: str, entries: Iterable[RunEntry]):
+        entries = tuple(entries)
+        ids = tuple(e.doc_id for e in entries)
+        scores = np.array([e.score for e in entries], dtype=np.float64)
+        broken = next((i for i, e in enumerate(entries) if e.rank != i + 1), None)
+        if broken is not None:
+            # entries are checked in rank order: a violation ahead of the break wins
+            _check_ranking(query_id, ids[:broken], scores[:broken])
+            raise ValueError(
+                f"query {query_id}: rank sequence broken at position {broken} "
+                f"(expected {broken + 1}, got {entries[broken].rank})"
+            )
+        self._hold(query_id, ids, scores)
+
+    @classmethod
+    def from_scores(
+        cls, query_id: str, doc_ids: Iterable, scores: Sequence[float] | np.ndarray | None = None
+    ) -> "Ranking":
+        """A Ranking of doc_ids with their scores, already in final order.
+
+        With scores None, doc_ids holds (doc_id, score) pairs instead.
+        """
+        if scores is None:
+            pairs = tuple(doc_ids)
+            doc_ids, scores = [d for d, _ in pairs], [s for _, s in pairs]
+        ranking = cls.__new__(cls)
+        ranking._hold(query_id, tuple(doc_ids), np.array(scores, dtype=np.float64))
+        return ranking
+
+    def _hold(self, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
+        _check_ranking(query_id, ids, scores)
+        scores.flags.writeable = False
+        object.__setattr__(self, "query_id", query_id)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "scores", scores)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Ranking")
+
+    def __eq__(self, other):
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return (
+            self.query_id == other.query_id
+            and self.ids == other.ids
+            and np.array_equal(self.scores, other.scores)
+        )
+
+    def __repr__(self):
+        return f"Ranking(query_id={self.query_id!r}, ids={self.ids!r}, scores={self.scores!r})"
 
     @property
     def depth(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
+
+    @property
+    def entries(self) -> tuple[RunEntry, ...]:
+        """The ranking as RunEntry objects, rank 1 first."""
+        return tuple(
+            RunEntry(d, i + 1, s) for i, (d, s) in enumerate(zip(self.ids, self.scores.tolist()))
+        )
 
     def doc_ids(self) -> list[str]:
-        return [e.doc_id for e in self.entries]
-
-    @staticmethod
-    def from_scores(query_id: str, scored: Iterable[tuple[str, float]]) -> "Ranking":
-        """Build a valid Ranking from (doc_id, score) pairs already in final order."""
-        entries = tuple(
-            RunEntry(doc_id, i + 1, float(score)) for i, (doc_id, score) in enumerate(scored)
-        )
-        return Ranking(query_id, entries)
+        return list(self.ids)
 
 
 @dataclass(frozen=True)
@@ -290,8 +343,9 @@ def write_run(rankings: Iterable[Ranking], tag: str) -> str:
     """Serialize rankings to TREC run format, scores at 6 decimals, input order."""
     out = []
     for ranking in rankings:
-        for e in ranking.entries:
-            out.append(f"{ranking.query_id} Q0 {e.doc_id} {e.rank} {e.score:.6f} {tag}\n")
+        qid = ranking.query_id
+        for rank, (d, s) in enumerate(zip(ranking.ids, ranking.scores.tolist()), start=1):
+            out.append(f"{qid} Q0 {d} {rank} {s:.6f} {tag}\n")
     return "".join(out)
 
 

@@ -120,12 +120,11 @@ def rerank(
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    head = ranking.entries[: min(depth, len(ranking.entries))]
-    docs = [e.doc_id for e in head]
-    scores, _ = score_batch(params, ctx.feature_matrix(query, docs))
-    order = sorted(range(len(docs)), key=lambda i: (-scores[i], i))
+    docs = ranking.ids[:depth]
+    scores, _ = score_batch(params, *ctx.feature_matrix(query, docs))
+    order = np.lexsort((np.arange(len(docs)), -scores))
     return Ranking.from_scores(
-        ranking.query_id, [(docs[i], float(scores[i])) for i in order]
+        ranking.query_id, [docs[i] for i in order.tolist()], scores[order]
     )
 
 
@@ -148,8 +147,7 @@ def compute_metric(ranking: Ranking, qrels: Qrels, spec: MetricSpec) -> float:
     judged = qrels.docs_for(ranking.query_id)
     if not _evaluable(judged, spec):
         raise DataError(f"query {ranking.query_id}: no relevant judgments for {spec.label}")
-    docs = ranking.doc_ids()
-    top = docs if spec.cutoff is None else docs[: spec.cutoff]
+    top = ranking.ids[: spec.cutoff]
 
     if spec.kind == "ap":
         relevant = {d for d, g in judged.items() if g >= spec.threshold}

@@ -405,7 +405,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
     eligible = []
     for q in train_pool:
         ranking = first_stage.get(q.id)
-        if ranking is None or len(ranking.entries) < min_pool:
+        if ranking is None or ranking.depth < min_pool:
             continue
         positive = choose_positive(qrels, q.id)
         if positive is None:

@@ -241,6 +241,4 @@ def retrieve_topk(
     # the stable sort keeps equal scores in number order, which is id order
     cand = np.flatnonzero(scores)
     top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
-    return Ranking.from_scores(
-        query.id, zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist())
-    )
+    return Ranking.from_scores(query.id, [index.doc_ids[i] for i in top.tolist()], scores[top])

@@ -38,7 +38,7 @@ class SamplerConfig:
 
 def hard_pool(ranking: Ranking, config: SamplerConfig) -> list[str]:
     """The ranked docs hard negatives are drawn from: the top pool_depth."""
-    return ranking.doc_ids()[: config.pool_depth]
+    return list(ranking.ids[: config.pool_depth])
 
 
 def sample_instance(

@@ -12,17 +12,18 @@ A query-document pair is encoded as F = buckets + 6 interaction features:
        for each overlapping term t, L2-normalized when nonzero
 
 `extract_features` computes these for one query and a list of documents at
-once, returning a (len(docs), F) matrix: the query side (tokens, idf,
-buckets, bigrams) is done once per call, and the document side is read
-from the inverted index's arrays with numpy operations over the whole
-block: term frequencies from the query terms' postings, lengths from
-`lengths`, and [5] from adjacent term ids in the token stream. The index
-must be built from the same corpus; no document text is re-tokenized.
-`ScoringContext` memoizes the result per query as one narrow dense block
-over the only columns a row of that query can fill: the N_DENSE features
-and the query terms' buckets. Every other column is 0 by construction,
-since the hashed block is written only at those buckets, so a lookup
-scatters the held columns into a zero matrix of full width.
+once. The query side (tokens, idf, buckets, bigrams) is done once per call,
+and the document side is read from the inverted index's arrays with numpy
+operations over the whole block: term frequencies from the query terms'
+postings, lengths from `lengths`, and [5] from adjacent term ids in the
+token stream. The index must be built from the same corpus; no document
+text is re-tokenized. A row of a query can be nonzero only in the query's
+columns (`query_columns`): the N_DENSE features and its terms' distinct
+buckets, since the hashed block is written only at those buckets. So the
+extractor returns the narrow block over those columns, `ScoringContext`
+memoizes it per query and returns held rows as they are, and the scorer
+multiplies a block by the matching columns of W1; a full-width matrix is
+the case where the columns are all of them.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
@@ -38,11 +39,11 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import Corpus, Document, Query
+from .data import Corpus, Query
 from .errors import DataError
 from .retrieval import Bm25Params, InvertedIndex, bm25_block, concat_ranges, tokenize
 from .rng import SplitMix64
@@ -140,17 +141,18 @@ def extract_features(
     index: InvertedIndex,
     params: Bm25Params,
     query: Query,
-    docs: Sequence[Document],
+    doc_ids: Sequence[str],
     buckets: int,
 ) -> np.ndarray:
-    """Feature matrix of shape (len(docs), buckets + N_DENSE), one row per
-    document in order (layout in module docstring).
+    """The (len(doc_ids), len(cols)) feature block of the documents, one row
+    per document in order, over cols = `query_columns` of the query's terms
+    (layout in module docstring); every other feature is 0.
 
     `index` must be built from the corpus the documents come from: every
     document-side quantity is read from its arrays, and no document text
     is tokenized. A document missing from the index raises ValueError.
     """
-    nums = index.doc_numbers([d.id for d in docs])
+    nums = index.doc_numbers(doc_ids)
     q_tokens = tokenize(query.text)
     # sorted terms: accumulation order must not depend on the process hash
     # seed or the result is not bit-reproducible across runs
@@ -158,28 +160,35 @@ def extract_features(
     tf = index.tf_matrix(q_terms, nums)
     hit = tf > 0  # (query terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
-    q_buckets = [_bucket(t, buckets) for t in q_terms]
+    cols = query_columns(q_terms, buckets)
+    # each term's column within the block
+    slots = np.searchsorted(cols, [_bucket(t, buckets) for t in q_terms]).tolist()
 
-    x = np.zeros((len(docs), buckets + N_DENSE), dtype=np.float64)
+    x = np.zeros((len(nums), len(cols)), dtype=np.float64)
     bm25 = bm25_block(index, params, q_tokens, q_terms, tf, nums)
     x[:, 0] = bm25 / (1.0 + bm25)
     x[:, 1] = hit.sum(axis=0) / max(1, len(q_terms))
-    idf_overlap = np.zeros(len(docs))
+    idf_overlap = np.zeros(len(nums))
     for j, idf in enumerate(q_idf):
         idf_overlap[hit[j]] += idf
-        x[hit[j], q_buckets[j]] += idf
+        x[hit[j], slots[j]] += idf
     x[:, 2] = idf_overlap / max(_EPS, sum(q_idf))
     x[:, 3] = [math.log1p(n) / 10.0 for n in index.lengths[nums].tolist()]
     x[:, 4] = math.log1p(len(q_tokens)) / 10.0
     x[:, 5] = _bigram_fraction(index, q_tokens, nums)
-    # every idf is > 0, so a row with a hit has a nonzero hashed block, and
-    # its nonzeros lie in the query's buckets; per-row np.dot over the whole
-    # block, not a vectorised norm, which may round differently
-    rows = np.flatnonzero(hit.any(axis=0))
-    blocks = x[:, N_DENSE:]
-    norms = [math.sqrt(np.dot(blocks[i], blocks[i])) for i in rows.tolist()]
-    x[np.ix_(rows, sorted(set(q_buckets)))] /= np.array(norms).reshape(-1, 1)
+    # every idf is > 0, so exactly the rows with a hit have a nonzero norm
+    hashed = x[:, N_DENSE:]
+    norm = np.sqrt(np.einsum("ij,ij->i", hashed, hashed))[:, None]
+    np.divide(hashed, norm, out=hashed, where=norm > 0.0)
     return x
+
+
+def query_columns(terms: Iterable[str], buckets: int) -> np.ndarray:
+    """The feature columns a row of a query with these terms can fill: the
+    N_DENSE dense columns, then the terms' distinct buckets in ascending
+    order. A row is 0 in every other column."""
+    q_buckets = sorted({_bucket(t, buckets) for t in terms})
+    return np.array([*range(N_DENSE), *q_buckets], dtype=np.intp)
 
 
 def _bucket(term: str, buckets: int) -> int:
@@ -212,19 +221,29 @@ def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray
     return count / max(1, len(q_bigrams))
 
 
-def score_batch(params: ScorerParams, x_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scores for a (n, F) feature matrix; also returns hidden activations for backward."""
-    a = np.tanh(x_mat @ params.w1.T + params.b1)
+def score_batch(
+    params: ScorerParams, x_mat: np.ndarray, cols: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores for an (n, len(cols)) feature block over the feature columns
+    `cols`, every other feature 0 (by default a full-width (n, F) matrix);
+    also returns hidden activations for backward."""
+    a = np.tanh(x_mat @ params.w1[:, cols].T + params.b1)
     return a @ params.w2 + params.b2, a
 
 
 def backward_batch(
-    params: ScorerParams, x_mat: np.ndarray, activations: np.ndarray, upstream: np.ndarray
+    params: ScorerParams,
+    x_mat: np.ndarray,
+    activations: np.ndarray,
+    upstream: np.ndarray,
+    cols: np.ndarray | slice = slice(None),
 ) -> ScorerParams:
-    """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter."""
+    """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter, for
+    the block and columns `score_batch` was given. The W1 gradient is 0
+    outside `cols`."""
     dz = (upstream[:, None] * params.w2[None, :]) * (1.0 - activations * activations)
-    grads = ScorerParams.from_flat(np.empty_like(params.flat), *params.w1.shape)
-    np.matmul(dz.T, x_mat, out=grads.w1)
+    grads = ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
+    grads.w1[:, cols] = dz.T @ x_mat
     grads.b1[:] = dz.sum(axis=0)
     grads.w2[:] = activations.T @ upstream
     grads.b2 = upstream.sum()
@@ -281,29 +300,26 @@ def load_params(blob: bytes) -> ScorerParams:
 
 class _QueryFeatures:
     """One query's extracted rows: a doc -> row map and the rows' values in
-    `cols`, the N_DENSE dense columns then the query terms' distinct buckets
-    in ascending order. A row is 0 in every other column."""
+    `cols`, the query's columns (`query_columns`). A row is 0 in every
+    other column."""
 
     __slots__ = ("rows", "cols", "vals")
 
     def __init__(self, query: Query, buckets: int):
         self.rows: dict[str, int] = {}
-        q_buckets = sorted({_bucket(t, buckets) for t in tokenize(query.text)})
-        self.cols = np.array([*range(N_DENSE), *q_buckets], dtype=np.intp)
+        self.cols = query_columns(tokenize(query.text), buckets)
+        self.cols.flags.writeable = False
         self.vals = np.empty((0, len(self.cols)))
 
     def add(self, doc_ids: list[str], x: np.ndarray) -> None:
-        """Append the rows of x, a feature matrix of doc_ids not yet held."""
+        """Append the rows of x, the feature block of doc_ids not yet held."""
         base = len(self.rows)
         self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
-        self.vals = np.concatenate([self.vals, x[:, self.cols]])
+        self.vals = np.concatenate([self.vals, x])
 
-    def gather(self, doc_ids: list[str], width: int) -> np.ndarray:
-        """A new dense (len(doc_ids), width) matrix of the held rows."""
-        rows = np.array([self.rows[d] for d in doc_ids], dtype=np.intp)
-        out = np.zeros((len(rows), width))
-        out[:, self.cols] = self.vals[rows]
-        return out
+    def gather(self, doc_ids: Sequence[str]) -> np.ndarray:
+        """A new (len(doc_ids), len(cols)) block of the held rows."""
+        return self.vals[[self.rows[d] for d in doc_ids]]
 
 
 class ScoringContext:
@@ -311,11 +327,11 @@ class ScoringContext:
 
     Feature vectors are pure functions of (query, doc), so the memo never
     invalidates. It is keyed by query id and holds each query's rows as
-    one dense block over the query's own columns (the dense features and
-    its terms' distinct buckets, so at most N_DENSE + distinct query terms
-    wide); every lookup returns a new dense (n, F) matrix, so callers may
-    modify it, and `warm` extracts docs ahead of their lookups. `index` must
-    be built from `corpus`. Shared read-only across systems being compared.
+    one block over the query's own columns (the dense features and its
+    terms' distinct buckets, so at most N_DENSE + distinct query terms
+    wide); every lookup returns a new block, so callers may modify it, and
+    `warm` extracts docs ahead of their lookups. `index` must be built from
+    `corpus`. Shared read-only across systems being compared.
     """
 
     def __init__(self, corpus: Corpus, index: InvertedIndex, bm25: Bm25Params, buckets: int):
@@ -326,14 +342,23 @@ class ScoringContext:
         self._memo: dict[str, _QueryFeatures] = {}
 
     def features(self, query: Query, doc_id: str) -> np.ndarray:
-        return self.feature_matrix(query, [doc_id])[0]
+        """One document's full-width (F,) feature row."""
+        x, cols = self.feature_matrix(query, [doc_id])
+        row = np.zeros(self.buckets + N_DENSE)
+        row[cols] = x[0]
+        return row
 
-    def feature_matrix(self, query: Query, doc_ids: list[str]) -> np.ndarray:
-        """(len(doc_ids), F) features; docs not yet held are extracted in one block."""
+    def feature_matrix(
+        self, query: Query, doc_ids: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(doc_ids), len(cols)) feature block and its read-only
+        columns cols (`query_columns`); docs not yet held are extracted in
+        one block."""
         self.warm(query, doc_ids)
-        return self._memo[query.id].gather(doc_ids, self.buckets + N_DENSE)
+        held = self._memo[query.id]
+        return held.gather(doc_ids), held.cols
 
-    def warm(self, query: Query, doc_ids: list[str]) -> None:
+    def warm(self, query: Query, doc_ids: Sequence[str]) -> None:
         """Extract in one block the docs of doc_ids not yet held for query."""
         held = self._memo.get(query.id)
         if held is None:
@@ -343,5 +368,4 @@ class ScoringContext:
             for d in missing:
                 if d not in self.corpus:
                     raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
-            docs = [self.corpus.get(d) for d in missing]
-            held.add(missing, extract_features(self.index, self.bm25, query, docs, self.buckets))
+            held.add(missing, extract_features(self.index, self.bm25, query, missing, self.buckets))

@@ -244,17 +244,17 @@ def run_stage(
         example = train[i]
 
         docs = _group_docs(example, stage, i, epoch)
-        x_mat = ctx.feature_matrix(example.query, docs)
-        scores, acts = score_batch(params, x_mat)
+        x_mat, cols = ctx.feature_matrix(example.query, docs)
+        scores, acts = score_batch(params, x_mat, cols)
         loss = _group_loss(stage, scores)
-        grads = backward_batch(params, x_mat, acts, loss.grad)
+        grads = backward_batch(params, x_mat, acts, loss.grad, cols)
         params, state = adamw_step(params, grads, state, stage.lr)
         log.losses.append(loss.value)
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
             total = 0.0
             for ex, docs in zip(val, val_groups):
-                v_scores, _ = score_batch(params, ctx.feature_matrix(ex.query, docs))
+                v_scores, _ = score_batch(params, *ctx.feature_matrix(ex.query, docs))
                 total += _group_loss(stage, v_scores).value
             log.val.append((step + 1, total / len(val_groups)))
 

@@ -1,5 +1,6 @@
 """Parsers, serializers, and the invariants of the shared domain types."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,49 @@ class TestRankingInvariants:
     def test_from_scores_tie_keeps_input_order(self):
         r = Ranking.from_scores("q1", [("b", 1.0), ("a", 1.0)])
         assert r.doc_ids() == ["b", "a"]
+
+    @pytest.mark.parametrize("ids, scores, message", [
+        ("d1 d2 d1", [3.0, 2.0, 1.0], "duplicate doc 'd1'"),
+        ("d1 d2", [1.0, float("inf")], "non-finite score at rank 2"),
+        ("d1 d2", [float("nan"), 1.0], "non-finite score at rank 1"),
+        ("d1 d2 d3", [2.0, 1.0, 1.5], "score increases at rank 3 (1.5 > 1.0)"),
+        # the first violating position decides, as the entries are checked in order
+        ("d1 d2 d2 d4", [1.0, 2.0, 0.5, float("nan")], "score increases at rank 2 (2.0 > 1.0)"),
+        ("d1 d2 d2", [2.0, 1.0, float("nan")], "duplicate doc 'd2'"),
+        ("d1 d2 d3", [1.0, float("nan"), 2.0], "non-finite score at rank 2"),
+    ])
+    def test_from_scores_rejects_with_entry_messages(self, ids, scores, message):
+        ids = ids.split()
+        entries = tuple(RunEntry(d, i + 1, s) for i, (d, s) in enumerate(zip(ids, scores)))
+        with pytest.raises(ValueError) as by_entries:
+            Ranking("q1", entries)
+        with pytest.raises(ValueError) as by_arrays:
+            Ranking.from_scores("q1", ids, np.array(scores))
+        assert str(by_entries.value) == str(by_arrays.value) == f"query q1: {message}"
+
+    def test_rank_break_after_other_violation(self):
+        with pytest.raises(ValueError, match="duplicate doc 'd1'"):
+            Ranking("q1", (RunEntry("d1", 1, 2.0), RunEntry("d1", 2, 1.0), RunEntry("d3", 5, 0.5)))
+        with pytest.raises(ValueError, match="rank sequence broken at position 1"):
+            Ranking("q1", (RunEntry("d1", 1, 2.0), RunEntry("d2", 3, 1.0), RunEntry("d2", 3, 1.0)))
+
+    def test_from_scores_equals_entries_form(self):
+        entries = (RunEntry("d2", 1, 2.0), RunEntry("d3", 2, 1.0), RunEntry("d1", 3, 1.0))
+        r = Ranking.from_scores("q1", ["d2", "d3", "d1"], np.array([2.0, 1.0, 1.0]))
+        assert r == Ranking("q1", entries)
+        assert r == Ranking.from_scores("q1", [("d2", 2.0), ("d3", 1.0), ("d1", 1.0)])
+        assert r.entries == entries
+        assert r.ids == ("d2", "d3", "d1") and r.depth == 3
+        assert r.scores.dtype == np.float64 and not r.scores.flags.writeable
+        assert r != Ranking.from_scores("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
+        assert r != Ranking.from_scores("q2", ["d2", "d3", "d1"], [2.0, 1.0, 1.0])
+        assert r != Ranking.from_scores("q1", ["d2", "d1", "d3"], [2.0, 1.0, 1.0])
+        with pytest.raises(AttributeError):
+            r.ids = ("d1",)
+
+    def test_from_scores_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 doc ids but 3 scores"):
+            Ranking.from_scores("q1", ["d1", "d2"], [3.0, 2.0, 1.0])
 
 
 class TestRunRoundTrip:

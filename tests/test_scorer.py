@@ -19,6 +19,7 @@ from rankforge.scorer import (
     fnv1a64,
     init_params,
     load_params,
+    query_columns,
     save_params,
     score_batch,
 )
@@ -51,36 +52,41 @@ def feature_world():
     return corpus, build_index(corpus)
 
 
+def _full_width(index, params, query, doc_ids, buckets):
+    """extract_features' block scattered into a full-width (n, F) matrix."""
+    block = extract_features(index, params, query, doc_ids, buckets)
+    x = np.zeros((len(doc_ids), buckets + N_DENSE))
+    x[:, query_columns(tokenize(query.text), buckets)] = block
+    return x
+
+
 class TestExtractFeatures:
 
     def test_full_overlap_f2(self, feature_world):
-        corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "cat"), [corpus.get("d1")], 16)[0]
+        _, index = feature_world
+        x = _full_width(index, Bm25Params(), Query("q", "cat"), ["d1"], 16)[0]
         assert x[1] == 1.0
 
     def test_disjoint_pair_zeros(self, feature_world):
-        corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "owl"), [corpus.get("d1")], 16)[0]
+        _, index = feature_world
+        x = _full_width(index, Bm25Params(), Query("q", "owl"), ["d1"], 16)[0]
         assert x[0] == 0.0 and x[1] == 0.0 and x[2] == 0.0 and x[5] == 0.0
         assert np.all(x[N_DENSE:] == 0.0)
 
     def test_hashed_block_norm_zero_or_one(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         for qtext in ("cat", "owl", "cat dog", "dog fox cat"):
             for did in ("d1", "d2", "d3"):
-                x = extract_features(
-                    index, Bm25Params(), Query("q", qtext), [corpus.get(did)], 16
-                )[0]
+                x = _full_width(index, Bm25Params(), Query("q", qtext), [did], 16)[0]
                 norm = float(np.linalg.norm(x[N_DENSE:]))
                 assert norm == pytest.approx(0.0, abs=1e-15) or norm == pytest.approx(
                     1.0, rel=1e-12
                 )
 
     def test_dense_feature_values(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         q = Query("q", "cat dog")
-        doc = corpus.get("d3")  # "cat dog runs fast"
-        x = extract_features(index, Bm25Params(), q, [doc], 16)[0]
+        x = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]  # "cat dog runs fast"
         bm = bm25_score(index, Bm25Params(), ["cat", "dog"], "d3")
         assert x[0] == pytest.approx(bm / (1 + bm), rel=1e-12)
         assert x[1] == 1.0  # both query terms present
@@ -90,19 +96,19 @@ class TestExtractFeatures:
         assert x[5] == 1.0  # bigram "cat dog" contiguous in doc
 
     def test_bigram_fraction_partial(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         # "dog cat": doc d3 has "cat dog" but not "dog cat"
-        x = extract_features(index, Bm25Params(), Query("q", "dog cat"), [corpus.get("d3")], 16)[0]
+        x = _full_width(index, Bm25Params(), Query("q", "dog cat"), ["d3"], 16)[0]
         assert x[5] == 0.0
 
     def test_bounded_features(self, feature_world):
-        corpus, index = feature_world
-        x = extract_features(index, Bm25Params(), Query("q", "cat dog"), [corpus.get("d3")], 16)[0]
+        _, index = feature_world
+        x = _full_width(index, Bm25Params(), Query("q", "cat dog"), ["d3"], 16)[0]
         for i in (0, 1, 2, 5):
             assert 0.0 <= x[i] <= 1.0
 
     def test_no_document_text_tokenized(self, feature_world, monkeypatch):
-        corpus, index = feature_world
+        _, index = feature_world
         seen = []
 
         def recording(text):
@@ -111,14 +117,14 @@ class TestExtractFeatures:
 
         monkeypatch.setattr(scorer, "tokenize", recording)
         monkeypatch.setattr(retrieval, "tokenize", recording)
-        extract_features(index, Bm25Params(), Query("q", "cat dog runs"), list(corpus), 16)
+        extract_features(index, Bm25Params(), Query("q", "cat dog runs"), ["d1", "d2", "d3"], 16)
         assert seen == ["cat dog runs"]
 
     def test_purity(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         q = Query("q", "cat dog")
-        a = extract_features(index, Bm25Params(), q, [corpus.get("d3")], 16)[0]
-        b = extract_features(index, Bm25Params(), q, [corpus.get("d3")], 16)[0]
+        a = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]
+        b = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -159,18 +165,41 @@ def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _assert_matches_reference(block: np.ndarray, cols: np.ndarray, want: np.ndarray) -> None:
+    """block, over the feature columns cols, holds the full-width reference
+    rows `want`, which are 0 in every other column. The dense features
+    match bit for bit; the hashed block to 2 ulp, since its norm sums the
+    same squares in another order than the reference's full-width dot."""
+    outside = np.ones(want.shape[1], dtype=bool)
+    outside[cols] = False
+    assert not want[:, outside].any()
+    assert block.shape == (len(want), len(cols))
+    _assert_bits_equal(block[:, :N_DENSE], want[:, :N_DENSE])
+    np.testing.assert_array_max_ulp(block[:, N_DENSE:], want[:, cols[N_DENSE:]], maxulp=2)
+
+
+def _reference_block(index, params, query, docs, buckets):
+    """The reference rows of docs, and the query's columns."""
+    want = np.stack([
+        _reference_features(index, params, query, doc, buckets) for doc in docs
+    ])
+    return want, query_columns(tokenize(query.text), buckets)
+
+
 class TestExtractionMatchesReference:
     """The batch extractor and the context's compact memo reproduce the
-    per-pair reference bit for bit."""
+    per-pair reference on the query's columns."""
 
     @pytest.mark.parametrize("buckets", [64, 1])  # 1: every term collides
     def test_generated_world_top100(self, small_world, buckets):
         w = small_world
         bm25 = Bm25Params()
         for q in w.queries:
-            docs = [w.corpus.get(d) for d in retrieve_topk(w.index, bm25, q, 100).doc_ids()]
-            want = np.stack([_reference_features(w.index, bm25, q, d, buckets) for d in docs])
-            _assert_bits_equal(extract_features(w.index, bm25, q, docs, buckets), want)
+            ids = retrieve_topk(w.index, bm25, q, 100).doc_ids()
+            want, cols = _reference_block(
+                w.index, bm25, q, [w.corpus.get(d) for d in ids], buckets
+            )
+            _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), cols, want)
 
     @pytest.mark.parametrize("buckets, first", [
         (64, "every third"),
@@ -192,11 +221,12 @@ class TestExtractionMatchesReference:
             # so rows come from two extractions and are gathered out of order
             ctx.feature_matrix(q, head)
             asked = ids[::-1] + head[:1]
-            want = np.stack([
-                _reference_features(w.index, Bm25Params(), q, w.corpus.get(d), buckets)
-                for d in asked
-            ])
-            _assert_bits_equal(ctx.feature_matrix(q, asked), want)
+            want, cols = _reference_block(
+                w.index, Bm25Params(), q, [w.corpus.get(d) for d in asked], buckets
+            )
+            block, held_cols = ctx.feature_matrix(q, asked)
+            np.testing.assert_array_equal(held_cols, cols)
+            _assert_matches_reference(block, cols, want)
 
     @pytest.mark.parametrize("qtext", [
         "cat cat dog cat",  # repeated terms
@@ -206,10 +236,10 @@ class TestExtractionMatchesReference:
     ])
     def test_edge_queries(self, feature_world, qtext):
         corpus, index = feature_world
-        docs = list(corpus)
         q = Query("q", qtext)
-        want = np.stack([_reference_features(index, Bm25Params(), q, d, 16) for d in docs])
-        _assert_bits_equal(extract_features(index, Bm25Params(), q, docs, 16), want)
+        want, cols = _reference_block(index, Bm25Params(), q, list(corpus), 16)
+        got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
+        _assert_matches_reference(got, cols, want)
 
     @pytest.mark.parametrize("qtext", [
         "fox owl",  # last token of d1, first token of d2: spans a document end
@@ -223,18 +253,18 @@ class TestExtractionMatchesReference:
         # d3 has no tokens at all
         corpus = parse_corpus("d1\tcat dog fox\nd2\towl cat\nd3\t--\nd4\tdog owl cat\n")
         index = build_index(corpus)
-        docs = list(corpus)
         q = Query("q", qtext)
-        want = np.stack([_reference_features(index, Bm25Params(), q, d, 16) for d in docs])
-        _assert_bits_equal(extract_features(index, Bm25Params(), q, docs, 16), want)
+        want, cols = _reference_block(index, Bm25Params(), q, list(corpus), 16)
+        got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
+        _assert_matches_reference(got, cols, want)
 
     def test_doc_missing_from_index_raises(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         stray = Document("d9", "cat dog")
         with pytest.raises(ValueError, match="d9"):
             _reference_features(index, Bm25Params(), Query("q", "cat"), stray, 16)
         with pytest.raises(ValueError, match="d9"):
-            extract_features(index, Bm25Params(), Query("q", "cat"), [corpus.get("d1"), stray], 16)
+            extract_features(index, Bm25Params(), Query("q", "cat"), ["d1", "d9"], 16)
 
 
 def _score(params: ScorerParams, x: np.ndarray) -> float:
@@ -458,18 +488,21 @@ class TestScoringContext:
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat dog")
         via_ctx = ctx.features(q, "d2")
-        direct = extract_features(
-            tiny_index, Bm25Params(), q, [tiny_corpus.get("d2")], 16
-        )[0]
+        direct = _full_width(tiny_index, Bm25Params(), q, ["d2"], 16)[0]
         np.testing.assert_array_equal(via_ctx, direct)
+        block, cols = ctx.feature_matrix(q, ["d2"])
+        np.testing.assert_array_equal(cols, query_columns(["cat", "dog"], 16))
+        np.testing.assert_array_equal(
+            block, extract_features(tiny_index, Bm25Params(), q, ["d2"], 16)
+        )
 
     def test_memo_extracts_each_pair_once(self, tiny_corpus, tiny_index, monkeypatch):
         extracted = []
         real = scorer.extract_features
 
-        def counting(index, params, query, docs, buckets):
-            extracted.append([d.id for d in docs])
-            return real(index, params, query, docs, buckets)
+        def counting(index, params, query, doc_ids, buckets):
+            extracted.append(list(doc_ids))
+            return real(index, params, query, doc_ids, buckets)
 
         monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -488,9 +521,9 @@ class TestScoringContext:
         extracted = []
         real = scorer.extract_features
 
-        def counting(index, params, query, docs, buckets):
-            extracted.append([d.id for d in docs])
-            return real(index, params, query, docs, buckets)
+        def counting(index, params, query, doc_ids, buckets):
+            extracted.append(list(doc_ids))
+            return real(index, params, query, doc_ids, buckets)
 
         monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -509,9 +542,11 @@ class TestScoringContext:
         want = x.copy()
         x[:] = -1.0
         np.testing.assert_array_equal(ctx.features(q, "d1"), want)
-        mat = ctx.feature_matrix(q, ["d1", "d1"])
+        mat, cols = ctx.feature_matrix(q, ["d1", "d1"])
         mat[0] = 7.0
-        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0], want)
+        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0][0], want[cols])
+        with pytest.raises(ValueError):
+            cols[0] = 3
 
     def test_missing_doc_raises(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -521,6 +556,41 @@ class TestScoringContext:
     def test_feature_matrix_rows(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
-        mat = ctx.feature_matrix(q, ["d1", "d2"])
-        np.testing.assert_array_equal(mat[0], ctx.features(q, "d1"))
-        np.testing.assert_array_equal(mat[1], ctx.features(q, "d2"))
+        mat, cols = ctx.feature_matrix(q, ["d1", "d2"])
+        np.testing.assert_array_equal(mat[0], ctx.features(q, "d1")[cols])
+        np.testing.assert_array_equal(mat[1], ctx.features(q, "d2")[cols])
+
+
+def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal to rtol 1e-12 of the largest value: the same terms summed in
+    another order, where values near 0 are cancellations of larger terms."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestNarrowBlock:
+    """A query's feature block over its columns scores and trains as the
+    full-width matrix it stands for."""
+
+    @pytest.mark.parametrize("buckets", [1024, 8, 1])
+    def test_block_matches_full_width(self, small_world, buckets):
+        w = small_world
+        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets)
+        params = init_params(ScorerConfig(buckets, hidden=8, seed=buckets))
+        rng = np.random.default_rng(buckets)
+        for q in w.queries:
+            block, cols = ctx.feature_matrix(q, w.rankings[q.id].doc_ids())
+            full = np.zeros((len(block), params.feature_dim))
+            full[:, cols] = block
+            scores, acts = score_batch(params, block, cols)
+            full_scores, full_acts = score_batch(params, full)
+            _assert_close(scores, full_scores)
+
+            upstream = rng.normal(size=len(block))
+            grads = backward_batch(params, block, acts, upstream, cols)
+            full_grads = backward_batch(params, full, full_acts, upstream)
+            outside = np.ones(params.feature_dim, dtype=bool)
+            outside[cols] = False
+            assert not grads.w1[:, outside].any()
+            _assert_close(grads.w1[:, cols], full_grads.w1[:, cols])
+            w1_size = params.w1.size
+            _assert_close(grads.flat[w1_size:], full_grads.flat[w1_size:])

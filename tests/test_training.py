@@ -235,8 +235,7 @@ class TestRunStage:
         params.w2 *= 200.0
         ex = next(e for e in small_world.examples if e.teacher is not None)
         docs = list(ex.teacher.doc_ids[:10])
-        x = small_world.ctx.feature_matrix(ex.query, docs)
-        scores, _ = score_batch(params, x)
+        scores, _ = score_batch(params, *small_world.ctx.feature_matrix(ex.query, docs))
         by_score = sorted(zip(docs, scores), key=lambda p: -p[1])
 
         def loss_with(order):
@@ -246,9 +245,13 @@ class TestRunStage:
             _, log = run_stage(params, stage, [example], [], small_world.ctx)
             return log.losses[0]
 
-        agree = loss_with([d for d, _ in by_score])
-        reverse = loss_with([d for d, _ in reversed(by_score)])
-        direct = ranknet(np.array(sorted(scores)[::-1])).value
+        agreeing = [d for d, _ in by_score]
+        agree = loss_with(agreeing)
+        reverse = loss_with(agreeing[::-1])
+        # the agreeing order's scores, rounded as run_stage's block rounds them
+        in_order, _ = score_batch(params, *small_world.ctx.feature_matrix(ex.query, agreeing))
+        np.testing.assert_allclose(in_order, sorted(scores, reverse=True), rtol=1e-12)
+        direct = ranknet(in_order).value
         assert agree == direct
         assert agree < reverse
 
@@ -307,7 +310,7 @@ class TestRunStage:
         # one example, so the step's group is its epoch-0 draw at ordinal 0
         instance = sample_instance(ex.ranking, ex.positive_id, sampler, 0, 0)
         docs = [instance.positive_id, *instance.negatives]
-        scores, _ = score_batch(params, small_world.ctx.feature_matrix(ex.query, docs))
+        scores, _ = score_batch(params, *small_world.ctx.feature_matrix(ex.query, docs))
         assert log.losses == [bce(scores).value]
 
     def test_deterministic(self, small_world):
