@@ -3,11 +3,22 @@
 Every random decision in the toolkit flows through these helpers so that runs
 are bit-reproducible and independent substreams can be derived from
 (seed, counter...) keys without replaying earlier draws.
+
+splitmix64 is counter-based: the k-th output of a generator in state s is
+mix64(s + k * gamma mod 2^64). So a run of draws of known length is one
+numpy pass over those counters (`SplitMix64.uniforms`, `block_uniforms`):
+uint64 arithmetic wraps mod 2^64 like the scalar masks, and the shift and
+the power-of-two scale of `uniform` are exact in float64, so a block holds
+the same floats as the scalar calls it replaces and leaves each generator
+in the same state.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -19,6 +30,21 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 of every element of a uint64 array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def box_muller(u1: float, u2: float) -> float:
+    """Standard normal deviate from two uniforms in [0, 1) (Box-Muller, one
+    value); u1 is floored at 2^-53 so its log is finite. Uses libm through
+    `math`, whose rounding numpy's ufuncs do not promise to match."""
+    u1 = max(u1, 2.0**-53)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def substream(seed: int, *keys: int) -> int:
@@ -47,6 +73,10 @@ class SplitMix64:
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next n `uniform()` draws as a float64 array."""
+        return block_uniforms([self], [n])
 
     def below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) via masked rejection."""
@@ -77,6 +107,22 @@ class SplitMix64:
 
     def gauss(self) -> float:
         """Standard normal deviate (Box-Muller, one value per call)."""
-        u1 = max(self.uniform(), 2.0**-53)
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        return box_muller(self.uniform(), self.uniform())
+
+
+def block_uniforms(rngs: Sequence[SplitMix64], counts: Sequence[int]) -> np.ndarray:
+    """The next counts[i] `uniform()` draws of each generator rngs[i], laid
+    end to end in one float64 array, computed in one pass; each generator
+    advances by its count."""
+    if len(rngs) != len(counts):
+        raise ValueError(f"{len(rngs)} generators but {len(counts)} counts")
+    n = np.asarray(counts, dtype=np.int64).reshape(-1)
+    ends = np.cumsum(n)
+    # counter k = 1..counts[i] inside each generator's run; np.repeat
+    # rejects a negative count
+    k = np.arange(1, int(n.sum()) + 1) - np.repeat(ends - n, n)
+    bases = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    states = np.repeat(bases, n) + k.astype(np.uint64) * np.uint64(_GOLDEN)
+    for rng, c in zip(rngs, n.tolist()):
+        rng._state = (rng._state + c * _GOLDEN) & _MASK64
+    return (mix64_array(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53

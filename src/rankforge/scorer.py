@@ -143,11 +143,14 @@ def extract_features(
     query: Query,
     doc_ids: Sequence[str],
     buckets: int,
+    term_cols: Sequence[int] | None = None,
 ) -> np.ndarray:
     """The (len(doc_ids), len(cols)) feature block of the documents, one row
     per document in order, over cols = `query_columns` of the query's terms
     (layout in module docstring); every other feature is 0.
 
+    `term_cols`, when given, is `term_columns` of the query's distinct terms
+    in sorted order, as a caller that already hashed them holds it.
     `index` must be built from the corpus the documents come from: every
     document-side quantity is read from its arrays, and no document text
     is tokenized. A document missing from the index raises ValueError.
@@ -160,9 +163,11 @@ def extract_features(
     tf = index.tf_matrix(q_terms, nums)
     hit = tf > 0  # (query terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
-    cols = query_columns(q_terms, buckets)
+    if term_cols is None:
+        term_cols = term_columns(q_terms, buckets)
+    cols = _columns(term_cols)
     # each term's column within the block
-    slots = np.searchsorted(cols, [_bucket(t, buckets) for t in q_terms]).tolist()
+    slots = np.searchsorted(cols, term_cols).tolist()
 
     x = np.zeros((len(nums), len(cols)), dtype=np.float64)
     bm25 = bm25_block(index, params, q_tokens, q_terms, tf, nums)
@@ -187,13 +192,17 @@ def query_columns(terms: Iterable[str], buckets: int) -> np.ndarray:
     """The feature columns a row of a query with these terms can fill: the
     N_DENSE dense columns, then the terms' distinct buckets in ascending
     order. A row is 0 in every other column."""
-    q_buckets = sorted({_bucket(t, buckets) for t in terms})
-    return np.array([*range(N_DENSE), *q_buckets], dtype=np.intp)
+    return _columns(term_columns(set(terms), buckets))
 
 
-def _bucket(term: str, buckets: int) -> int:
-    """The feature column of a term's hashed bucket."""
-    return N_DENSE + fnv1a64(term.encode("utf-8")) % buckets
+def term_columns(terms: Iterable[str], buckets: int) -> list[int]:
+    """The feature column of each term's hashed bucket, in order."""
+    return [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in terms]
+
+
+def _columns(term_cols: Iterable[int]) -> np.ndarray:
+    """`query_columns` of the terms with these bucket columns."""
+    return np.array([*range(N_DENSE), *sorted(set(term_cols))], dtype=np.intp)
 
 
 def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray) -> np.ndarray:
@@ -256,17 +265,11 @@ def init_params(config: ScorerConfig) -> ScorerParams:
     A single splitmix64 stream fills W1 row-major then w2, so the layout is
     reproducible bit-for-bit.
     """
-    rng = SplitMix64(config.seed)
     f = config.feature_dim
     m = config.hidden
-
-    def uniform_block(n: int, limit: float) -> np.ndarray:
-        return np.array([(2.0 * rng.uniform() - 1.0) * limit for _ in range(n)])
-
-    lim1 = math.sqrt(6.0 / (f + m))
-    w1 = uniform_block(m * f, lim1).reshape(m, f)
-    lim2 = math.sqrt(6.0 / (m + 1))
-    w2 = uniform_block(m, lim2)
+    u = 2.0 * SplitMix64(config.seed).uniforms(m * f + m) - 1.0
+    w1 = (u[: m * f] * math.sqrt(6.0 / (f + m))).reshape(m, f)
+    w2 = u[m * f :] * math.sqrt(6.0 / (m + 1))
     return ScorerParams(w1, np.zeros(m), w2, 0.0)
 
 
@@ -303,11 +306,13 @@ class _QueryFeatures:
     `cols`, the query's columns (`query_columns`). A row is 0 in every
     other column."""
 
-    __slots__ = ("rows", "cols", "vals")
+    __slots__ = ("rows", "term_cols", "cols", "vals")
 
     def __init__(self, query: Query, buckets: int):
         self.rows: dict[str, int] = {}
-        self.cols = query_columns(tokenize(query.text), buckets)
+        # hashed once here; every extraction for the query reuses them
+        self.term_cols = term_columns(sorted(set(tokenize(query.text))), buckets)
+        self.cols = _columns(self.term_cols)
         self.cols.flags.writeable = False
         self.vals = np.empty((0, len(self.cols)))
 
@@ -368,4 +373,6 @@ class ScoringContext:
             for d in missing:
                 if d not in self.corpus:
                     raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
-            held.add(missing, extract_features(self.index, self.bm25, query, missing, self.buckets))
+            held.add(missing, extract_features(
+                self.index, self.bm25, query, missing, self.buckets, held.term_cols
+            ))

@@ -10,7 +10,12 @@ memberships never cross the lowest band. Teacher rankings sort the judged
 documents by true grade plus Gaussian noise.
 
 Everything is derived from counter-based substreams of one seed, so the
-rendered files are byte-identical across runs.
+rendered files are byte-identical across runs. A document's header (alpha,
+side topics, length) uses rejection draws and is drawn one value at a time;
+the draws whose count is then known (every token's source and word, a
+query's words, the teacher's noise) are taken as blocks of uniforms, which
+splitmix64's counter form makes equal to the same draws made one at a time
+(see `rng`), so the token choices are computed over whole arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import SplitMix64, substream
+from .rng import SplitMix64, block_uniforms, box_muller, substream
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "write_dataset"]
 
@@ -84,9 +89,11 @@ def _zipf_cdf(m: int) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def _draw_word(rng: SplitMix64, cdf: np.ndarray, slice_start: int) -> str:
-    idx = int(np.searchsorted(cdf, rng.uniform(), side="right"))
-    return f"w{slice_start + min(idx, len(cdf) - 1):05d}"
+def _word_ids(cdf: np.ndarray, u: np.ndarray, slice_start) -> np.ndarray:
+    """The vocabulary index each uniform in u picks from the Zipf slice with
+    this CDF starting at slice_start (a scalar or one start per uniform)."""
+    idx = np.searchsorted(cdf, u, side="right")
+    return slice_start + np.minimum(idx, len(cdf) - 1)
 
 
 def _grade_counts(n: int) -> list[tuple[int, float, float, int]]:
@@ -109,43 +116,61 @@ def generate(spec: SynthSpec) -> SynthDataset:
     cdf = _zipf_cdf(slice_len)
     query_cdf = _zipf_cdf(min(slice_len, _QUERY_VOCAB_CAP))
     t_count = spec.topics
+    vocab = [f"w{i:05d}" for i in range(t_count * slice_len)]
 
-    # documents: topic-major order, strata in decreasing grade inside a topic
-    doc_ids: list[str] = []
+    # document headers, topic-major with strata in decreasing grade inside a
+    # topic: the mixture weight alpha, the side topics and the length use
+    # rejection draws, so they are drawn one document at a time
+    rngs: list[SplitMix64] = []
     doc_grade: list[int] = []  # grade w.r.t. the primary topic
     doc_topic: list[int] = []
-    corpus_lines: list[str] = []
+    alphas: list[float] = []
+    lengths: list[int] = []
+    n_sides: list[int] = []
+    sides: list[int] = []  # every document's side topics, end to end
     for topic in range(t_count):
+        others = [t for t in range(t_count) if t != topic]
         for grade, lo, hi, count in _grade_counts(spec.docs_per_topic):
             for _ in range(count):
-                d = len(doc_ids)
-                rng = SplitMix64(substream(spec.seed, _DOC_TAG, d))
-                alpha = 1.0 if t_count == 1 else lo + rng.uniform() * (hi - lo)
-                n_side = 0
-                sides: list[int] = []
+                rng = SplitMix64(substream(spec.seed, _DOC_TAG, len(rngs)))
+                alpha, n_side = 1.0, 0
                 if t_count > 1:
+                    alpha = lo + rng.uniform() * (hi - lo)
                     n_side = min(t_count - 1, max(3, math.ceil((1.0 - alpha) / 0.20)))
-                    others = [t for t in range(t_count) if t != topic]
-                    sides = rng.sample(others, n_side)
-                length = 20 + rng.below(41)
-                tokens = []
-                for _ in range(length):
-                    u = rng.uniform()
-                    if u < alpha or not sides:
-                        src = topic
-                    else:
-                        per = (1.0 - alpha) / n_side
-                        src = sides[min(n_side - 1, int((u - alpha) / per))]
-                    tokens.append(_draw_word(rng, cdf, src * slice_len))
-                doc_ids.append(f"d{d:05d}")
+                    sides.extend(rng.sample(others, n_side))
+                lengths.append(20 + rng.below(41))
+                rngs.append(rng)
                 doc_grade.append(grade)
                 doc_topic.append(topic)
-                corpus_lines.append(f"d{d:05d}\t{' '.join(tokens)}\n")
+                alphas.append(alpha)
+                n_sides.append(n_side)
 
-    # per-topic judged pool, already doc-id sorted by construction
-    topic_docs: list[list[int]] = [[] for _ in range(t_count)]
-    for d, topic in enumerate(doc_topic):
-        topic_docs[topic].append(d)
+    # then each document's tokens, one (source, word) pair of uniforms per
+    # token, all in one block; a token comes from the primary topic when its
+    # source uniform is below alpha (always for a lone topic, alpha = 1),
+    # else from side topic int((u - alpha) / per) of the document, with
+    # per = (1 - alpha) / n_side: the float operations of a per-token loop,
+    # and the cast truncates like int() since u >= alpha
+    u = block_uniforms(rngs, [2 * n for n in lengths])
+    src_u, word_u = u[0::2], u[1::2]
+    doc_of = np.repeat(np.arange(len(rngs)), lengths)
+    src = np.array(doc_topic)[doc_of]
+    tok_alpha = np.array(alphas)[doc_of]
+    on_side = ~(src_u < tok_alpha)
+    side_doc = doc_of[on_side]
+    side_alpha = tok_alpha[on_side]
+    side_n = np.array(n_sides)[side_doc]
+    per = (1.0 - side_alpha) / side_n
+    pick = np.minimum(side_n - 1, ((src_u[on_side] - side_alpha) / per).astype(np.int64))
+    first_side = (np.cumsum(n_sides) - n_sides)[side_doc]
+    src[on_side] = np.array(sides, dtype=np.int64)[first_side + pick]
+    tokens = [vocab[i] for i in _word_ids(cdf, word_u, src * slice_len).tolist()]
+    doc_names = [f"d{d:05d}" for d in range(len(rngs))]
+    corpus_lines = []
+    end = 0
+    for name, n in zip(doc_names, lengths):
+        corpus_lines.append(f"{name}\t{' '.join(tokens[end:end + n])}\n")
+        end += n
 
     query_lines: list[str] = []
     qrels_lines: list[str] = []
@@ -155,18 +180,21 @@ def generate(spec: SynthSpec) -> SynthDataset:
         qid = f"q{q:04d}"
         rng = SplitMix64(substream(spec.seed, _QRY_TAG, q))
         n_tok = 3 + rng.below(4)
-        tokens = [_draw_word(rng, query_cdf, topic * slice_len) for _ in range(n_tok)]
-        query_lines.append(f"{qid}\t{' '.join(tokens)}\n")
+        words = _word_ids(query_cdf, rng.uniforms(n_tok), topic * slice_len)
+        query_lines.append(f"{qid}\t{' '.join(vocab[i] for i in words.tolist())}\n")
 
-        judged = topic_docs[topic]
+        # every document of the topic is judged, in doc-id order
+        judged = range(topic * spec.docs_per_topic, (topic + 1) * spec.docs_per_topic)
         for d in judged:
-            qrels_lines.append(f"{qid} 0 d{d:05d} {doc_grade[d]}\n")
+            qrels_lines.append(f"{qid} 0 {doc_names[d]} {doc_grade[d]}\n")
 
         if len(judged) >= 2:
-            noise_rng = SplitMix64(substream(spec.seed, _TCH_TAG, q))
+            # one Box-Muller deviate per judged document from two uniforms
+            noise_u = SplitMix64(substream(spec.seed, _TCH_TAG, q)).uniforms(2 * len(judged))
+            pairs = zip(judged, noise_u[0::2].tolist(), noise_u[1::2].tolist())
             keyed = [
-                (-(doc_grade[d] + spec.noise * noise_rng.gauss()), f"d{d:05d}")
-                for d in judged
+                (-(doc_grade[d] + spec.noise * box_muller(u1, u2)), doc_names[d])
+                for d, u1, u2 in pairs
             ]
             keyed.sort()
             ranked = [doc for _, doc in keyed[:TEACHER_DEPTH]]

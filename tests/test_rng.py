@@ -2,9 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from rankforge.rng import SplitMix64, mix64, substream
+from rankforge.rng import (
+    SplitMix64,
+    block_uniforms,
+    box_muller,
+    mix64,
+    mix64_array,
+    substream,
+)
+
+_GOLDEN = 0x9E3779B97F4A7C15
+# seeds 0, 1 and 2^64 - 1, and a state three steps below the 2^64 wrap, so
+# a block of more than three draws wraps inside the block
+EDGE_SEEDS = [0, 1, 2**64 - 1, (-3 * _GOLDEN) % 2**64]
 
 
 class TestKnownVectors:
@@ -95,3 +108,52 @@ class TestDraws:
         a = SplitMix64(substream(9, 1))
         b = SplitMix64(substream(9, 1))
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+
+
+class TestBlockDraws:
+    """Block draws equal the scalar draws they replace, bit for bit."""
+
+    def test_mix64_array_matches_scalar(self):
+        edges = [0, 1, 2, 2**31, 2**32 - 1, 2**32, 2**53, 2**63 - 1, 2**63,
+                 2**64 - 2, 2**64 - 1, _GOLDEN, (-_GOLDEN) % 2**64]
+        got = mix64_array(np.array(edges, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [mix64(z) for z in edges]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 10_000])
+    def test_uniforms_match_scalar_draws(self, seed, n):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = block.uniforms(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tolist() == [scalar.uniform() for _ in range(n)]
+        assert block.next_u64() == scalar.next_u64()
+
+    def test_block_uniforms_match_scalar_draws(self):
+        counts = [0, 1, 10_000, 3, 0, 7]
+        seeds = [*EDGE_SEEDS, substream(7, 1), 12345]
+        block = [SplitMix64(s) for s in seeds]
+        scalar = [SplitMix64(s) for s in seeds]
+        got = block_uniforms(block, counts)
+        want = [rng.uniform() for rng, c in zip(scalar, counts) for _ in range(c)]
+        assert got.tolist() == want
+        assert [r.next_u64() for r in block] == [r.next_u64() for r in scalar]
+
+    def test_block_uniforms_no_generators(self):
+        got = block_uniforms([], [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_block_uniforms_rejects_bad_counts(self):
+        rngs = [SplitMix64(1), SplitMix64(2)]
+        with pytest.raises(ValueError):
+            block_uniforms(rngs, [3])
+        with pytest.raises(ValueError):
+            block_uniforms(rngs, [3, -1])
+
+    def test_gauss_is_box_muller_of_two_uniforms(self):
+        a, b = SplitMix64(11), SplitMix64(11)
+        u = b.uniforms(2000).tolist()
+        assert [a.gauss() for _ in range(1000)] == [
+            box_muller(u1, u2) for u1, u2 in zip(u[0::2], u[1::2])
+        ]
+        assert math.isfinite(box_muller(0.0, 0.5))

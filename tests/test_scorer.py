@@ -1,5 +1,6 @@
 """Feature extraction, the two-layer scorer, gradients, and checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -445,6 +446,12 @@ class TestInitParams:
         assert np.all(p.b1 == 0.0)
         assert p.b2 == 0.0
 
+    def test_default_checkpoint_bytes_pinned(self):
+        blob = save_params(init_params(ScorerConfig()))
+        assert hashlib.sha256(blob).hexdigest() == (
+            "62030ec5e9be3b8c7fb03592a247bb03c51ad38290739f33c8d68cb437d89d81"
+        )
+
     def test_config_validated(self):
         with pytest.raises(ValueError):
             ScorerConfig(0, 4)
@@ -500,9 +507,9 @@ class TestScoringContext:
         extracted = []
         real = scorer.extract_features
 
-        def counting(index, params, query, doc_ids, buckets):
+        def counting(index, params, query, doc_ids, *rest):
             extracted.append(list(doc_ids))
-            return real(index, params, query, doc_ids, buckets)
+            return real(index, params, query, doc_ids, *rest)
 
         monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -521,9 +528,9 @@ class TestScoringContext:
         extracted = []
         real = scorer.extract_features
 
-        def counting(index, params, query, doc_ids, buckets):
+        def counting(index, params, query, doc_ids, *rest):
             extracted.append(list(doc_ids))
-            return real(index, params, query, doc_ids, buckets)
+            return real(index, params, query, doc_ids, *rest)
 
         monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -534,6 +541,27 @@ class TestScoringContext:
         ctx.warm(q, ["d2"])
         ctx.feature_matrix(q, ["d2", "d3", "d1"])
         assert extracted == [["d1"], ["d3", "d2"]]
+
+    def test_each_query_term_hashed_once(self, tiny_corpus, tiny_index, monkeypatch):
+        hashed = []
+        real = scorer.fnv1a64
+
+        def counting(data):
+            hashed.append(data)
+            return real(data)
+
+        monkeypatch.setattr(scorer, "fnv1a64", counting)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
+        q = Query("q", "cat dog cat zebra")
+        block, cols = ctx.feature_matrix(q, ["d1", "d2"])
+        assert sorted(hashed) == [b"cat", b"dog", b"zebra"]
+        ctx.feature_matrix(q, ["d3", "d1"])
+        assert len(hashed) == 3
+        # the shared bucket list gives the same block as a fresh extraction
+        np.testing.assert_array_equal(
+            block, extract_features(tiny_index, Bm25Params(), q, ["d1", "d2"], 16)
+        )
+        np.testing.assert_array_equal(cols, query_columns(["cat", "dog", "zebra"], 16))
 
     def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)

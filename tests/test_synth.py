@@ -1,4 +1,7 @@
-"""Generated datasets: determinism, structure, grade strata, teacher order."""
+"""Generated datasets: determinism, pinned bytes, structure, grade strata,
+teacher order."""
+
+import hashlib
 
 import pytest
 
@@ -78,6 +81,63 @@ class TestDeterminism:
         assert quiet.queries_tsv == dataset.queries_tsv
         assert quiet.qrels_txt == dataset.qrels_txt
         assert quiet.teacher_jsonl != dataset.teacher_jsonl
+
+
+# sha256 of (corpus, queries, qrels, teacher) for specs spanning the code
+# paths: the test_07 shape with and without teacher noise, the rerank-serve
+# benchmark shape, a single topic (no side topics), a single document per
+# topic (no teacher), and large noise at the largest seed
+PINNED = {
+    "test07": (SynthSpec(seed=42, noise=0.0), (
+        "9695bb16d87239e80c9fdfc0fc8f4fc515ccfba4ee7bb81ce6e41ee8407adacf",
+        "be5269c3e6a995618df9f84aa21416fce0ab67d1541f87ed4026008f47198f52",
+        "b501b0b4ad81a1fa783e2086c4c11e8fb90818d53da8cc6d08cf9288f508f78c",
+        "bee3ea21989523faef6d0da1e6edcbd93365520bcdbaea8ef4f364ccce22abd1",
+    )),
+    "test07-noise": (SynthSpec(seed=42, noise=0.5), (
+        "9695bb16d87239e80c9fdfc0fc8f4fc515ccfba4ee7bb81ce6e41ee8407adacf",
+        "be5269c3e6a995618df9f84aa21416fce0ab67d1541f87ed4026008f47198f52",
+        "b501b0b4ad81a1fa783e2086c4c11e8fb90818d53da8cc6d08cf9288f508f78c",
+        "98604815780999cf7ca274ac75ed9f30f6cea8d85df9b8129874af0b0b566699",
+    )),
+    "rerank-serve": (SynthSpec(vocab_size=10000, topics=40, queries=500, noise=0.0, seed=7), (
+        "2d8f5ffc154230c1f800f718b7ee77a67d40c0746d4c1b847f9242058f46ebb7",
+        "b475cf9d135177f83305fd78c25434b5b13e56a6a9a9551823d36ec13e7a8b95",
+        "718929433c95b2865c06294bf64e223c44b96827047a9b8eaec567d2436455f7",
+        "2143c0a40216f5be6445b617b2d5ac3efee0b5e476cd4626e9ee3b93bda7a2e3",
+    )),
+    "one-topic": (SynthSpec(vocab_size=300, topics=1, docs_per_topic=30, queries=12, seed=3), (
+        "f75d7725ee3f145c3d92ef1d1a552aef4c89980bdf14313f56610a4137416c27",
+        "7bc99076cef628283be47a5cae6baa15de8091496ad2c834dd3217c261857487",
+        "afcfedab0dbcd46a687d2db032571dd0d8b0c4a6b571173510982802b020f244",
+        "ae090959c10a61fc5900801de6d7f928173216ad7c358f6704306f67073a2d35",
+    )),
+    "one-doc": (SynthSpec(vocab_size=200, topics=5, docs_per_topic=1, queries=9, seed=11), (
+        "91f3abeb49284a70032cacce5fe10546a79f3928ffcc41ec45513300537f2ee3",
+        "bec50714dadee6fa0c48bc5f8f0e12713dd52030274f7f5fcd5cd83f60d83cc0",
+        "15b82e98aaef1a2bf988c5e2d7829577cfbc254e3fbb4bb6e3502970f01530f0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    )),
+    "max-seed-noise": (SynthSpec(vocab_size=400, topics=4, docs_per_topic=20, queries=10,
+                                 noise=2.5, seed=2**64 - 1), (
+        "69f0b2f0ad21b734b7c20810e85735d5dde040aff56faa83246f0a85ec0129be",
+        "7a3652eb8eb7724f107bddee8f71da1e20bebb0c24c7282aa25b256bdcee9fb9",
+        "e71d99f5ca0a266fbaa3d91dc83b07db524531a8e56fd134edd87052d307bc46",
+        "dc951fb62965b77aebda4b424f34f83c496a762ed39aa2960a21e0ec10312ed5",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_pinned_bytes(name):
+    """Every generated file keeps the bytes it has always had."""
+    spec, want = PINNED[name]
+    ds = generate(spec)
+    got = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (ds.corpus_tsv, ds.queries_tsv, ds.qrels_txt, ds.teacher_jsonl)
+    )
+    assert got == want
 
 
 class TestCorpusShape:

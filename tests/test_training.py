@@ -329,9 +329,9 @@ class TestRunStage:
         extracted = []
         real = rankforge.scorer.extract_features
 
-        def counting(index, bm25, query, docs, buckets):
+        def counting(index, bm25, query, docs, *rest):
             extracted.append(query.id)
-            return real(index, bm25, query, docs, buckets)
+            return real(index, bm25, query, docs, *rest)
 
         monkeypatch.setattr(rankforge.scorer, "extract_features", counting)
         w = small_world
