@@ -178,7 +178,7 @@ def cmd_synth(args) -> int:
         docs_per_topic=args.docs_per_topic,
         queries=args.queries,
         noise=args.noise,
-        seed=args.seed if args.seed is not None else 42,
+        seed=args.seed,
     )
     paths = write_dataset(generate(spec), args.out)
     for name in ("corpus", "queries", "qrels", "teacher"):
@@ -262,7 +262,7 @@ def _build_parser() -> _Parser:
 
     p = add("synth", cmd_synth, "generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--vocab", type=int, default=5000)
     p.add_argument("--topics", type=int, default=20)
     p.add_argument("--docs-per-topic", type=int, default=100)

@@ -211,12 +211,6 @@ class Qrels:
             by_query.setdefault(q, {})[d] = r
         object.__setattr__(self, "_by_query", by_query)
 
-    def grade(self, query_id: str, doc_id: str, default: int = 0) -> int:
-        return self.judgments.get((query_id, doc_id), default)
-
-    def query_ids(self) -> set[str]:
-        return {qid for qid, _ in self.judgments}
-
     def docs_for(self, query_id: str) -> dict[str, int]:
         return dict(self._by_query.get(query_id, {}))
 

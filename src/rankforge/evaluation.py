@@ -3,8 +3,8 @@
 Metric conventions follow the trec_eval family: AP normalized by the number
 of judged-relevant documents, nDCG with log2(rank+1) discounts and unjudged
 docs counting zero gain, queries without relevant judgments excluded from
-aggregates. Significance is a two-sided paired Student t-test with the
-p-value computed from the regularized incomplete beta function, so no
+aggregates. Significance is a two-sided paired Student t-test; its df is
+an integer, so the p-value is a finite series in closed form and no
 statistics dependency is needed.
 """
 
@@ -220,58 +220,25 @@ def report_csv(reports: Mapping[str, MetricReport]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with integer df >= 1.
 
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), absolute error well under 1e-8."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    The finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df) in theta = atan(|t| / sqrt(df)), df // 2 terms. The error is
+    absolute: under 1e-13 for df below 5,000 (3e-13 at df 20,000), so a
+    p-value below about 1e-13 may read as 0 or as a tiny negative.
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    c2 = math.cos(theta) ** 2
+    odd = df % 2 == 1
+    term = math.cos(theta) if odd else 1.0
+    total = term if df > 1 else 0.0
+    for k in range(3 if odd else 2, df, 2):
+        term *= c2 * (k - 1) / k
+        total += term
+    if odd:
+        return 1.0 - 2.0 / math.pi * (theta + math.sin(theta) * total)
+    return 1.0 - math.sin(theta) * total
 
 
 def paired_ttest(a: MetricReport, b: MetricReport) -> SignificanceResult:
@@ -300,7 +267,7 @@ def paired_ttest(a: MetricReport, b: MetricReport) -> SignificanceResult:
         t = math.inf if mean > 0 else -math.inf
         return SignificanceResult(t, df, 0.0, True, degenerate=True)
     t = mean / (sd / math.sqrt(n))
-    p = betainc_reg(df / 2.0, 0.5, df / (df + t * t))
+    p = _t_two_sided_p(t, df)
     return SignificanceResult(t, df, min(max(p, 0.0), 1.0), p < ALPHA)
 
 

@@ -465,12 +465,7 @@ class _Workspace:
     dirs: list[Path] = field(default_factory=list)
 
     def write_text(self, rel: str, text: str) -> Path:
-        path = self.out / rel
-        if not path.parent.exists():
-            self._mkdirs(path.parent)
-        path.write_text(text, encoding="utf-8")
-        self.files.append(path)
-        return path
+        return self.write_bytes(rel, text.encode("utf-8"))
 
     def write_bytes(self, rel: str, blob: bytes) -> Path:
         path = self.out / rel
@@ -533,15 +528,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         bm25_system = SystemResult("bm25", evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
         ws.write_text("bm25/metrics.csv", report_csv(bm25_system.reports))
 
-        init = init_params(cfg.scorer)
-        systems: dict[str, SystemResult] = {"bm25": bm25_system}
-
-        untrained_rankings = rerank_eval_set(init, prep, cfg.rerank_depth)
-        systems["untrained"] = SystemResult(
-            "untrained", evaluate_all(untrained_rankings, prep.qrels, cfg.metrics)
-        )
-        ws.write_text("untrained/rerank.txt", write_run(untrained_rankings, tag="untrained"))
-        ws.write_text("untrained/metrics.csv", report_csv(systems["untrained"].reports))
+        systems: dict[str, SystemResult] = {
+            "bm25": bm25_system,
+            "untrained": _write_system(ws, cfg, prep, "untrained", init_params(cfg.scorer)),
+        }
 
         trained: dict = {}
         for named in cfg.plans:
@@ -549,13 +539,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 cfg.scorer, named.plan, prep.train_examples, prep.val_examples,
                 prep.ctx, trained,
             )
-            sub = _write_checkpoint(ws, named.name, params, logs)
-            rankings = rerank_eval_set(params, prep, cfg.rerank_depth)
-            ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
-            systems[named.name] = SystemResult(
-                named.name, evaluate_all(rankings, prep.qrels, cfg.metrics)
-            )
-            ws.write_text(f"{sub}/metrics.csv", report_csv(systems[named.name].reports))
+            _write_checkpoint(ws, named.name, params, logs)
+            systems[named.name] = _write_system(ws, cfg, prep, named.name, params)
 
         baseline = systems["untrained"]
         rq1 = build_table(
@@ -602,6 +587,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except BaseException:
         ws.cleanup()
         raise
+
+
+def _write_system(
+    ws: _Workspace, cfg: ExperimentConfig, prep: PreparedData, name: str, params: ScorerParams
+) -> SystemResult:
+    """Re-rank the eval queries, write the system's rerank.txt and metrics.csv."""
+    sub = plan_dir_name(name)
+    rankings = rerank_eval_set(params, prep, cfg.rerank_depth)
+    ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
+    system = SystemResult(name, evaluate_all(rankings, prep.qrels, cfg.metrics))
+    ws.write_text(f"{sub}/metrics.csv", report_csv(system.reports))
+    return system
 
 
 def _write_checkpoint(

@@ -105,10 +105,6 @@ class SplitMix64:
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 
-    def gauss(self) -> float:
-        """Standard normal deviate (Box-Muller, one value per call)."""
-        return box_muller(self.uniform(), self.uniform())
-
 
 def block_uniforms(rngs: Sequence[SplitMix64], counts: Sequence[int]) -> np.ndarray:
     """The next counts[i] `uniform()` draws of each generator rngs[i], laid
