@@ -7,6 +7,7 @@ in magnitude.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,19 @@ def ranknet(scores: np.ndarray) -> LossOutput:
     """
     s = _group(scores, "ranknet")
     # diff[i, j] = s_j - s_i; only pairs i < j (teacher rank r_i < r_j) count
-    diff = s[None, :] - s[:, None]
-    upper = np.triu(np.ones((s.size, s.size), dtype=bool), k=1)
-    value = float(softplus(diff[upper]).sum())
-    p = np.where(upper, sigmoid(diff), 0.0)
+    upper = _upper_pairs(s.size)
+    diff = (s[None, :] - s[:, None])[upper]
+    value = float(softplus(diff).sum())
+    p = np.zeros((s.size, s.size))
+    p[upper] = sigmoid(diff)
     grad = p.sum(axis=0) - p.sum(axis=1)
     return LossOutput(value, grad)
+
+
+@functools.cache
+def _upper_pairs(n: int) -> np.ndarray:
+    """The (n, n) mask of the pairs i < j, shared between calls."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
 
 
 def bce(scores: np.ndarray) -> LossOutput:

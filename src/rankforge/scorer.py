@@ -30,7 +30,8 @@ small enough that its backward pass is written out exactly and checked
 against finite differences. Its parameters live in one float64 vector in
 checkpoint order (W1 row-major, b1, w2, b2) with the arrays as views into
 it; gradients and AdamW moments share that layout, so the optimizer and
-the checkpoint format each handle a single vector.
+the checkpoint format each handle a single vector; a block's gradient has
+as W1 only the block's columns, as every other column's gradient is 0.
 """
 
 from __future__ import annotations
@@ -248,13 +249,14 @@ def backward_batch(
     cols: np.ndarray | slice = slice(None),
 ) -> ScorerParams:
     """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter, for
-    the block and columns `score_batch` was given. The W1 gradient is 0
-    outside `cols`."""
+    the block and columns `score_batch` was given. Its `w1` is W1's gradient
+    at `cols` alone, (hidden, len(cols)): it is 0 in every other column."""
     dz = (upstream[:, None] * params.w2[None, :]) * (1.0 - activations * activations)
-    grads = ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
-    grads.w1[:, cols] = dz.T @ x_mat
-    grads.b1[:] = dz.sum(axis=0)
-    grads.w2[:] = activations.T @ upstream
+    m, k = params.hidden, x_mat.shape[1]
+    grads = ScorerParams.from_flat(np.empty(m * k + 2 * m + 1), m, k)
+    np.matmul(dz.T, x_mat, out=grads.w1)
+    np.sum(dz, axis=0, out=grads.b1)
+    np.matmul(activations.T, upstream, out=grads.w2)
     grads.b2 = upstream.sum()
     return grads
 

@@ -189,14 +189,14 @@ def generate(spec: SynthSpec) -> SynthDataset:
             qrels_lines.append(f"{qid} 0 {doc_names[d]} {doc_grade[d]}\n")
 
         if len(judged) >= 2:
-            # one Box-Muller deviate per judged document from two uniforms
-            noise_u = SplitMix64(substream(spec.seed, _TCH_TAG, q)).uniforms(2 * len(judged))
-            pairs = zip(judged, noise_u[0::2].tolist(), noise_u[1::2].tolist())
-            keyed = [
-                (-(doc_grade[d] + spec.noise * box_muller(u1, u2)), doc_names[d])
-                for d, u1, u2 in pairs
-            ]
-            keyed.sort()
+            # one Box-Muller deviate per judged document from two uniforms;
+            # at noise 0 each would be scaled to 0, so none is drawn
+            noise = [0.0] * len(judged)
+            if spec.noise:
+                u = SplitMix64(substream(spec.seed, _TCH_TAG, q)).uniforms(2 * len(judged))
+                noise = [spec.noise * box_muller(u1, u2)
+                         for u1, u2 in zip(u[0::2].tolist(), u[1::2].tolist())]
+            keyed = sorted((-(doc_grade[d] + z), doc_names[d]) for d, z in zip(judged, noise))
             ranked = [doc for _, doc in keyed[:TEACHER_DEPTH]]
             teacher_lines.append(json.dumps({"qid": qid, "ranked": ranked}) + "\n")
 

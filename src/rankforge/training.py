@@ -10,7 +10,8 @@ Before its first step a stage warms the feature memo with one extraction
 block per train and validation query, holding every document the stage can
 group with it, so steps only gather held rows. A row does not depend on the
 block it was extracted in, so no value changes. AdamW updates in place, in
-scratch vectors held by the optimizer state.
+scratch vectors held by the optimizer state, over the W1 columns the
+stage's queries reach; the other columns only decay (see `run_stage`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, bce, lce, ranknet
+from .retrieval import tokenize
 from .rng import SplitMix64, substream
 from .sampling import SamplerConfig, hard_pool, sample_instance
 from .scorer import (
@@ -32,6 +34,7 @@ from .scorer import (
     ScoringContext,
     backward_batch,
     init_params,
+    query_columns,
     score_batch,
 )
 
@@ -79,13 +82,18 @@ class OptimizerState:
 
 
 def adamw_step(
-    params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float
+    params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float,
+    cols: np.ndarray | slice = slice(None),
 ) -> tuple[ScorerParams, OptimizerState]:
     """One AdamW update with decoupled weight decay (mutates params and state).
 
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2 ; bias-corrected m^, v^ ;
     w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`,
     one operation at a time in that order, into the state's scratch vectors.
+
+    `grads` is a `backward_batch` gradient over the W1 columns `cols` (all
+    by default), so it is added to the moments there alone: adding a 0
+    would leave a moment as it is, bar the sign of a zero.
 
     lr = 0 leaves parameters bit-identical while the moments still advance.
     """
@@ -98,11 +106,14 @@ def adamw_step(
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     a, b = state.scratch
+    # where in flat each entry of g goes
+    f, n = params.feature_dim, params.w1.size
+    at = np.arange(0, n, f)[:, None] + np.arange(f)[cols]
+    at = np.concatenate([at.ravel(), np.arange(n, w.size)])
     m *= b1
-    m += np.multiply(1.0 - b1, g, out=a)
+    m[at] += (1.0 - b1) * g
     v *= b2
-    np.multiply(g, g, out=a)
-    v += np.multiply(1.0 - b2, a, out=a)
+    v[at] += (1.0 - b2) * (g * g)
     if lr != 0.0:
         m_hat = np.divide(m, 1.0 - b1 ** state.t, out=a)
         v_hat = np.divide(v, 1.0 - b2 ** state.t, out=b)
@@ -214,17 +225,29 @@ def run_stage(
     val_interval steps over fixed validation groups (sampled once, epoch 0 of
     a dedicated substream) and never gates training. Before the first step
     ctx is warmed with each train and val query's `_pool`, one block per
-    query whose pool it does not hold yet. AdamW updates the copy in place.
+    query whose pool it does not hold yet.
+
+    Steps update in place a copy of the stage's reach, the W1 columns of its
+    train and val queries (`query_columns`) plus b1, w2 and b2, with moments
+    of that size. Any other W1 column's gradient is 0 at every step, so its
+    moments stay 0 and its AdamW update is, rounding for rounding,
+    w - lr * (wd * w), applied max_steps times at the end (none at lr = 0):
+    only a weight of exactly -0.0 can differ, and then in the sign of zero.
     """
     if not train:
         raise DataError("training data is empty")
-    params = params.copy()
-    state = OptimizerState.for_params(params)
     log = TrainLog()
     started = time.perf_counter()
 
+    reached = np.zeros(params.feature_dim, dtype=bool)
     for ex in (*train, *val):
         ctx.warm(ex.query, _pool(ex, stage))
+        reached[query_columns(tokenize(ex.query.text), ctx.buckets)] = True
+    # slot[c] is reached column c's position among the live columns
+    slot = np.cumsum(reached) - 1
+    reach = np.flatnonzero(reached)
+    live = ScorerParams(params.w1[:, reach], params.b1, params.w2, params.b2)
+    state = OptimizerState.for_params(live)
 
     val_stage = stage
     if stage.sampler is not None:
@@ -245,19 +268,31 @@ def run_stage(
 
         docs = _group_docs(example, stage, i, epoch)
         x_mat, cols = ctx.feature_matrix(example.query, docs)
-        scores, acts = score_batch(params, x_mat, cols)
+        cols = slot[cols]
+        scores, acts = score_batch(live, x_mat, cols)
         loss = _group_loss(stage, scores)
-        grads = backward_batch(params, x_mat, acts, loss.grad, cols)
-        params, state = adamw_step(params, grads, state, stage.lr)
+        grads = backward_batch(live, x_mat, acts, loss.grad, cols)
+        live, state = adamw_step(live, grads, state, stage.lr, cols)
         log.losses.append(loss.value)
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
             total = 0.0
             for ex, docs in zip(val, val_groups):
-                v_scores, _ = score_batch(params, *ctx.feature_matrix(ex.query, docs))
+                x_mat, cols = ctx.feature_matrix(ex.query, docs)
+                v_scores, _ = score_batch(live, x_mat, slot[cols])
                 total += _group_loss(stage, v_scores).value
             log.val.append((step + 1, total / len(val_groups)))
 
+    params = params.copy()
+    rest = np.flatnonzero(~reached)
+    if stage.lr != 0.0 and rest.size:
+        w = np.ascontiguousarray(params.w1[:, rest])
+        t = np.empty_like(w)
+        for _ in range(stage.max_steps):
+            w -= np.multiply(stage.lr, np.multiply(state.weight_decay, w, out=t), out=t)
+        params.w1[:, rest] = w
+    params.w1[:, reach] = live.w1
+    params.flat[params.w1.size :] = live.flat[live.w1.size :]
     log.wall_seconds = time.perf_counter() - started
     return params, log
 

@@ -328,6 +328,19 @@ class TestExperimentCommand:
         assert "best single:" in out and "best multi:" in out
         assert "completed in" in out
 
+    def test_numpy_ma_not_imported(self, ws, tmp_path):
+        """numpy's set routines (np.unique and its kin) import numpy.ma, half
+        a megabyte of module code; an experiment uses none of them."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rankforge.cli import main; rc = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules); sys.exit(rc)",
+             "experiment", "--config", str(ws / "exp.json"), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_config_errors_exit_two(self, tmp_path, capsys):
         rc = main(["experiment", "--config", str(tmp_path / "absent.json")])
         assert rc == 2

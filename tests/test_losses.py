@@ -136,6 +136,26 @@ class TestRanknet:
         with pytest.raises(ValueError):
             ranknet(np.zeros(1))
 
+    def test_bit_identical_to_full_matrix_form(self):
+        """The sigmoid taken over the upper pairs alone, scattered into zeros,
+        gives the masked full-matrix form's value and gradient bit for bit."""
+
+        def full_matrix(s):
+            diff = s[None, :] - s[:, None]
+            upper = np.triu(np.ones((s.size, s.size), dtype=bool), k=1)
+            value = float(softplus(diff[upper]).sum())
+            p = np.where(upper, sigmoid(diff), 0.0)
+            return value, p.sum(axis=0) - p.sum(axis=1)
+
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            scale = rng.choice([1e-3, 1.0, 30.0])
+            s = scale * rng.normal(size=rng.integers(2, 25))
+            value, grad = full_matrix(s)
+            out = ranknet(s)
+            assert np.float64(out.value).view(np.uint64) == np.float64(value).view(np.uint64)
+            assert np.array_equal(out.grad.view(np.uint64), grad.view(np.uint64))
+
 
 class TestBce:
     def test_zero_score_positive_label(self):

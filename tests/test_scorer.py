@@ -616,9 +616,11 @@ class TestNarrowBlock:
             upstream = rng.normal(size=len(block))
             grads = backward_batch(params, block, acts, upstream, cols)
             full_grads = backward_batch(params, full, full_acts, upstream)
+            # the block gradient holds W1's gradient at cols only, which is
+            # the whole of it: the full-width gradient is 0 in every other column
+            assert grads.w1.shape == (params.hidden, len(cols))
+            _assert_close(grads.w1, full_grads.w1[:, cols])
             outside = np.ones(params.feature_dim, dtype=bool)
             outside[cols] = False
-            assert not grads.w1[:, outside].any()
-            _assert_close(grads.w1[:, cols], full_grads.w1[:, cols])
-            w1_size = params.w1.size
-            _assert_close(grads.flat[w1_size:], full_grads.flat[w1_size:])
+            assert not full_grads.w1[:, outside].any()
+            _assert_close(grads.flat[grads.w1.size:], full_grads.flat[params.w1.size:])

@@ -1,6 +1,7 @@
 """AdamW against a reference implementation, plus stage and plan mechanics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from rankforge.data import TeacherRanking
 from rankforge.errors import DataError
 from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import bce, ranknet
-from rankforge.retrieval import Bm25Params
+from rankforge.retrieval import Bm25Params, tokenize
+from rankforge.rng import SplitMix64, substream
 from rankforge.sampling import SamplerConfig, sample_instance
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
     ScoringContext,
     init_params,
+    query_columns,
     score_batch,
 )
 from rankforge.training import (
@@ -163,6 +166,108 @@ class TestAdamwStep:
         with pytest.raises(ValueError, match="non-finite"):
             adamw_step(params, grads, state, lr=1e-3)
         assert state.t == 0
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.uint64)
+
+
+class TestAdamwAtColumns:
+    @pytest.mark.parametrize("lr", [1e-2, 0.0, 1e-3])
+    def test_bit_identical_to_dense_step_on_padded_gradient(self, lr):
+        params = init_params(CONFIG)
+        hidden, f = params.w1.shape
+        w, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+        state = OptimizerState.for_params(params)
+        rng = np.random.default_rng(31)
+        for t in range(1, 21):
+            cols = np.sort(rng.choice(f, size=rng.integers(1, f + 1), replace=False))
+            block = ScorerParams(
+                rng.standard_normal((hidden, cols.size)), rng.standard_normal(hidden),
+                rng.standard_normal(hidden), float(rng.standard_normal()),
+            )
+            padded = _zero_grads(params)
+            padded.w1[:, cols] = block.w1
+            padded.flat[params.w1.size:] = block.flat[block.w1.size:]
+            params, state = adamw_step(params, block, state, lr, cols)
+            _allocating_adamw(w, padded.flat, m, v, t, lr)
+            for got, want in ((params.flat, w), (state.m.flat, m), (state.v.flat, v)):
+                assert np.array_equal(_bits(got), _bits(want)), t
+
+
+def _dense_stage(params, stage, train, val, ctx):
+    """run_stage as it was before the reach: every step computes the
+    full-width gradient and updates every parameter."""
+    w = params.copy()
+    m, v = np.zeros_like(w.flat), np.zeros_like(w.flat)
+    log = TrainLog()
+    val_stage = stage
+    if stage.sampler is not None:
+        seed = substream(stage.sampler.seed, rankforge.training._VAL_TAG)
+        val_stage = replace(stage, sampler=replace(stage.sampler, seed=seed))
+    val_groups = [rankforge.training._group_docs(ex, val_stage, k, 0)
+                  for k, ex in enumerate(val)]
+    order = []
+    for step in range(stage.max_steps):
+        epoch, pos = divmod(step, len(train))
+        if pos == 0:
+            order = list(range(len(train)))
+            SplitMix64(substream(stage.seed, rankforge.training._SHUFFLE_TAG, epoch)).shuffle(order)
+        i = order[pos]
+        docs = rankforge.training._group_docs(train[i], stage, i, epoch)
+        x_mat, cols = ctx.feature_matrix(train[i].query, docs)
+        scores, acts = score_batch(w, x_mat, cols)
+        loss = rankforge.training._group_loss(stage, scores)
+        dz = (loss.grad[:, None] * w.w2[None, :]) * (1.0 - acts * acts)
+        g = _zero_grads(w)
+        g.w1[:, cols] = dz.T @ x_mat
+        g.b1[:] = dz.sum(axis=0)
+        g.w2[:] = acts.T @ loss.grad
+        g.b2 = loss.grad.sum()
+        _allocating_adamw(w.flat, g.flat, m, v, step + 1, stage.lr)
+        log.losses.append(loss.value)
+        if (step + 1) % stage.val_interval == 0 and val_groups:
+            total = 0.0
+            for ex, docs in zip(val, val_groups):
+                v_scores, _ = score_batch(w, *ctx.feature_matrix(ex.query, docs))
+                total += rankforge.training._group_loss(stage, v_scores).value
+            log.val.append((step + 1, total / len(val_groups)))
+    return w, log
+
+
+class TestStageReach:
+    @pytest.mark.parametrize("stage", [
+        StageConfig("lce", 1e-2, 30, val_interval=7,
+                    sampler=SamplerConfig(negatives=10, pool_depth=30, seed=1), seed=2),
+        StageConfig("ranknet", 1e-2, 30, val_interval=7, seed=3),
+        StageConfig("bce", 1e-3, 30, val_interval=7,
+                    sampler=SamplerConfig(negatives=5, pool_depth=20, seed=4), seed=5),
+        StageConfig("lce", 0.0, 12, val_interval=5,
+                    sampler=SamplerConfig(negatives=10, pool_depth=30, seed=6), seed=7),
+    ], ids=["lce", "ranknet", "bce", "lr0"])
+    def test_bit_identical_to_dense_loop(self, small_world, stage):
+        config = small_world.scorer_config
+
+        def reach(examples):
+            return {int(c) for ex in examples
+                    for c in query_columns(tokenize(ex.query.text), config.buckets)}
+
+        train = small_world.examples[:8]
+        # a val query with a column no train query fills: it is in the
+        # reach, but no step's gradient touches it
+        val = [next(ex for ex in small_world.examples[8:]
+                    if reach([ex]) - reach(train)), small_world.examples[-1]]
+        outside = sorted(set(range(config.feature_dim)) - reach(train + val))
+        assert outside
+        params = init_params(config)
+        params.w1[0, outside[0]] = 0.0  # a +0.0 weight outside the reach stays +0.0
+
+        got, log = run_stage(params, stage, train, val, small_world.ctx)
+        want, want_log = _dense_stage(params, stage, train, val, small_world.ctx)
+        assert np.array_equal(_bits(got.flat), _bits(want.flat))
+        assert log.losses == want_log.losses
+        assert log.val == want_log.val
+        assert len(log.val) == stage.max_steps // stage.val_interval
 
 
 class TestStageConfig:
