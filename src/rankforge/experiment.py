@@ -22,7 +22,7 @@ import json
 import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from .data import (
     Qrels,
@@ -167,7 +167,10 @@ def _number(raw: Mapping, key: str, where: str, default: float | None = None) ->
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{where}: {key!r} must be a JSON number, not {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range
+        raise DataError(f"{where}: {key!r} is too large for a float") from None
 
 
 def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig:
@@ -247,8 +250,13 @@ def load_config(
     Relative paths are resolved against the config file's directory.
     """
     path = Path(path)
+
+    def reject(name: str) -> NoReturn:  # json.loads accepts NaN and Infinity, not JSON
+        raise DataError(f"config {path}: {name} is not a JSON number")
+
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys,
+                         parse_constant=reject)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:

@@ -42,8 +42,8 @@ class Bm25Params:
     b: float = 0.4
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not (self.k1 > 0 and math.isfinite(self.k1)):
+            raise ValueError(f"k1 must be finite and > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
 

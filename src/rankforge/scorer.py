@@ -18,20 +18,19 @@ operations over the whole block: term frequencies from the query terms'
 postings, lengths from `lengths`, and [5] from adjacent term ids in the
 token stream. The index must be built from the same corpus; no document
 text is re-tokenized. A row of a query can be nonzero only in the query's
-columns (`query_columns`): the N_DENSE features and its terms' distinct
-buckets, since the hashed block is written only at those buckets. So the
-extractor returns the narrow block over those columns, `ScoringContext`
-memoizes it per query and returns held rows as they are, and the scorer
-multiplies a block by the matching columns of W1; a full-width matrix is
-the case where the columns are all of them.
+columns: the N_DENSE features and its terms' distinct buckets, since the
+hashed block is written only at those buckets. So the extractor returns
+the narrow block over those columns, `ScoringContext` memoizes it per query
+and returns held rows as they are, and the scorer multiplies a block by
+the matching columns of W1; a full-width matrix is the case where the
+columns are all of them.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
 against finite differences. Its parameters live in one float64 vector in
 checkpoint order (W1 row-major, b1, w2, b2) with the arrays as views into
 it; gradients and AdamW moments share that layout, so the optimizer and
-the checkpoint format each handle a single vector; a block's gradient has
-as W1 only the block's columns, as every other column's gradient is 0.
+the checkpoint format each handle a single vector.
 """
 
 from __future__ import annotations
@@ -147,8 +146,8 @@ def extract_features(
     term_cols: Sequence[int] | None = None,
 ) -> np.ndarray:
     """The (len(doc_ids), len(cols)) feature block of the documents, one row
-    per document in order, over cols = `query_columns` of the query's terms
-    (layout in module docstring); every other feature is 0.
+    per document in order, over the query's columns cols (`_columns`; layout
+    in module docstring); every other feature is 0.
 
     `term_cols`, when given, is `term_columns` of the query's distinct terms
     in sorted order, as a caller that already hashed them holds it.
@@ -189,20 +188,14 @@ def extract_features(
     return x
 
 
-def query_columns(terms: Iterable[str], buckets: int) -> np.ndarray:
-    """The feature columns a row of a query with these terms can fill: the
-    N_DENSE dense columns, then the terms' distinct buckets in ascending
-    order. A row is 0 in every other column."""
-    return _columns(term_columns(set(terms), buckets))
-
-
 def term_columns(terms: Iterable[str], buckets: int) -> list[int]:
     """The feature column of each term's hashed bucket, in order."""
     return [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in terms]
 
 
 def _columns(term_cols: Iterable[int]) -> np.ndarray:
-    """`query_columns` of the terms with these bucket columns."""
+    """A query's columns, the only ones its rows can fill: the N_DENSE dense
+    columns, then its terms' distinct bucket columns (these) ascending."""
     return np.array([*range(N_DENSE), *sorted(set(term_cols))], dtype=np.intp)
 
 
@@ -249,12 +242,11 @@ def backward_batch(
     cols: np.ndarray | slice = slice(None),
 ) -> ScorerParams:
     """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter, for
-    the block and columns `score_batch` was given. Its `w1` is W1's gradient
-    at `cols` alone, (hidden, len(cols)): it is 0 in every other column."""
+    the block and columns `score_batch` was given, in the parameters' own
+    shape: its W1 is 0 outside `cols`."""
     dz = (upstream[:, None] * params.w2[None, :]) * (1.0 - activations * activations)
-    m, k = params.hidden, x_mat.shape[1]
-    grads = ScorerParams.from_flat(np.empty(m * k + 2 * m + 1), m, k)
-    np.matmul(dz.T, x_mat, out=grads.w1)
+    grads = ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
+    grads.w1[:, cols] = dz.T @ x_mat
     np.sum(dz, axis=0, out=grads.b1)
     np.matmul(activations.T, upstream, out=grads.w2)
     grads.b2 = upstream.sum()
@@ -287,7 +279,7 @@ def save_params(params: ScorerParams) -> bytes:
 
 
 def load_params(blob: bytes) -> ScorerParams:
-    """Inverse of save_params; rejects bad magic, version, or truncation."""
+    """Inverse of save_params; rejects bad magic, version, shape, or truncation."""
     if len(blob) < _HEADER.size:
         raise DataError("checkpoint truncated: header incomplete")
     magic, version, buckets, m = _HEADER.unpack_from(blob)
@@ -295,6 +287,8 @@ def load_params(blob: bytes) -> ScorerParams:
         raise DataError(f"not a scorer checkpoint (magic {magic!r})")
     if version != _VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
+    if buckets < 1 or m < 1:
+        raise DataError(f"checkpoint buckets and hidden must be >= 1, got {buckets} and {m}")
     f = buckets + N_DENSE
     expected = _HEADER.size + 8 * (m * f + m + m + 1)
     if len(blob) != expected:
@@ -305,8 +299,7 @@ def load_params(blob: bytes) -> ScorerParams:
 
 class _QueryFeatures:
     """One query's extracted rows: a doc -> row map and the rows' values in
-    `cols`, the query's columns (`query_columns`). A row is 0 in every
-    other column."""
+    `cols`, the query's columns (`_columns`)."""
 
     __slots__ = ("rows", "term_cols", "cols", "vals")
 
@@ -324,10 +317,6 @@ class _QueryFeatures:
         self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
         self.vals = np.concatenate([self.vals, x])
 
-    def gather(self, doc_ids: Sequence[str]) -> np.ndarray:
-        """A new (len(doc_ids), len(cols)) block of the held rows."""
-        return self.vals[[self.rows[d] for d in doc_ids]]
-
 
 class ScoringContext:
     """Bundles corpus, index, and BM25 params; memoizes feature extraction.
@@ -336,9 +325,9 @@ class ScoringContext:
     invalidates. It is keyed by query id and holds each query's rows as
     one block over the query's own columns (the dense features and its
     terms' distinct buckets, so at most N_DENSE + distinct query terms
-    wide); every lookup returns a new block, so callers may modify it, and
-    `warm` extracts docs ahead of their lookups. `index` must be built from
-    `corpus`. Shared read-only across systems being compared.
+    wide); every lookup returns a new block, so callers may modify it.
+    `index` must be built from `corpus`. Shared read-only across systems
+    being compared.
     """
 
     def __init__(self, corpus: Corpus, index: InvertedIndex, bm25: Bm25Params, buckets: int):
@@ -358,15 +347,9 @@ class ScoringContext:
     def feature_matrix(
         self, query: Query, doc_ids: Sequence[str]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The (len(doc_ids), len(cols)) feature block and its read-only
-        columns cols (`query_columns`); docs not yet held are extracted in
-        one block."""
-        self.warm(query, doc_ids)
-        held = self._memo[query.id]
-        return held.gather(doc_ids), held.cols
-
-    def warm(self, query: Query, doc_ids: Sequence[str]) -> None:
-        """Extract in one block the docs of doc_ids not yet held for query."""
+        """The (len(doc_ids), len(cols)) feature block and the query's
+        read-only columns cols (`_columns`); the docs not yet held are
+        extracted in one block. The memo's one entry point."""
         held = self._memo.get(query.id)
         if held is None:
             held = self._memo[query.id] = _QueryFeatures(query, self.buckets)
@@ -378,3 +361,4 @@ class ScoringContext:
             held.add(missing, extract_features(
                 self.index, self.bm25, query, missing, self.buckets, held.term_cols
             ))
+        return held.vals[[held.rows[d] for d in doc_ids]], held.cols

@@ -6,12 +6,13 @@ One optimizer step consumes one query group: a sampled contrastive instance
 reshuffled every epoch. Optimizer state is reset at stage boundaries;
 parameters carry across.
 
-Before its first step a stage warms the feature memo with one extraction
-block per train and validation query, holding every document the stage can
-group with it, so steps only gather held rows. A row does not depend on the
-block it was extracted in, so no value changes. AdamW updates in place, in
-scratch vectors held by the optimizer state, over the W1 columns the
-stage's queries reach; the other columns only decay (see `run_stage`).
+Before its first step a stage asks the feature memo once per train and
+validation query for every document the stage can group with it, which
+extracts them in one block and gives the query's columns, so steps only
+gather held rows. A row does not depend on the block it was extracted in,
+so no value changes. AdamW updates in place, in scratch vectors held by
+the optimizer state, the W1 columns the stage's queries reach; the other
+columns only decay (see `run_stage`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, bce, lce, ranknet
-from .retrieval import tokenize
 from .rng import SplitMix64, substream
 from .sampling import SamplerConfig, hard_pool, sample_instance
 from .scorer import (
@@ -34,7 +34,6 @@ from .scorer import (
     ScoringContext,
     backward_batch,
     init_params,
-    query_columns,
     score_batch,
 )
 
@@ -82,18 +81,13 @@ class OptimizerState:
 
 
 def adamw_step(
-    params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float,
-    cols: np.ndarray | slice = slice(None),
+    params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float
 ) -> tuple[ScorerParams, OptimizerState]:
     """One AdamW update with decoupled weight decay (mutates params and state).
 
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2 ; bias-corrected m^, v^ ;
     w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`,
     one operation at a time in that order, into the state's scratch vectors.
-
-    `grads` is a `backward_batch` gradient over the W1 columns `cols` (all
-    by default), so it is added to the moments there alone: adding a 0
-    would leave a moment as it is, bar the sign of a zero.
 
     lr = 0 leaves parameters bit-identical while the moments still advance.
     """
@@ -106,14 +100,11 @@ def adamw_step(
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     a, b = state.scratch
-    # where in flat each entry of g goes
-    f, n = params.feature_dim, params.w1.size
-    at = np.arange(0, n, f)[:, None] + np.arange(f)[cols]
-    at = np.concatenate([at.ravel(), np.arange(n, w.size)])
     m *= b1
-    m[at] += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=a)
     v *= b2
-    v[at] += (1.0 - b2) * (g * g)
+    np.multiply(g, g, out=a)
+    v += np.multiply(1.0 - b2, a, out=a)
     if lr != 0.0:
         m_hat = np.divide(m, 1.0 - b1 ** state.t, out=a)
         v_hat = np.divide(v, 1.0 - b2 ** state.t, out=b)
@@ -137,8 +128,8 @@ class StageConfig:
     def __post_init__(self):
         if self.loss not in ("lce", "ranknet", "bce"):
             raise ValueError(f"unknown loss kind {self.loss!r}")
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.lr}")
+        if not (self.lr >= 0 and np.isfinite(self.lr)):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.val_interval < 1:
@@ -224,15 +215,16 @@ def run_stage(
     The input params object is not mutated. Validation loss is computed every
     val_interval steps over fixed validation groups (sampled once, epoch 0 of
     a dedicated substream) and never gates training. Before the first step
-    ctx is warmed with each train and val query's `_pool`, one block per
-    query whose pool it does not hold yet.
+    ctx is asked for each train and val query's `_pool`, which extracts one
+    block per query whose pool it does not hold yet and gives the query's
+    W1 columns.
 
     Steps update in place a copy of the stage's reach, the W1 columns of its
-    train and val queries (`query_columns`) plus b1, w2 and b2, with moments
-    of that size. Any other W1 column's gradient is 0 at every step, so its
-    moments stay 0 and its AdamW update is, rounding for rounding,
-    w - lr * (wd * w), applied max_steps times at the end (none at lr = 0):
-    only a weight of exactly -0.0 can differ, and then in the sign of zero.
+    train and val queries plus b1, w2 and b2, with moments of that size.
+    Any other W1 column's gradient is 0 at every step, so its moments stay
+    0 and its AdamW update is, rounding for rounding, w - lr * (wd * w),
+    applied max_steps times at the end (none at lr = 0): only a weight of
+    exactly -0.0 can differ, and then in the sign of zero.
     """
     if not train:
         raise DataError("training data is empty")
@@ -241,8 +233,7 @@ def run_stage(
 
     reached = np.zeros(params.feature_dim, dtype=bool)
     for ex in (*train, *val):
-        ctx.warm(ex.query, _pool(ex, stage))
-        reached[query_columns(tokenize(ex.query.text), ctx.buckets)] = True
+        reached[ctx.feature_matrix(ex.query, _pool(ex, stage))[1]] = True
     # slot[c] is reached column c's position among the live columns
     slot = np.cumsum(reached) - 1
     reach = np.flatnonzero(reached)
@@ -272,7 +263,7 @@ def run_stage(
         scores, acts = score_batch(live, x_mat, cols)
         loss = _group_loss(stage, scores)
         grads = backward_batch(live, x_mat, acts, loss.grad, cols)
-        live, state = adamw_step(live, grads, state, stage.lr, cols)
+        live, state = adamw_step(live, grads, state, stage.lr)
         log.losses.append(loss.value)
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
@@ -283,16 +274,16 @@ def run_stage(
                 total += _group_loss(stage, v_scores).value
             log.val.append((step + 1, total / len(val_groups)))
 
-    params = params.copy()
+    w1 = params.w1.copy()
     rest = np.flatnonzero(~reached)
     if stage.lr != 0.0 and rest.size:
-        w = np.ascontiguousarray(params.w1[:, rest])
+        w = np.ascontiguousarray(w1[:, rest])
         t = np.empty_like(w)
         for _ in range(stage.max_steps):
             w -= np.multiply(stage.lr, np.multiply(state.weight_decay, w, out=t), out=t)
-        params.w1[:, rest] = w
-    params.w1[:, reach] = live.w1
-    params.flat[params.w1.size :] = live.flat[live.w1.size :]
+        w1[:, rest] = w
+    w1[:, reach] = live.w1
+    params = ScorerParams(w1, live.b1, live.w2, live.b2)
     log.wall_seconds = time.perf_counter() - started
     return params, log
 

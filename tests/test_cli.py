@@ -1,7 +1,9 @@
 """Command-line surface: every subcommand in-process, plus the entry point."""
 
 import json
+import math
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 
 from rankforge.cli import main
 from rankforge.data import Ranking, parse_run, write_run
+from rankforge.scorer import N_DENSE
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,6 +100,15 @@ class TestRetrieve:
         first = out.splitlines()[0].split()
         assert first[1] == "Q0" and first[3] == "1" and first[5] == "bm25"
 
+    def test_non_finite_k1_exits_two(self, ws, capsys):
+        rc = main([
+            "retrieve", "--corpus", str(ws / "data" / "corpus.tsv"),
+            "--queries", str(ws / "data" / "queries.tsv"), "--k1", "nan",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: k1 must be finite and > 0, got nan\n"
+
     def test_deterministic(self, ws, tmp_path):
         args = [
             "retrieve", "--corpus", str(ws / "data" / "corpus.tsv"),
@@ -166,6 +178,21 @@ class TestRerank:
         for r in reranked:
             scores = [e.score for e in r.entries]
             assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("buckets, hidden", [(0, 3), (16, 0)])
+    def test_empty_shape_checkpoint_exits_two(self, ws, tmp_path, capsys, buckets, hidden):
+        # a header of this shape over zeros of the length it implies
+        size = hidden * (buckets + N_DENSE) + 2 * hidden + 1
+        path = tmp_path / "params.bin"
+        path.write_bytes(struct.pack("<4sHII", b"RFCP", 1, buckets, hidden) + bytes(8 * size))
+        rc = main([
+            "rerank", "--corpus", str(ws / "data" / "corpus.tsv"),
+            "--queries", str(ws / "data" / "queries.tsv"),
+            "--run", str(ws / "bm25.txt"), "--params", str(path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_params_file(self, ws, capsys):
         rc = main([
@@ -356,6 +383,11 @@ class TestExperimentCommand:
         {"plans": {"C->D": {"preset": "reference", "variant": "base", "scale": 0.1}}},
         {"plans": {"D": [{"loss": "ranknet", "lr": 1e-3, "steps": 5, "negatives": 7}]}},
         {"eval_fraction": 1.5},
+        {"eval_fraction": 10**400},  # an integer no float holds
+        # json.loads accepts NaN and Infinity, which are not JSON
+        {"plans": {"C": [dict(_LCE, lr=math.nan)]}},
+        {"plans": {"C": [dict(_LCE, lr=math.inf)]}},
+        {"bm25": {"k1": math.nan}},
     ])
     def test_malformed_section_exits_two(self, ws, tmp_path, capsys, section):
         config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 """Config loading, data preparation, and the end-to-end comparison driver."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -205,6 +206,11 @@ class TestLoadConfig:
         ({"val_fraction": 0}, r"'val_fraction' must be in \(0, 1\), got 0.0"),
         ({"retrieve_depth": 0}, "'retrieve_depth' must be >= 1, got 0"),
         ({"rerank_depth": -3}, "'rerank_depth' must be >= 1, got -3"),
+        # json.loads accepts NaN and Infinity, which are not JSON
+        ({"plans": {"C": [dict(_LCE, lr=math.nan)]}}, "NaN is not a JSON number"),
+        ({"bm25": {"k1": math.inf}}, "Infinity is not a JSON number"),
+        ({"bm25": {"k1": -math.inf}}, "-Infinity is not a JSON number"),
+        ({"eval_fraction": 10**400}, "'eval_fraction' is too large for a float"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)

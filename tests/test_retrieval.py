@@ -118,6 +118,11 @@ class TestBm25:
         with pytest.raises(ValueError):
             Bm25Params(b=1.5)
 
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_non_finite_k1_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1 must be finite"):
+            Bm25Params(k1=k1)
+
 
 class TestRetrieveTopk:
     def test_single_match(self, tiny_index):

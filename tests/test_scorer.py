@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from rankforge.scorer import (
     fnv1a64,
     init_params,
     load_params,
-    query_columns,
     save_params,
     score_batch,
 )
@@ -53,41 +53,51 @@ def feature_world():
     return corpus, build_index(corpus)
 
 
-def _full_width(index, params, query, doc_ids, buckets):
+def _query_cols(corpus, index, query, buckets):
+    """The query's feature columns, as the context's memo decides them."""
+    return ScoringContext(corpus, index, Bm25Params(), buckets).feature_matrix(query, [])[1]
+
+
+def _expected_cols(terms, buckets):
+    """The dense columns, then the terms' distinct bucket columns ascending."""
+    return [*range(N_DENSE), *sorted({N_DENSE + fnv1a64(t.encode()) % buckets for t in terms})]
+
+
+def _full_width(corpus, index, params, query, doc_ids, buckets):
     """extract_features' block scattered into a full-width (n, F) matrix."""
     block = extract_features(index, params, query, doc_ids, buckets)
     x = np.zeros((len(doc_ids), buckets + N_DENSE))
-    x[:, query_columns(tokenize(query.text), buckets)] = block
+    x[:, _query_cols(corpus, index, query, buckets)] = block
     return x
 
 
 class TestExtractFeatures:
 
     def test_full_overlap_f2(self, feature_world):
-        _, index = feature_world
-        x = _full_width(index, Bm25Params(), Query("q", "cat"), ["d1"], 16)[0]
+        corpus, index = feature_world
+        x = _full_width(corpus, index, Bm25Params(), Query("q", "cat"), ["d1"], 16)[0]
         assert x[1] == 1.0
 
     def test_disjoint_pair_zeros(self, feature_world):
-        _, index = feature_world
-        x = _full_width(index, Bm25Params(), Query("q", "owl"), ["d1"], 16)[0]
+        corpus, index = feature_world
+        x = _full_width(corpus, index, Bm25Params(), Query("q", "owl"), ["d1"], 16)[0]
         assert x[0] == 0.0 and x[1] == 0.0 and x[2] == 0.0 and x[5] == 0.0
         assert np.all(x[N_DENSE:] == 0.0)
 
     def test_hashed_block_norm_zero_or_one(self, feature_world):
-        _, index = feature_world
+        corpus, index = feature_world
         for qtext in ("cat", "owl", "cat dog", "dog fox cat"):
             for did in ("d1", "d2", "d3"):
-                x = _full_width(index, Bm25Params(), Query("q", qtext), [did], 16)[0]
+                x = _full_width(corpus, index, Bm25Params(), Query("q", qtext), [did], 16)[0]
                 norm = float(np.linalg.norm(x[N_DENSE:]))
                 assert norm == pytest.approx(0.0, abs=1e-15) or norm == pytest.approx(
                     1.0, rel=1e-12
                 )
 
     def test_dense_feature_values(self, feature_world):
-        _, index = feature_world
+        corpus, index = feature_world
         q = Query("q", "cat dog")
-        x = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]  # "cat dog runs fast"
+        x = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]  # "cat dog runs fast"
         bm = bm25_score(index, Bm25Params(), ["cat", "dog"], "d3")
         assert x[0] == pytest.approx(bm / (1 + bm), rel=1e-12)
         assert x[1] == 1.0  # both query terms present
@@ -97,14 +107,14 @@ class TestExtractFeatures:
         assert x[5] == 1.0  # bigram "cat dog" contiguous in doc
 
     def test_bigram_fraction_partial(self, feature_world):
-        _, index = feature_world
+        corpus, index = feature_world
         # "dog cat": doc d3 has "cat dog" but not "dog cat"
-        x = _full_width(index, Bm25Params(), Query("q", "dog cat"), ["d3"], 16)[0]
+        x = _full_width(corpus, index, Bm25Params(), Query("q", "dog cat"), ["d3"], 16)[0]
         assert x[5] == 0.0
 
     def test_bounded_features(self, feature_world):
-        _, index = feature_world
-        x = _full_width(index, Bm25Params(), Query("q", "cat dog"), ["d3"], 16)[0]
+        corpus, index = feature_world
+        x = _full_width(corpus, index, Bm25Params(), Query("q", "cat dog"), ["d3"], 16)[0]
         for i in (0, 1, 2, 5):
             assert 0.0 <= x[i] <= 1.0
 
@@ -122,10 +132,10 @@ class TestExtractFeatures:
         assert seen == ["cat dog runs"]
 
     def test_purity(self, feature_world):
-        _, index = feature_world
+        corpus, index = feature_world
         q = Query("q", "cat dog")
-        a = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]
-        b = _full_width(index, Bm25Params(), q, ["d3"], 16)[0]
+        a = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]
+        b = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -179,12 +189,12 @@ def _assert_matches_reference(block: np.ndarray, cols: np.ndarray, want: np.ndar
     np.testing.assert_array_max_ulp(block[:, N_DENSE:], want[:, cols[N_DENSE:]], maxulp=2)
 
 
-def _reference_block(index, params, query, docs, buckets):
+def _reference_block(corpus, index, params, query, docs, buckets):
     """The reference rows of docs, and the query's columns."""
     want = np.stack([
         _reference_features(index, params, query, doc, buckets) for doc in docs
     ])
-    return want, query_columns(tokenize(query.text), buckets)
+    return want, _query_cols(corpus, index, query, buckets)
 
 
 class TestExtractionMatchesReference:
@@ -198,7 +208,7 @@ class TestExtractionMatchesReference:
         for q in w.queries:
             ids = retrieve_topk(w.index, bm25, q, 100).doc_ids()
             want, cols = _reference_block(
-                w.index, bm25, q, [w.corpus.get(d) for d in ids], buckets
+                w.corpus, w.index, bm25, q, [w.corpus.get(d) for d in ids], buckets
             )
             _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), cols, want)
 
@@ -223,7 +233,7 @@ class TestExtractionMatchesReference:
             ctx.feature_matrix(q, head)
             asked = ids[::-1] + head[:1]
             want, cols = _reference_block(
-                w.index, Bm25Params(), q, [w.corpus.get(d) for d in asked], buckets
+                w.corpus, w.index, Bm25Params(), q, [w.corpus.get(d) for d in asked], buckets
             )
             block, held_cols = ctx.feature_matrix(q, asked)
             np.testing.assert_array_equal(held_cols, cols)
@@ -238,7 +248,7 @@ class TestExtractionMatchesReference:
     def test_edge_queries(self, feature_world, qtext):
         corpus, index = feature_world
         q = Query("q", qtext)
-        want, cols = _reference_block(index, Bm25Params(), q, list(corpus), 16)
+        want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
         got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
         _assert_matches_reference(got, cols, want)
 
@@ -255,7 +265,7 @@ class TestExtractionMatchesReference:
         corpus = parse_corpus("d1\tcat dog fox\nd2\towl cat\nd3\t--\nd4\tdog owl cat\n")
         index = build_index(corpus)
         q = Query("q", qtext)
-        want, cols = _reference_block(index, Bm25Params(), q, list(corpus), 16)
+        want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
         got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
         _assert_matches_reference(got, cols, want)
 
@@ -459,6 +469,13 @@ class TestInitParams:
             ScorerConfig(4, 0)
 
 
+def _empty_checkpoint(buckets: int, hidden: int) -> bytes:
+    """A checkpoint of zeros whose header has this shape, which ScorerConfig
+    would reject when either is 0."""
+    size = hidden * (buckets + N_DENSE) + 2 * hidden + 1
+    return struct.pack("<4sHII", b"RFCP", 1, buckets, hidden) + bytes(8 * size)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self):
         p = init_params(ScorerConfig(16, 3, seed=1))
@@ -484,6 +501,11 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_params(bytes(blob))
 
+    @pytest.mark.parametrize("buckets, hidden", [(0, 3), (16, 0)])
+    def test_empty_shape_rejected(self, buckets, hidden):
+        with pytest.raises(DataError, match=">= 1"):
+            load_params(_empty_checkpoint(buckets, hidden))
+
     def test_buckets_property(self):
         p = init_params(ScorerConfig(16, 3, seed=1))
         assert p.buckets == 16
@@ -495,10 +517,10 @@ class TestScoringContext:
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat dog")
         via_ctx = ctx.features(q, "d2")
-        direct = _full_width(tiny_index, Bm25Params(), q, ["d2"], 16)[0]
+        direct = _full_width(tiny_corpus, tiny_index, Bm25Params(), q, ["d2"], 16)[0]
         np.testing.assert_array_equal(via_ctx, direct)
         block, cols = ctx.feature_matrix(q, ["d2"])
-        np.testing.assert_array_equal(cols, query_columns(["cat", "dog"], 16))
+        np.testing.assert_array_equal(cols, _expected_cols(["cat", "dog"], 16))
         np.testing.assert_array_equal(
             block, extract_features(tiny_index, Bm25Params(), q, ["d2"], 16)
         )
@@ -535,10 +557,10 @@ class TestScoringContext:
         monkeypatch.setattr(scorer, "extract_features", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
-        ctx.warm(q, ["d1"])
-        ctx.warm(q, ["d3", "d1", "d2", "d3"])
+        ctx.feature_matrix(q, ["d1"])
+        ctx.feature_matrix(q, ["d3", "d1", "d2", "d3"])
         assert extracted == [["d1"], ["d3", "d2"]]
-        ctx.warm(q, ["d2"])
+        ctx.feature_matrix(q, ["d2"])
         ctx.feature_matrix(q, ["d2", "d3", "d1"])
         assert extracted == [["d1"], ["d3", "d2"]]
 
@@ -561,7 +583,7 @@ class TestScoringContext:
         np.testing.assert_array_equal(
             block, extract_features(tiny_index, Bm25Params(), q, ["d1", "d2"], 16)
         )
-        np.testing.assert_array_equal(cols, query_columns(["cat", "dog", "zebra"], 16))
+        np.testing.assert_array_equal(cols, _expected_cols(["cat", "dog", "zebra"], 16))
 
     def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -616,11 +638,11 @@ class TestNarrowBlock:
             upstream = rng.normal(size=len(block))
             grads = backward_batch(params, block, acts, upstream, cols)
             full_grads = backward_batch(params, full, full_acts, upstream)
-            # the block gradient holds W1's gradient at cols only, which is
-            # the whole of it: the full-width gradient is 0 in every other column
-            assert grads.w1.shape == (params.hidden, len(cols))
-            _assert_close(grads.w1, full_grads.w1[:, cols])
+            # the block gradient has the parameters' shape, and its W1 is 0
+            # outside cols, as is the full-width gradient's
+            assert grads.flat.shape == params.flat.shape
+            _assert_close(grads.flat, full_grads.flat)
             outside = np.ones(params.feature_dim, dtype=bool)
             outside[cols] = False
+            assert not grads.w1[:, outside].any()
             assert not full_grads.w1[:, outside].any()
-            _assert_close(grads.flat[grads.w1.size:], full_grads.flat[params.w1.size:])

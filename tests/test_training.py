@@ -12,7 +12,7 @@ from rankforge.data import TeacherRanking
 from rankforge.errors import DataError
 from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import bce, ranknet
-from rankforge.retrieval import Bm25Params, tokenize
+from rankforge.retrieval import Bm25Params
 from rankforge.rng import SplitMix64, substream
 from rankforge.sampling import SamplerConfig, sample_instance
 from rankforge.scorer import (
@@ -20,7 +20,6 @@ from rankforge.scorer import (
     ScorerParams,
     ScoringContext,
     init_params,
-    query_columns,
     score_batch,
 )
 from rankforge.training import (
@@ -172,29 +171,6 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return x.view(np.uint64)
 
 
-class TestAdamwAtColumns:
-    @pytest.mark.parametrize("lr", [1e-2, 0.0, 1e-3])
-    def test_bit_identical_to_dense_step_on_padded_gradient(self, lr):
-        params = init_params(CONFIG)
-        hidden, f = params.w1.shape
-        w, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
-        state = OptimizerState.for_params(params)
-        rng = np.random.default_rng(31)
-        for t in range(1, 21):
-            cols = np.sort(rng.choice(f, size=rng.integers(1, f + 1), replace=False))
-            block = ScorerParams(
-                rng.standard_normal((hidden, cols.size)), rng.standard_normal(hidden),
-                rng.standard_normal(hidden), float(rng.standard_normal()),
-            )
-            padded = _zero_grads(params)
-            padded.w1[:, cols] = block.w1
-            padded.flat[params.w1.size:] = block.flat[block.w1.size:]
-            params, state = adamw_step(params, block, state, lr, cols)
-            _allocating_adamw(w, padded.flat, m, v, t, lr)
-            for got, want in ((params.flat, w), (state.m.flat, m), (state.v.flat, v)):
-                assert np.array_equal(_bits(got), _bits(want)), t
-
-
 def _dense_stage(params, stage, train, val, ctx):
     """run_stage as it was before the reach: every step computes the
     full-width gradient and updates every parameter."""
@@ -250,7 +226,7 @@ class TestStageReach:
 
         def reach(examples):
             return {int(c) for ex in examples
-                    for c in query_columns(tokenize(ex.query.text), config.buckets)}
+                    for c in small_world.ctx.feature_matrix(ex.query, [])[1]}
 
         train = small_world.examples[:8]
         # a val query with a column no train query fills: it is in the
@@ -278,6 +254,11 @@ class TestStageConfig:
     def test_negative_lr(self):
         with pytest.raises(ValueError, match="learning rate"):
             StageConfig("ranknet", -1.0, 10)
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_non_finite_lr(self, lr):
+        with pytest.raises(ValueError, match="learning rate must be finite"):
+            StageConfig("ranknet", lr, 10)
 
     def test_step_budget(self):
         with pytest.raises(ValueError, match="max_steps"):
