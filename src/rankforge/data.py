@@ -259,8 +259,8 @@ def _parse_tsv(stream, kind: str) -> dict[str, str]:
         if "\t" not in line:
             raise ParseError(f"expected '{kind}_id<TAB>text'", line=no)
         ident, text = line.split("\t", 1)
-        if not ident:
-            raise ParseError(f"empty {kind} id", line=no)
+        if ident.split() != [ident]:  # run and qrels lines split on whitespace
+            raise ParseError(f"{kind} id {ident!r} is empty or holds whitespace", line=no)
         if ident in out:
             raise ParseError(f"duplicate {kind} id {ident!r}", line=no)
         out[ident] = text
@@ -375,6 +375,8 @@ def parse_path(path: str | Path, parser: Callable[[str], _T]) -> _T:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         return parser(text)
     except ParseError as exc:

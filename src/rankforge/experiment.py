@@ -64,6 +64,7 @@ from .training import (
     TrainPlan,
     run_plan,
     split_train_val,
+    stage_pool,
 )
 
 __all__ = [
@@ -182,18 +183,21 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
         if key not in raw:
             raise DataError(f"{where} missing {key!r}")
     sampler = None
-    if loss in ("lce", "bce"):
-        sampler = SamplerConfig(
-            negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
-            pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
+    try:
+        if loss in ("lce", "bce"):
+            sampler = SamplerConfig(
+                negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
+                pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
+            )
+        return StageConfig(
+            loss=loss,
+            lr=_number(raw, "lr", where),
+            max_steps=_integer(raw, "steps", where),
+            val_interval=_integer(raw, "val_interval", where, StageConfig.val_interval),
+            sampler=sampler,
         )
-    return StageConfig(
-        loss=loss,
-        lr=_number(raw, "lr", where),
-        max_steps=_integer(raw, "steps", where),
-        val_interval=_integer(raw, "val_interval", where, StageConfig.val_interval),
-        sampler=sampler,
-    )
+    except ValueError as exc:  # a value the sampler or the stage rejects
+        raise DataError(f"{where}: {exc}") from None
 
 
 def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
@@ -259,12 +263,14 @@ def load_config(
                          parse_constant=reject)
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     _object(raw, f"config {path}", _TOP_KEYS)
     try:
         return _config_from_dict(raw, path.parent, seed, out)
-    except TypeError as exc:  # a value of the wrong JSON type, such as a number for a path
+    except (TypeError, ValueError) as exc:  # a wrong JSON type, or a value a component rejects
         raise DataError(f"config {path}: {exc}") from None
 
 
@@ -405,48 +411,35 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
         if q.id not in first_stage:
             raise DataError(f"evaluation query {q.id} has no first-stage ranking")
 
+    # a query is trainable when every stage of the config can build its pool
     stages = [stage for p in cfg.plans for stage in p.plan.stages]
-    needs_teacher = any(stage.loss == "ranknet" for stage in stages)
-    # hard sampling errors out on short pools, so a trainable query must
-    # bring a first-stage ranking deep enough for the largest negative count
-    min_pool = 1 + max((s.sampler.negatives for s in stages if s.sampler), default=0)
-    eligible = []
+    examples: list[QueryExample] = []
+    dropped: list[str] = []
     for q in train_pool:
-        ranking = first_stage.get(q.id)
-        if ranking is None or ranking.depth < min_pool:
-            continue
-        positive = choose_positive(qrels, q.id)
-        if positive is None:
-            continue
-        if needs_teacher and q.id not in teachers:
-            continue
-        eligible.append(q)
-    if len(eligible) < 2:
+        ex = QueryExample(q, choose_positive(qrels, q.id), first_stage.get(q.id),
+                          teachers.get(q.id))
+        try:
+            for stage in stages:
+                stage_pool(ex, stage)
+            examples.append(ex)
+        except DataError as exc:
+            dropped.append(str(exc))
+    if len(examples) < 2:
         raise DataError(
-            f"only {len(eligible)} trainable queries (need a positive judgment,"
-            f" a first-stage ranking of >= {min_pool} docs"
-            + (", and a teacher entry" if needs_teacher else "")
-            + " per query)"
+            f"only {len(examples)} trainable queries"
+            + (f"; first dropped {dropped[0]}" if dropped else "")
         )
-    train_qs, val_qs = split_train_val(
-        eligible, cfg.val_fraction, seed=substream(cfg.seed, _VALS_TAG)
+    train_examples, val_examples = split_train_val(
+        examples, cfg.val_fraction, seed=substream(cfg.seed, _VALS_TAG)
     )
-
-    def example(q: Query) -> QueryExample:
-        return QueryExample(
-            query=q,
-            positive_id=choose_positive(qrels, q.id),
-            ranking=first_stage[q.id],
-            teacher=teachers.get(q.id),
-        )
 
     return PreparedData(
         qrels=qrels,
         ctx=ctx,
         first_stage=first_stage,
         eval_queries=eval_queries,
-        train_examples=[example(q) for q in train_qs],
-        val_examples=[example(q) for q in val_qs],
+        train_examples=train_examples,
+        val_examples=val_examples,
     )
 
 
@@ -624,10 +617,9 @@ def train_plan(cfg: ExperimentConfig, name: str) -> tuple[Path, list[TrainLog]]:
     """Train one named plan alone and write its checkpoint and curves.
 
     Returns the plan's output directory and its per-stage logs. Only this
-    plan's stages decide which queries are trainable; unless the config's
-    other plans drop more (a distillation stage needs a teacher entry, a
-    sampler a deep enough pool), the files equal those `run_experiment`
-    writes for the plan.
+    plan's stages decide which queries are trainable (`stage_pool`), so
+    unless the config's other plans drop more, the files equal those
+    `run_experiment` writes for the plan.
     """
     chosen = [p for p in cfg.plans if p.name == name]
     if not chosen:

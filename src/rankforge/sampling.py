@@ -2,10 +2,11 @@
 
 Localized contrastive estimation (LCE; Gao, Dai & Callan, ECIR 2021) draws
 its negatives from the top of the first-stage ranking, and so do BCE stages:
-this is the one sampler. Negatives are drawn through counter-based
-substreams keyed by (seed, epoch, query_ordinal), so any instance of the
-training stream can be reproduced without replaying earlier draws, and
-per-epoch resampling is free.
+this is the one sampler. `hard_pool` defines what a query's group may
+draw; training builds it once per query and stage. Negatives are drawn
+through counter-based substreams keyed by (seed, epoch, query_ordinal),
+so any instance of the training stream can be reproduced without
+replaying earlier draws, and per-epoch resampling is free.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .data import ContrastiveInstance, Ranking
-from .errors import DataError
 from .rng import SplitMix64, substream
 
 __all__ = ["SamplerConfig", "hard_pool", "sample_instance"]
@@ -36,29 +36,24 @@ class SamplerConfig:
             )
 
 
-def hard_pool(ranking: Ranking, config: SamplerConfig) -> list[str]:
-    """The ranked docs hard negatives are drawn from: the top pool_depth."""
-    return list(ranking.ids[: config.pool_depth])
+def hard_pool(ranking: Ranking, positive_id: str, config: SamplerConfig) -> list[str]:
+    """The negatives a group may draw: the top pool_depth ranked docs other
+    than the positive, in rank order."""
+    return [d for d in ranking.ids[: config.pool_depth] if d != positive_id]
 
 
 def sample_instance(
-    ranking: Ranking,
+    query_id: str,
     positive_id: str,
+    pool: list[str],
     config: SamplerConfig,
     query_ordinal: int,
     epoch: int,
 ) -> ContrastiveInstance:
-    """Uniform h-subset of the top pool_depth ranked docs, excluding the positive.
+    """Uniform h-subset of a `hard_pool`, which must hold at least h docs.
 
-    The sampled negatives are canonicalized to original rank order.
+    The sampled negatives are canonicalized to pool (rank) order.
     """
-    eligible = [d for d in hard_pool(ranking, config) if d != positive_id]
-    h = config.negatives
-    if len(eligible) < h:
-        raise DataError(
-            f"query {ranking.query_id}: only {len(eligible)} eligible negatives "
-            f"in pool, need {h}"
-        )
     rng = SplitMix64(substream(config.seed, _HARD_TAG, epoch, query_ordinal))
-    chosen = sorted(rng.sample(range(len(eligible)), h))
-    return ContrastiveInstance(ranking.query_id, positive_id, tuple(eligible[i] for i in chosen))
+    chosen = sorted(rng.sample(range(len(pool)), config.negatives))
+    return ContrastiveInstance(query_id, positive_id, tuple(pool[i] for i in chosen))

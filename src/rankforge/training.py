@@ -6,9 +6,10 @@ One optimizer step consumes one query group: a sampled contrastive instance
 reshuffled every epoch. Optimizer state is reset at stage boundaries;
 parameters carry across.
 
-Before its first step a stage asks the feature memo once per train and
-validation query for every document the stage can group with it, which
-extracts them in one block and gives the query's columns, so steps only
+Before its first step a stage builds each train and validation query's
+`stage_pool` (every document the stage can group with it; a query without
+one is not trainable) and asks the feature memo for it once, which
+extracts it in one block and gives the query's columns, so steps only
 gather held rows. A row does not depend on the block it was extracted in,
 so no value changes. AdamW updates in place, in scratch vectors held by
 the optimizer state, the W1 columns the stage's queries reach; the other
@@ -46,6 +47,7 @@ __all__ = [
     "adamw_step",
     "run_stage",
     "run_plan",
+    "stage_pool",
     "split_train_val",
 ]
 
@@ -166,10 +168,11 @@ class QueryExample:
     teacher: TeacherRanking | None = None
 
 
-def _pool(example: QueryExample, stage: StageConfig) -> list[str]:
+def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     """Every doc a group of this example can contain in this stage: the
     teacher's head (the whole group, in loss-alignment order) for ranknet,
-    else the positive and the hard-sampling pool."""
+    else the positive followed by its `hard_pool`. Raises DataError naming
+    the query when the example cannot form the stage's groups."""
     qid = example.query.id
     if stage.loss == "ranknet":
         if example.teacher is None:
@@ -179,18 +182,22 @@ def _pool(example: QueryExample, stage: StageConfig) -> list[str]:
         raise DataError(f"query {qid}: no positive document for {stage.loss} stage")
     if example.ranking is None:
         raise DataError(f"query {qid}: no first-stage ranking for hard sampling")
-    return [example.positive_id, *hard_pool(example.ranking, stage.sampler)]
+    pool = hard_pool(example.ranking, example.positive_id, stage.sampler)
+    h = stage.sampler.negatives
+    if len(pool) < h:
+        raise DataError(f"query {qid}: only {len(pool)} eligible negatives in pool, need {h}")
+    return [example.positive_id, *pool]
 
 
 def _group_docs(
-    example: QueryExample, stage: StageConfig, ordinal: int, epoch: int
+    example: QueryExample, pool: list[str], stage: StageConfig, ordinal: int, epoch: int
 ) -> list[str]:
-    """Doc ids forming this step's group, in loss-alignment order, for an
-    example that `_pool` has accepted."""
+    """Doc ids forming this step's group, in loss-alignment order, drawn
+    from the example's `stage_pool`."""
     if stage.loss == "ranknet":
-        return _pool(example, stage)
+        return pool
     instance = sample_instance(
-        example.ranking, example.positive_id, stage.sampler, ordinal, epoch
+        example.query.id, example.positive_id, pool[1:], stage.sampler, ordinal, epoch
     )
     return [instance.positive_id, *instance.negatives]
 
@@ -215,9 +222,9 @@ def run_stage(
     The input params object is not mutated. Validation loss is computed every
     val_interval steps over fixed validation groups (sampled once, epoch 0 of
     a dedicated substream) and never gates training. Before the first step
-    ctx is asked for each train and val query's `_pool`, which extracts one
-    block per query whose pool it does not hold yet and gives the query's
-    W1 columns.
+    each train and val query's `stage_pool` is built, once, and ctx is asked
+    for it, which extracts one block per query whose pool it does not hold
+    yet and gives the query's W1 columns.
 
     Steps update in place a copy of the stage's reach, the W1 columns of its
     train and val queries plus b1, w2 and b2, with moments of that size.
@@ -231,9 +238,11 @@ def run_stage(
     log = TrainLog()
     started = time.perf_counter()
 
+    pools = [stage_pool(ex, stage) for ex in train]
+    val_pools = [stage_pool(ex, stage) for ex in val]
     reached = np.zeros(params.feature_dim, dtype=bool)
-    for ex in (*train, *val):
-        reached[ctx.feature_matrix(ex.query, _pool(ex, stage))[1]] = True
+    for ex, pool in zip((*train, *val), (*pools, *val_pools)):
+        reached[ctx.feature_matrix(ex.query, pool)[1]] = True
     # slot[c] is reached column c's position among the live columns
     slot = np.cumsum(reached) - 1
     reach = np.flatnonzero(reached)
@@ -245,7 +254,7 @@ def run_stage(
         val_stage = replace(
             stage, sampler=replace(stage.sampler, seed=substream(stage.sampler.seed, _VAL_TAG))
         )
-    val_groups = [_group_docs(ex, val_stage, ordinal, 0) for ordinal, ex in enumerate(val)]
+    val_groups = [_group_docs(ex, val_pools[k], val_stage, k, 0) for k, ex in enumerate(val)]
 
     n = len(train)
     order: list[int] = []
@@ -257,7 +266,7 @@ def run_stage(
         i = order[pos]
         example = train[i]
 
-        docs = _group_docs(example, stage, i, epoch)
+        docs = _group_docs(example, pools[i], stage, i, epoch)
         x_mat, cols = ctx.feature_matrix(example.query, docs)
         cols = slot[cols]
         scores, acts = score_batch(live, x_mat, cols)
@@ -318,8 +327,8 @@ def run_plan(
 
 
 def split_train_val(
-    queries: Sequence[Query], fraction: float = 0.01, seed: int = 0
-) -> tuple[list[Query], list[Query]]:
+    queries: Sequence, fraction: float = 0.01, seed: int = 0
+) -> tuple[list, list]:
     """Seeded disjoint partition; validation gets round(n * fraction), min 1."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")

@@ -83,6 +83,13 @@ class TestIndex:
         assert main(["index", "--corpus", str(ws / "nope.tsv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_undecodable_corpus_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(b"d1\tcaf\xe9\n")
+        assert main(["index", "--corpus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
 
 class TestRetrieve:
     def test_run_file(self, ws):
@@ -108,6 +115,19 @@ class TestRetrieve:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: k1 must be finite and > 0, got nan\n"
+
+    def test_whitespace_in_doc_id_exits_two(self, ws, tmp_path, capsys):
+        # "d 1" would make run lines of 7 fields, which `evaluate` rejects
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("d0\tcat\nd 1\tcat dog\n", encoding="utf-8")
+        rc = main([
+            "retrieve", "--corpus", str(corpus),
+            "--queries", str(ws / "data" / "queries.tsv"), "--out", str(tmp_path / "run.txt"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus}: line 2: doc id 'd 1' is empty or holds whitespace\n"
+        assert not (tmp_path / "run.txt").exists()
 
     def test_deterministic(self, ws, tmp_path):
         args = [
@@ -372,6 +392,32 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(tmp_path / "absent.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_undecodable_config_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"out": "caf\xe9"}')
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
+
+    def test_pool_as_deep_as_the_negative_count(self, tmp_path):
+        # every pool of a query whose positive ranks in the top 20 holds 19
+        # negatives; those queries are dropped before training, not mid-stage
+        assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "42",
+                     "--noise", "0.0"]) == 0
+        lce = dict(_LCE, steps=20, negatives=20, pool_depth=20)
+        rk = dict(_RK, steps=20)
+        config = {
+            "corpus": "data/corpus.tsv", "queries": "data/queries.tsv",
+            "qrels": "data/qrels.txt", "teacher": "data/teacher.jsonl", "seed": 42,
+            "plans": {"C": [lce], "D": [rk], "C->D": [lce, rk], "D->C": [rk, lce]},
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+        rc = main(["experiment", "--config", str(tmp_path / "exp.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["queries"] == {"eval": 50, "train": 83, "val": 1}
 
     @pytest.mark.parametrize("section", [
         {"metrics": [{"cutoff": 10}]},

@@ -55,6 +55,13 @@ class TestParseCorpus:
         with pytest.raises(KeyError, match="d9"):
             parse_corpus("d1\ta\n").get("d9")
 
+    @pytest.mark.parametrize("ident", ["", "d 1", "d1 ", " d1", "d\u00a01", "d\u20031"])
+    def test_bad_id_rejected_with_line_number(self, ident):
+        # a TREC run line holding this id would not split into 6 fields
+        with pytest.raises(ParseError, match="is empty or holds whitespace") as exc:
+            parse_corpus(f"d0\ta\n{ident}\tcat dog\n")
+        assert exc.value.line == 2
+
 
 class TestParseQueries:
     def test_basic(self):
@@ -65,6 +72,13 @@ class TestParseQueries:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="q1"):
             parse_queries("q1\ta\nq1\tb\n")
+
+    @pytest.mark.parametrize("text, line", [("q 1\tcat\n", 1), ("q1\tcat\n\tdog\n", 2)],
+                             ids=["whitespace", "empty"])
+    def test_bad_id_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError, match="query id") as exc:
+            parse_queries(text)
+        assert exc.value.line == line
 
 
 class TestParseQrels:
@@ -310,6 +324,12 @@ class TestParsePath:
         bad = tmp_path / "bad.tsv"
         bad.write_text("no tab here\n", encoding="utf-8")
         with pytest.raises(ParseError, match="bad.tsv"):
+            parse_path(bad, parse_corpus)
+
+    def test_undecodable_file_named(self, tmp_path):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"d1\tcaf\xe9\n")
+        with pytest.raises(DataError, match=r"cannot read .*latin1\.tsv: 'utf-8' codec"):
             parse_path(bad, parse_corpus)
 
     def test_success(self, tmp_path):

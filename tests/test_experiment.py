@@ -9,7 +9,7 @@ import pytest
 
 import rankforge.training
 from rankforge.cli import main
-from rankforge.data import Qrels, parse_path, parse_queries, parse_run
+from rankforge.data import Qrels, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
     choose_positive,
@@ -21,6 +21,7 @@ from rankforge.experiment import (
     prepare,
     run_experiment,
 )
+from rankforge.sampling import hard_pool
 from rankforge.synth import SynthSpec, generate, write_dataset
 from rankforge.training import TrainLog
 
@@ -158,6 +159,12 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="cannot read"):
             load_config(tmp_path / "absent.json")
 
+    def test_undecodable_config_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"out": "caf\xe9"}')
+        with pytest.raises(DataError, match=r"cannot read config .*latin1\.json: 'utf-8' codec"):
+            load_config(path)
+
     def test_stage_validation(self, tmp_path):
         path = _write_workspace(
             tmp_path, plans={"C": [dict(_LCE, wat=1)]}
@@ -171,7 +178,7 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="plan C"):
             load_config(path)
         path = _write_workspace(tmp_path, plans={"C": [dict(_LCE, loss="lcee")]})
-        with pytest.raises(ValueError, match="unknown loss kind 'lcee'"):
+        with pytest.raises(DataError, match="plan C stage 0: unknown loss kind 'lcee'"):
             load_config(path)
 
     def test_sampler_keys_belong_to_sampled_stages(self, tmp_path):
@@ -211,6 +218,11 @@ class TestLoadConfig:
         ({"bm25": {"k1": math.inf}}, "Infinity is not a JSON number"),
         ({"bm25": {"k1": -math.inf}}, "-Infinity is not a JSON number"),
         ({"eval_fraction": 10**400}, "'eval_fraction' is too large for a float"),
+        # values a component's own validation rejects
+        ({"plans": {"C": [dict(_LCE, pool_depth=5)]}},
+         "plan C stage 0: pool depth 5 smaller than negative count 10"),
+        ({"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
+        ({"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -315,6 +327,54 @@ class TestPrepare:
         path = _write_workspace(tmp_path, teacher=None)
         cfg = load_config(path, out=tmp_path / "out")
         with pytest.raises(DataError, match="trainable queries"):
+            prepare(cfg)
+
+    def test_dropped_query_reason_is_reported(self, tmp_path):
+        # on this small dataset only one train query ranks its positive below
+        # the top 20, so every other pool holds 19 negatives
+        lce = dict(_LCE, negatives=20, pool_depth=20)
+        cfg = load_config(_write_workspace(tmp_path, plans={"C": [lce]}))
+        with pytest.raises(DataError, match="only 1 trainable queries; first dropped query "
+                           r"q\d+: only 19 eligible negatives in pool, need 20"):
+            prepare(cfg)
+
+    def test_pool_as_deep_as_the_negative_count(self, tmp_path):
+        write_dataset(generate(SynthSpec(seed=42, noise=0.0)), tmp_path / "data")
+        lce = dict(_LCE, negatives=20, pool_depth=20)
+        plans = {"C": [lce], "D": [_RK], "C->D": [lce, _RK], "D->C": [_RK, lce]}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(_config_dict(
+            plans=plans, retrieve_depth=100, rerank_depth=100, val_fraction=0.01,
+        )), encoding="utf-8")
+        cfg = load_config(path)
+        prep = prepare(cfg)
+        kept = prep.train_examples + prep.val_examples
+        assert (len(prep.train_examples), len(prep.val_examples)) == (83, 1)
+        sampler = cfg.plans[0].plan.stages[0].sampler
+        for ex in kept:
+            assert len(hard_pool(ex.ranking, ex.positive_id, sampler)) >= 20
+        # every query dropped ranks its positive inside the pool
+        kept_ids = {ex.query.id for ex in kept}
+        eval_ids = {q.id for q in prep.eval_queries}
+        for qid, ranking in prep.first_stage.items():
+            if qid not in kept_ids | eval_ids:
+                assert len(hard_pool(ranking, choose_positive(prep.qrels, qid), sampler)) == 19
+
+    def test_ranknet_plan_needs_no_first_stage_ranking(self, tmp_path):
+        built = prepare(load_config(_write_workspace(tmp_path, plans={"D": [_RK]})))
+        # a run holding the evaluation queries only
+        run = tmp_path / "eval_only.txt"
+        run.write_text(write_run([built.first_stage[q.id] for q in built.eval_queries], "bm25"),
+                       encoding="utf-8")
+        cfg = load_config(_write_workspace(tmp_path, first_stage=str(run), plans={"D": [_RK]}))
+        prep = prepare(cfg)
+        assert [ex.query.id for ex in prep.train_examples] == (
+            [ex.query.id for ex in built.train_examples]
+        )
+        assert all(ex.ranking is None for ex in prep.train_examples)
+        cfg = load_config(_write_workspace(tmp_path, first_stage=str(run), plans={"C": [_LCE]}))
+        with pytest.raises(DataError, match="only 0 trainable queries; first dropped query "
+                           r"q\d+: no first-stage ranking for hard sampling"):
             prepare(cfg)
 
     def test_reads_existing_first_stage_run(self, finished, tmp_path):

@@ -14,7 +14,7 @@ from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import bce, ranknet
 from rankforge.retrieval import Bm25Params
 from rankforge.rng import SplitMix64, substream
-from rankforge.sampling import SamplerConfig, sample_instance
+from rankforge.sampling import SamplerConfig, hard_pool, sample_instance
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
@@ -32,6 +32,7 @@ from rankforge.training import (
     run_plan,
     run_stage,
     split_train_val,
+    stage_pool,
 )
 
 CONFIG = ScorerConfig(buckets=8, hidden=3, seed=0)
@@ -181,7 +182,7 @@ def _dense_stage(params, stage, train, val, ctx):
     if stage.sampler is not None:
         seed = substream(stage.sampler.seed, rankforge.training._VAL_TAG)
         val_stage = replace(stage, sampler=replace(stage.sampler, seed=seed))
-    val_groups = [rankforge.training._group_docs(ex, val_stage, k, 0)
+    val_groups = [rankforge.training._group_docs(ex, stage_pool(ex, stage), val_stage, k, 0)
                   for k, ex in enumerate(val)]
     order = []
     for step in range(stage.max_steps):
@@ -190,7 +191,8 @@ def _dense_stage(params, stage, train, val, ctx):
             order = list(range(len(train)))
             SplitMix64(substream(stage.seed, rankforge.training._SHUFFLE_TAG, epoch)).shuffle(order)
         i = order[pos]
-        docs = rankforge.training._group_docs(train[i], stage, i, epoch)
+        docs = rankforge.training._group_docs(train[i], stage_pool(train[i], stage), stage,
+                                              i, epoch)
         x_mat, cols = ctx.feature_matrix(train[i].query, docs)
         scores, acts = score_batch(w, x_mat, cols)
         loss = rankforge.training._group_loss(stage, scores)
@@ -394,7 +396,8 @@ class TestRunStage:
         stage = StageConfig("bce", 1e-3, 1, sampler=sampler, seed=4)
         _, log = run_stage(params, stage, [ex], [], small_world.ctx)
         # one example, so the step's group is its epoch-0 draw at ordinal 0
-        instance = sample_instance(ex.ranking, ex.positive_id, sampler, 0, 0)
+        pool = hard_pool(ex.ranking, ex.positive_id, sampler)
+        instance = sample_instance(ex.query.id, ex.positive_id, pool, sampler, 0, 0)
         docs = [instance.positive_id, *instance.negatives]
         scores, _ = score_batch(params, *small_world.ctx.feature_matrix(ex.query, docs))
         assert log.losses == [bce(scores).value]
