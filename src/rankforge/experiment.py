@@ -4,7 +4,9 @@ A JSON config is the single source of truth: data paths, scorer and sampler
 settings, named train plans, metric specs, and seeds. The driver trains
 every named plan from one shared initialization, training each distinct
 stage prefix once: a multi-stage plan such as C->D continues from the
-checkpoint of C, whose stage it starts with. It re-ranks the
+checkpoint of C, whose stage it starts with. Plans with different first
+stages share nothing, so these subtrees train in parallel in forked
+workers, one lane per usable CPU. It re-ranks the
 first-stage run with each checkpoint (plus the untrained scorer as
 baseline), evaluates, and emits three markdown tables: single-stage C vs D,
 C->D vs D->C, and best-single vs best-multi by mean nDCG@10.
@@ -18,11 +20,16 @@ them. Timing is never written into artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import pickle
 import shutil
+import signal
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 from .data import (
     Qrels,
@@ -384,7 +391,12 @@ class PreparedData:
 
 
 def prepare(cfg: ExperimentConfig) -> PreparedData:
-    """Parse inputs, build/read the first-stage run, and split queries."""
+    """Parse inputs, build/read the first-stage run, and split queries.
+
+    A training query is kept when every stage of the config can build its
+    `stage_pool` from documents the corpus holds; its pools are then
+    extracted into `ctx`'s feature memo, before any training.
+    """
     corpus = parse_path(cfg.corpus, parse_corpus)
     queries = {q.id: q for q in parse_path(cfg.queries, parse_queries)}
     qrels = parse_path(cfg.qrels, parse_qrels)
@@ -412,15 +424,16 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
             raise DataError(f"evaluation query {q.id} has no first-stage ranking")
 
     # a query is trainable when every stage of the config can build its pool
-    stages = [stage for p in cfg.plans for stage in p.plan.stages]
+    stages = list(dict.fromkeys(stage for p in cfg.plans for stage in p.plan.stages))
     examples: list[QueryExample] = []
     dropped: list[str] = []
     for q in train_pool:
         ex = QueryExample(q, choose_positive(qrels, q.id), first_stage.get(q.id),
                           teachers.get(q.id))
         try:
-            for stage in stages:
-                stage_pool(ex, stage)
+            ctx.feature_matrix(q, list(dict.fromkeys(
+                d for stage in stages for d in stage_pool(ex, stage)
+            )))
             examples.append(ex)
         except DataError as exc:
             dropped.append(str(exc))
@@ -505,6 +518,11 @@ def _mean_ndcg10(system: SystemResult) -> float:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train all plans, re-rank, evaluate, and emit RQ1-RQ3 tables.
 
+    Plans that share a first stage form a subtree; the subtrees train in
+    parallel, one lane per usable CPU (`_subtree_training`), and the
+    artifacts do not depend on the CPU count. A worker's exception is
+    re-raised here with its type and message; no worker outlives the call.
+
     Returns a summary dict (also written as summary.json). A config without
     the RQ plans or an nDCG@10 metric is rejected before anything is read or
     written. On any failure partially written outputs are removed.
@@ -519,27 +537,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
         prep = prepare(cfg)
+        with _subtree_training(cfg, prep) as finish_training:
+            # written while the workers train
+            if cfg.first_stage == "build":
+                ordered = [prep.first_stage[qid] for qid in sorted(prep.first_stage)]
+                ws.write_text("first_stage.txt", write_run(ordered, tag="bm25"))
 
-        if cfg.first_stage == "build":
-            ordered = [prep.first_stage[qid] for qid in sorted(prep.first_stage)]
-            ws.write_text("first_stage.txt", write_run(ordered, tag="bm25"))
+            eval_qids = sorted(q.id for q in prep.eval_queries)
+            fs_rankings = [prep.first_stage[qid] for qid in eval_qids]
+            bm25_system = SystemResult("bm25", evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
+            ws.write_text("bm25/metrics.csv", report_csv(bm25_system.reports))
 
-        eval_qids = sorted(q.id for q in prep.eval_queries)
-        fs_rankings = [prep.first_stage[qid] for qid in eval_qids]
-        bm25_system = SystemResult("bm25", evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
-        ws.write_text("bm25/metrics.csv", report_csv(bm25_system.reports))
+            systems: dict[str, SystemResult] = {
+                "bm25": bm25_system,
+                "untrained": _write_system(ws, cfg, prep, "untrained", init_params(cfg.scorer)),
+            }
+            trained = finish_training()
 
-        systems: dict[str, SystemResult] = {
-            "bm25": bm25_system,
-            "untrained": _write_system(ws, cfg, prep, "untrained", init_params(cfg.scorer)),
-        }
-
-        trained: dict = {}
         for named in cfg.plans:
-            params, logs = run_plan(
-                cfg.scorer, named.plan, prep.train_examples, prep.val_examples,
-                prep.ctx, trained,
-            )
+            params, logs = trained[named.plan.stages]
             _write_checkpoint(ws, named.name, params, logs)
             systems[named.name] = _write_system(ws, cfg, prep, named.name, params)
 
@@ -588,6 +604,116 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except BaseException:
         ws.cleanup()
         raise
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lanes(plans: Sequence[TrainPlan], count: int) -> list[list[TrainPlan]]:
+    """The plans grouped into subtrees by first stage, at most count lanes
+    of them: longest first by the steps a subtree trains (each distinct
+    prefix once), each subtree goes to the lane with the fewest steps."""
+    subtrees: dict[StageConfig, list[TrainPlan]] = {}
+    for plan in plans:
+        subtrees.setdefault(plan.stages[0], []).append(plan)
+
+    def steps(tree: list[TrainPlan]) -> int:
+        prefixes = {p.stages[:k] for p in tree for k in range(1, len(p.stages) + 1)}
+        return sum(prefix[-1].max_steps for prefix in prefixes)
+
+    lanes: list[list[TrainPlan]] = [[] for _ in range(min(count, len(subtrees)))]
+    loads = [0] * len(lanes)
+    for tree in sorted(subtrees.values(), key=steps, reverse=True):
+        i = loads.index(min(loads))
+        lanes[i] += tree
+        loads[i] += steps(tree)
+    return lanes
+
+
+def _fork(work: Callable[[], object]) -> tuple[int, int]:
+    """Start a worker process that runs work and pipes back, pickled, its
+    result or the exception it raised; returns the worker's pid and the
+    pipe's read end. The worker writes nothing else and ends with
+    `os._exit`, so it never returns into its caller's frames."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = work()
+        except BaseException as exc:
+            payload = exc
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Callable[[], dict]]:
+    """Train every plan into a `run_plan` prefix memo, one lane of plan
+    subtrees per usable CPU. Entering forks a worker for each lane but the
+    last and yields `finish`, which trains the last lane in this process,
+    adds the prefixes the workers pipe back and returns the memo. On exit
+    every worker not collected is killed; every worker is reaped."""
+    lanes = _lanes([p.plan for p in cfg.plans], _usable_cpus() if hasattr(os, "fork") else 1)
+
+    def train(plans: list[TrainPlan]) -> dict:
+        memo: dict = {}
+        for plan in plans:
+            run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx, memo)
+        return memo
+
+    def send(plans: list[TrainPlan]) -> dict:
+        return {prefix: (params.flat, logs)
+                for prefix, (params, logs) in train(plans).items() if prefix}
+
+    forked: dict[int, int] = {}  # worker pid -> read end, until reaped
+
+    def finish() -> dict:
+        trained = train(lanes[-1])
+        for pid, read_end in list(forked.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(forked.pop(pid))
+            if code != 0:
+                raise RuntimeError(f"training worker {pid} ended without a result ({code})")
+            payload = pickle.loads(blob)
+            if isinstance(payload, BaseException):
+                raise payload
+            for prefix, (flat, logs) in payload.items():
+                params = ScorerParams.from_flat(flat, cfg.scorer.hidden, cfg.scorer.feature_dim)
+                trained[prefix] = (params, logs)
+        return trained
+
+    try:
+        for lane in lanes[:-1]:
+            pid, read_end = _fork(partial(send, lane))
+            forked[pid] = read_end
+        yield finish
+    finally:
+        # an interrupt can land between reaping a worker and forgetting it
+        for pid, read_end in forked.items():
+            os.close(read_end)
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def _write_system(

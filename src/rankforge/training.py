@@ -312,7 +312,9 @@ def run_plan(
     A stage's result depends only on its start parameters, its config and
     the data, so `trained` memoises (params, logs) by stage prefix: the plan
     continues from its longest prefix found there, and every prefix it trains
-    is added. Plans that share a memo must share `config` and the data.
+    is added. Plans that share a memo must share `config` and the data. A
+    memo filled in another process (as the experiment driver's workers do)
+    serves as well: the process a stage runs in changes none of its bits.
     """
     memo = {} if trained is None else trained
     memo.setdefault((), (init_params(config), []))

@@ -46,6 +46,20 @@ def subprocess_import_path():
         yield
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process unreaped, running or exited
+    (an exited one is reaped here, so later tests start clean)."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    if pid == 0:
+        pytest.fail("test left a child process running")
+    pytest.fail(f"test left child process {pid} unreaped (wait status {status})")
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus() -> Corpus:
     return parse_corpus(TINY_CORPUS_TSV)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import re
 import shutil
 import struct
 import subprocess
@@ -10,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import rankforge.experiment
+import rankforge.training
 from rankforge.cli import main
 from rankforge.data import Ranking, parse_run, write_run
+from rankforge.errors import DataError
 from rankforge.scorer import N_DENSE
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -418,6 +423,65 @@ class TestExperimentCommand:
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
         assert summary["queries"] == {"eval": 50, "train": 83, "val": 1}
+
+    def test_document_missing_from_corpus_drops_query(self, tmp_path):
+        # the last teacher entry names a document the corpus does not hold:
+        # its query is dropped in preparation, not failed on in training
+        assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "42",
+                     "--noise", "0.0"]) == 0
+        teacher = tmp_path / "data" / "teacher.jsonl"
+        lines = teacher.read_text(encoding="utf-8").splitlines()
+        last = json.loads(lines[-1])
+        assert last["qid"] == "q0249"
+        last["ranked"].insert(0, "zz_missing")
+        teacher.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n", encoding="utf-8")
+        lce = dict(_LCE, steps=20, negatives=20, pool_depth=50)
+        rk = dict(_RK, steps=20)
+        config = {
+            "corpus": "data/corpus.tsv", "queries": "data/queries.tsv",
+            "qrels": "data/qrels.txt", "teacher": "data/teacher.jsonl", "seed": 42,
+            "plans": {"C": [lce], "D": [rk], "C->D": [lce, rk], "D->C": [rk, lce]},
+        }
+        (tmp_path / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+        rc = main(["experiment", "--config", str(tmp_path / "exp.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["queries"]["train"] + summary["queries"]["val"] == 199
+
+    def test_no_query_with_corpus_documents_exits_two(self, ws, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(ws / "data", data)
+        entries = [json.loads(line) for line in
+                   (data / "teacher.jsonl").read_text(encoding="utf-8").splitlines()]
+        (data / "teacher.jsonl").write_text(
+            "".join(json.dumps(dict(e, ranked=["zz_missing", *e["ranked"]])) + "\n"
+                    for e in entries),
+            encoding="utf-8",
+        )
+        shutil.copy(ws / "exp.json", tmp_path / "exp.json")
+        assert main(["experiment", "--config", str(tmp_path / "exp.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: only 0 trainable queries; first dropped query q\d+: "
+                            r"document 'zz_missing' has no text in corpus\n", err)
+        assert not (tmp_path / "out").exists()
+
+    def test_worker_error_exits_two(self, ws, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        real_run_stage = rankforge.training.run_stage
+
+        def run_stage(*args, **kwargs):
+            if os.getpid() != parent:
+                raise DataError("query q0001: failed in a worker")
+            return real_run_stage(*args, **kwargs)
+
+        monkeypatch.setattr(rankforge.training, "run_stage", run_stage)
+        monkeypatch.setattr(rankforge.experiment, "_usable_cpus", lambda: 2)
+        assert main(["experiment", "--config", str(ws / "exp.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: query q0001: failed in a worker\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section", [
         {"metrics": [{"cutoff": 10}]},

@@ -2,16 +2,21 @@
 
 import json
 import math
+import os
 import re
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
+import rankforge.experiment
 import rankforge.training
 from rankforge.cli import main
 from rankforge.data import Qrels, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
+    _lanes,
     choose_positive,
     default_plan_specs,
     load_config,
@@ -63,6 +68,16 @@ def _write_workspace(root: Path, **over) -> Path:
     path = root / "exp.json"
     path.write_text(json.dumps(_config_dict(**over)), encoding="utf-8")
     return path
+
+
+def _name_missing_doc(teacher: Path, qids: set[str] | None = None) -> None:
+    """Head the teacher lists of qids (all when None) with a document the
+    corpus does not hold."""
+    entries = [json.loads(line) for line in teacher.read_text(encoding="utf-8").splitlines()]
+    for entry in entries:
+        if qids is None or entry["qid"] in qids:
+            entry["ranked"].insert(0, "zz_missing")
+    teacher.write_text("".join(json.dumps(e) + "\n" for e in entries), encoding="utf-8")
 
 
 def _assert_same_tree(a: Path, b: Path) -> None:
@@ -360,6 +375,22 @@ class TestPrepare:
             if qid not in kept_ids | eval_ids:
                 assert len(hard_pool(ranking, choose_positive(prep.qrels, qid), sampler)) == 19
 
+    def test_document_missing_from_corpus_drops_query(self, tmp_path):
+        path = _write_workspace(tmp_path)
+        before = prepare(load_config(path))
+        qid = before.train_examples[-1].query.id
+        _name_missing_doc(tmp_path / "data" / "teacher.jsonl", {qid})
+        after = prepare(load_config(path))
+        kept = {ex.query.id for ex in before.train_examples + before.val_examples}
+        assert {ex.query.id for ex in after.train_examples + after.val_examples} == kept - {qid}
+
+    def test_document_missing_from_corpus_reason_is_reported(self, tmp_path):
+        path = _write_workspace(tmp_path, plans={"D": [_RK]})
+        _name_missing_doc(tmp_path / "data" / "teacher.jsonl")
+        with pytest.raises(DataError, match="only 0 trainable queries; first dropped query "
+                           r"q\d+: document 'zz_missing' has no text in corpus$"):
+            prepare(load_config(path))
+
     def test_ranknet_plan_needs_no_first_stage_ranking(self, tmp_path):
         built = prepare(load_config(_write_workspace(tmp_path, plans={"D": [_RK]})))
         # a run holding the evaluation queries only
@@ -463,19 +494,24 @@ class TestRunExperiment:
         _assert_same_tree(out, tmp_path / "out")
 
     def test_shared_stage_prefixes_train_once(self, tmp_path, monkeypatch):
-        stages_run = []
+        # a forked worker inherits the patch; the file collects every process's stages
+        record = tmp_path / "stages.txt"
         real_run_stage = rankforge.training.run_stage
 
         def counting_run_stage(*args, **kwargs):
-            stages_run.append(args[1])
+            with record.open("a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {args[1]!r}\n")
             return real_run_stage(*args, **kwargs)
 
         monkeypatch.setattr(rankforge.training, "run_stage", counting_run_stage)
+        monkeypatch.setattr(rankforge.experiment, "_usable_cpus", lambda: 2)
         cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
         run_experiment(cfg)
-        # C, D, then only the second stages of C->D and D->C
-        assert len(stages_run) == 4
-        assert len(set(stages_run)) == 4
+        runs = [line.split(" ", 1) for line in record.read_text(encoding="utf-8").splitlines()]
+        # C, D, then only the second stages of C->D and D->C, in two processes
+        assert len(runs) == 4
+        assert len({stage for _, stage in runs}) == 4
+        assert len({pid for pid, _ in runs}) == 2
 
     def test_multi_stage_plan_continues_from_single_stage(self, finished):
         _, _, out = finished
@@ -552,6 +588,77 @@ class TestRunExperiment:
         assert not (out / "first_stage.txt").exists()
         assert not (out / "bm25").exists()
         assert not (out / "untrained").exists()
+
+
+def _patch_stages(monkeypatch, in_parent, in_worker) -> None:
+    """Two training lanes, whose run_stage calls in_parent (in this
+    process) or in_worker (in a forked worker) first."""
+    parent = os.getpid()
+    real_run_stage = rankforge.training.run_stage
+
+    def run_stage(*args, **kwargs):
+        (in_parent if os.getpid() == parent else in_worker)()
+        return real_run_stage(*args, **kwargs)
+
+    monkeypatch.setattr(rankforge.training, "run_stage", run_stage)
+    monkeypatch.setattr(rankforge.experiment, "_usable_cpus", lambda: 2)
+
+
+class TestParallelSubtrees:
+    def test_lanes_take_subtrees_longest_first(self, tmp_path):
+        cfg = load_config(_write_workspace(tmp_path))
+        plans = [p.plan for p in cfg.plans]
+        c, d, c_to_d, d_to_c = plans
+        # D's subtree trains 30 + 20 steps, C's 30 + 15
+        assert _lanes(plans, 2) == [[d, d_to_c], [c, c_to_d]]
+        assert _lanes(plans, 8) == [[d, d_to_c], [c, c_to_d]]
+        assert _lanes(plans, 1) == [[d, d_to_c, c, c_to_d]]
+
+    def test_same_tree_with_and_without_workers(self, tmp_path, monkeypatch):
+        path = _write_workspace(tmp_path)
+        for cpus in (1, 4):
+            monkeypatch.setattr(rankforge.experiment, "_usable_cpus", lambda: cpus)
+            run_experiment(load_config(path, out=tmp_path / f"cpus{cpus}"))
+        _assert_same_tree(tmp_path / "cpus1", tmp_path / "cpus4")
+
+    def test_worker_error_reaches_caller(self, tmp_path, monkeypatch, capfd):
+        def fail():
+            raise DataError("query q0001: failed in a worker")
+
+        _patch_stages(monkeypatch, in_parent=lambda: None, in_worker=fail)
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
+        with pytest.raises(DataError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is DataError
+        assert str(info.value) == "query q0001: failed in a worker"
+        assert not (tmp_path / "out").exists()
+        assert capfd.readouterr() == ("", "")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_killed_without_result(self, tmp_path, monkeypatch):
+        _patch_stages(monkeypatch, in_parent=lambda: None,
+                      in_worker=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
+        with pytest.raises(RuntimeError, match=r"training worker \d+ ended without a result \(-9\)"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [DataError("failed in the parent"), KeyboardInterrupt()])
+    def test_parent_failure_kills_workers(self, tmp_path, monkeypatch, error):
+        def fail():
+            raise error
+
+        # a worker that would outlive the run by a minute unless killed
+        _patch_stages(monkeypatch, in_parent=fail, in_worker=lambda: time.sleep(60))
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "out")
+        started = time.monotonic()
+        with pytest.raises(type(error)):
+            run_experiment(cfg)
+        assert time.monotonic() - started < 30
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestMergedCsv:
