@@ -638,7 +638,9 @@ def _fork(work: Callable[[], object]) -> tuple[int, int]:
     """Start a worker process that runs work and pipes back, pickled, its
     result or the exception it raised; returns the worker's pid and the
     pipe's read end. The worker writes nothing else and ends with
-    `os._exit`, so it never returns into its caller's frames."""
+    `os._exit`, so it never returns into its caller's frames. It dies with
+    its parent, even a SIGKILLed one, where libc has `prctl` (Linux)."""
+    parent = os.getpid()
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -651,6 +653,13 @@ def _fork(work: Callable[[], object]) -> tuple[int, int]:
         return pid, read_end
     code = 1
     try:
+        import ctypes
+
+        prctl = getattr(ctypes.CDLL(None), "prctl", None)
+        if prctl is not None:
+            prctl(1, int(signal.SIGKILL))  # PR_SET_PDEATHSIG: die with the parent
+        if os.getppid() != parent:  # the parent died before the prctl
+            os._exit(code)
         os.close(read_end)
         try:
             payload = work()

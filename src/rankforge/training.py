@@ -6,12 +6,17 @@ One optimizer step consumes one query group: a sampled contrastive instance
 reshuffled every epoch. Optimizer state is reset at stage boundaries;
 parameters carry across.
 
-Before its first step a stage builds each train and validation query's
-`stage_pool` (every document the stage can group with it; a query without
-one is not trainable) and asks the feature memo for it once, which
-extracts it in one block and gives the query's columns, so steps only
-gather held rows. A row does not depend on the block it was extracted in,
-so no value changes. AdamW updates in place, in scratch vectors held by
+Before its first step a stage decides every group. It builds each train
+and validation query's `stage_pool` (every document the stage can group
+with it; a query without one is not trainable) and asks the feature memo
+for it once, which extracts it in one block and gives the query's
+columns; the stage keeps these blocks. Its schedule holds each step's
+query (the epoch shuffles end to end) and, for LCE/BCE stages, the rows
+of the step's group in that query's block, drawn by
+`sampling.sample_positions` in one numpy pass per pool length. A step
+gathers those rows. A row does not depend on the block it was extracted
+in, and a block draw holds the positions the scalar draw would, so no
+value changes. AdamW updates in place, in scratch vectors held by
 the optimizer state, the W1 columns the stage's queries reach; the other
 columns only decay (see `run_stage`).
 """
@@ -28,7 +33,8 @@ from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, bce, lce, ranknet
 from .rng import SplitMix64, substream
-from .sampling import SamplerConfig, hard_pool, sample_instance
+from .sampling import SamplerConfig, hard_pool, sample_positions
+from .sampling import sample_instance  # noqa: F401  (perfbench's trace wraps it here)
 from .scorer import (
     ScorerConfig,
     ScorerParams,
@@ -189,17 +195,19 @@ def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     return [example.positive_id, *pool]
 
 
-def _group_docs(
-    example: QueryExample, pool: list[str], stage: StageConfig, ordinal: int, epoch: int
-) -> list[str]:
-    """Doc ids forming this step's group, in loss-alignment order, drawn
-    from the example's `stage_pool`."""
-    if stage.loss == "ranknet":
-        return pool
-    instance = sample_instance(
-        example.query.id, example.positive_id, pool[1:], stage.sampler, ordinal, epoch
-    )
-    return [instance.positive_id, *instance.negatives]
+def _group_positions(
+    sampler: SamplerConfig, sizes: Sequence[int], queries: np.ndarray, epochs: np.ndarray
+) -> np.ndarray:
+    """The (len(queries), 1 + negatives) row positions of each group in
+    its query's `stage_pool` block: [0 (the positive), 1 + sorted draw],
+    the draw keyed (epoch, query index) from a pool of sizes[query] - 1
+    negatives; one `sample_positions` pass per pool length."""
+    positions = np.zeros((queries.size, 1 + sampler.negatives), dtype=np.int32)
+    lengths = np.asarray(sizes, dtype=np.intp)[queries] - 1
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        rows = np.flatnonzero(lengths == n)
+        positions[rows, 1:] = 1 + sample_positions(sampler, n, epochs[rows], queries[rows])
+    return positions
 
 
 def _group_loss(stage: StageConfig, scores: np.ndarray) -> LossOutput:
@@ -224,7 +232,11 @@ def run_stage(
     a dedicated substream) and never gates training. Before the first step
     each train and val query's `stage_pool` is built, once, and ctx is asked
     for it, which extracts one block per query whose pool it does not hold
-    yet and gives the query's W1 columns.
+    yet and gives the query's W1 columns. The stage keeps those blocks and
+    its schedule (each step's query and, for lce/bce, its group's rows in
+    the query's block, `[0, 1 + sorted draw]`; a ranknet group is the
+    whole block) until it returns, so its steps call neither ctx nor a
+    sampler.
 
     Steps update in place a copy of the stage's reach, the W1 columns of its
     train and val queries plus b1, w2 and b2, with moments of that size.
@@ -238,37 +250,43 @@ def run_stage(
     log = TrainLog()
     started = time.perf_counter()
 
-    pools = [stage_pool(ex, stage) for ex in train]
-    val_pools = [stage_pool(ex, stage) for ex in val]
+    pools = [stage_pool(ex, stage) for ex in (*train, *val)]
+    blocks = [ctx.feature_matrix(ex.query, pool) for ex, pool in zip((*train, *val), pools)]
     reached = np.zeros(params.feature_dim, dtype=bool)
-    for ex, pool in zip((*train, *val), (*pools, *val_pools)):
-        reached[ctx.feature_matrix(ex.query, pool)[1]] = True
+    for _, cols in blocks:
+        reached[cols] = True
     # slot[c] is reached column c's position among the live columns
     slot = np.cumsum(reached) - 1
     reach = np.flatnonzero(reached)
+    blocks = [(x, slot[cols]) for x, cols in blocks]
     live = ScorerParams(params.w1[:, reach], params.b1, params.w2, params.b2)
     state = OptimizerState.for_params(live)
 
-    val_stage = stage
-    if stage.sampler is not None:
-        val_stage = replace(
-            stage, sampler=replace(stage.sampler, seed=substream(stage.sampler.seed, _VAL_TAG))
-        )
-    val_groups = [_group_docs(ex, val_pools[k], val_stage, k, 0) for k, ex in enumerate(val)]
-
+    # the schedule: each step's query (epoch orders end to end) and, for
+    # sampled groups, its rows in the query's block
     n = len(train)
-    order: list[int] = []
-    for step in range(stage.max_steps):
-        epoch, pos = divmod(step, n)
-        if pos == 0:
-            order = list(range(n))
-            SplitMix64(substream(stage.seed, _SHUFFLE_TAG, epoch)).shuffle(order)
-        i = order[pos]
-        example = train[i]
+    queries = np.empty(stage.max_steps, dtype=np.intp)
+    for start in range(0, stage.max_steps, n):
+        order = list(range(n))
+        SplitMix64(substream(stage.seed, _SHUFFLE_TAG, start // n)).shuffle(order)
+        queries[start : start + n] = order[: stage.max_steps - start]
+    positions = None
+    val_groups = blocks[n:]
+    if stage.loss != "ranknet":
+        sizes = [len(pool) for pool in pools]
+        positions = _group_positions(
+            stage.sampler, sizes[:n], queries, np.arange(stage.max_steps) // n
+        )
+        val_sampler = replace(stage.sampler, seed=substream(stage.sampler.seed, _VAL_TAG))
+        val_rows = _group_positions(
+            val_sampler, sizes[n:], np.arange(len(val)), np.zeros(len(val), dtype=np.intp)
+        )
+        val_groups = [(x[rows], cols) for (x, cols), rows in zip(val_groups, val_rows)]
 
-        docs = _group_docs(example, pools[i], stage, i, epoch)
-        x_mat, cols = ctx.feature_matrix(example.query, docs)
-        cols = slot[cols]
+    for step, i in enumerate(queries.tolist()):
+        x_mat, cols = blocks[i]
+        if positions is not None:
+            x_mat = x_mat[positions[step]]
         scores, acts = score_batch(live, x_mat, cols)
         loss = _group_loss(stage, scores)
         grads = backward_batch(live, x_mat, acts, loss.grad, cols)
@@ -277,9 +295,8 @@ def run_stage(
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
             total = 0.0
-            for ex, docs in zip(val, val_groups):
-                x_mat, cols = ctx.feature_matrix(ex.query, docs)
-                v_scores, _ = score_batch(live, x_mat, slot[cols])
+            for x_mat, cols in val_groups:
+                v_scores, _ = score_batch(live, x_mat, cols)
                 total += _group_loss(stage, v_scores).value
             log.val.append((step + 1, total / len(val_groups)))
 

@@ -5,6 +5,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -604,6 +606,38 @@ def _patch_stages(monkeypatch, in_parent, in_worker) -> None:
     monkeypatch.setattr(rankforge.experiment, "_usable_cpus", lambda: 2)
 
 
+# The experiment CLI with two lanes, whose forked worker writes its pid to
+# argv[2] and then sleeps a minute before it trains.
+_SLEEPING_WORKER = """
+import os, sys, time
+import rankforge.experiment, rankforge.training
+from rankforge.cli import main
+
+parent, real_run_stage = os.getpid(), rankforge.training.run_stage
+
+def run_stage(*args, **kwargs):
+    if os.getpid() != parent:
+        with open(sys.argv[2] + ".tmp", "w") as f:
+            f.write(str(os.getpid()))
+        os.rename(sys.argv[2] + ".tmp", sys.argv[2])
+        time.sleep(60)
+    return real_run_stage(*args, **kwargs)
+
+rankforge.training.run_stage = run_stage
+rankforge.experiment._usable_cpus = lambda: 2
+sys.exit(main(["experiment", "--config", sys.argv[1]]))
+"""
+
+
+def _process_state(pid: int) -> str | None:
+    """The state letter of /proc/<pid>/stat, None once the process is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
 class TestParallelSubtrees:
     def test_lanes_take_subtrees_longest_first(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
@@ -660,6 +694,31 @@ class TestParallelSubtrees:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_worker_dies_with_sigkilled_parent(self, tmp_path):
+        config = _write_workspace(tmp_path)
+        pid_file = tmp_path / "worker.pid"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SLEEPING_WORKER, str(config), str(pid_file)],
+            cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert proc.poll() is None, "experiment ended before its worker started"
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            proc.kill()  # SIGKILL: no finally block of the experiment runs
+            proc.wait()
+        worker = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while _process_state(worker) not in (None, "Z"):
+            if time.monotonic() > deadline:
+                os.kill(worker, signal.SIGKILL)
+                pytest.fail(f"worker {worker} outlived its SIGKILLed parent by 10 s")
+            time.sleep(0.05)
 
 class TestMergedCsv:
     def test_train_steps_renumbered(self):

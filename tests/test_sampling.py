@@ -2,12 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankforge.data import ContrastiveInstance, Query, Ranking
 from rankforge.errors import DataError
 from rankforge.rng import SplitMix64, substream
-from rankforge.sampling import SamplerConfig, hard_pool, sample_instance
+from rankforge.sampling import (
+    _HARD_TAG,
+    SamplerConfig,
+    hard_pool,
+    sample_instance,
+    sample_positions,
+)
 from rankforge.training import QueryExample, StageConfig, stage_pool
 
 
@@ -141,3 +150,50 @@ class TestPositionDraw:
             assert _sample(ranking, positive, cfg, ordinal, epoch) == (
                 _dict_ordered_draw(ranking, positive, cfg, ordinal, epoch)
             )
+
+
+_KEYS = st.one_of(st.integers(0, 40), st.integers(2**32, 2**64 - 1))
+
+
+@st.composite
+def _block_draws(draw):
+    """A pool length n (often 2^k + 1, where half the masked draws are
+    rejected), a draw size h in 1..n, a seed and some (epoch, ordinal) keys."""
+    n = draw(st.one_of(st.integers(1, 70), st.sampled_from([2**k + 1 for k in range(1, 8)])))
+    h = draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)))
+    seed = draw(st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)))
+    keys = draw(st.lists(st.tuples(_KEYS, _KEYS), min_size=1, max_size=6))
+    return n, h, seed, keys
+
+
+class TestSamplePositions:
+    @given(_block_draws())
+    @example((5, 5, 0, [(0, 0), (2**32, 2**64 - 1)]))
+    @example((65, 1, 2**64 - 1, [(2**40, 3), (7, 2**33)]))
+    @example((129, 20, 2**64 - 1, [(2**64 - 1, 2**64 - 1)] * 2))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_scalar_draws(self, drawn):
+        n, h, seed, keys = drawn
+        config = SamplerConfig(negatives=h, pool_depth=h, seed=seed)
+        epochs, ordinals = zip(*keys)
+        want = [sorted(SplitMix64(substream(seed, _HARD_TAG, e, o)).sample(range(n), h))
+                for e, o in keys]
+        got = sample_positions(config, n, epochs, ordinals)
+        assert got.shape == (len(keys), h)
+        assert got.tolist() == want
+
+    def test_uint64_key_arrays(self):
+        config = SamplerConfig(negatives=3, pool_depth=3, seed=11)
+        epochs = np.array([0, 1, 2**63], dtype=np.uint64)
+        ordinals = np.array([2**64 - 1, 5, 2**32], dtype=np.uint64)
+        got = sample_positions(config, 9, epochs, ordinals)
+        for row, e, o in zip(got.tolist(), epochs.tolist(), ordinals.tolist()):
+            assert row == sorted(SplitMix64(substream(11, _HARD_TAG, e, o)).sample(range(9), 3))
+
+    def test_no_rows(self):
+        config = SamplerConfig(negatives=2, pool_depth=2)
+        assert sample_positions(config, 4, [], []).shape == (0, 2)
+
+    def test_pool_shorter_than_draw(self):
+        with pytest.raises(ValueError, match="cannot sample 3 from 2"):
+            sample_positions(SamplerConfig(negatives=3, pool_depth=3), 2, [0], [0])

@@ -1,11 +1,11 @@
 """AdamW against a reference implementation, plus stage and plan mechanics."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rankforge.sampling
 import rankforge.scorer
 import rankforge.training
 from rankforge.data import TeacherRanking
@@ -172,18 +172,29 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return x.view(np.uint64)
 
 
+def _oracle_group(example, stage, sampler_seed, ordinal, epoch):
+    """A step's doc ids drawn one at a time with the scalar splitmix64
+    sampler: the positive, then the chosen negatives in pool order."""
+    pool = stage_pool(example, stage)
+    if stage.loss == "ranknet":
+        return pool
+    rng = SplitMix64(substream(sampler_seed, rankforge.sampling._HARD_TAG, epoch, ordinal))
+    chosen = sorted(rng.sample(range(len(pool) - 1), stage.sampler.negatives))
+    return [pool[0], *(pool[1 + c] for c in chosen)]
+
+
 def _dense_stage(params, stage, train, val, ctx):
-    """run_stage as it was before the reach: every step computes the
-    full-width gradient and updates every parameter."""
+    """run_stage as it was before the reach and the schedule: every step
+    draws its group, gathers its rows, computes the full-width gradient and
+    updates every parameter."""
     w = params.copy()
     m, v = np.zeros_like(w.flat), np.zeros_like(w.flat)
     log = TrainLog()
-    val_stage = stage
+    seed = val_seed = None
     if stage.sampler is not None:
-        seed = substream(stage.sampler.seed, rankforge.training._VAL_TAG)
-        val_stage = replace(stage, sampler=replace(stage.sampler, seed=seed))
-    val_groups = [rankforge.training._group_docs(ex, stage_pool(ex, stage), val_stage, k, 0)
-                  for k, ex in enumerate(val)]
+        seed = stage.sampler.seed
+        val_seed = substream(seed, rankforge.training._VAL_TAG)
+    val_groups = [_oracle_group(ex, stage, val_seed, k, 0) for k, ex in enumerate(val)]
     order = []
     for step in range(stage.max_steps):
         epoch, pos = divmod(step, len(train))
@@ -191,8 +202,7 @@ def _dense_stage(params, stage, train, val, ctx):
             order = list(range(len(train)))
             SplitMix64(substream(stage.seed, rankforge.training._SHUFFLE_TAG, epoch)).shuffle(order)
         i = order[pos]
-        docs = rankforge.training._group_docs(train[i], stage_pool(train[i], stage), stage,
-                                              i, epoch)
+        docs = _oracle_group(train[i], stage, seed, i, epoch)
         x_mat, cols = ctx.feature_matrix(train[i].query, docs)
         scores, acts = score_batch(w, x_mat, cols)
         loss = rankforge.training._group_loss(stage, scores)
@@ -445,6 +455,31 @@ class TestRunStage:
         assert np.array_equal(prefilled.flat.view(np.uint64), first.flat.view(np.uint64))
         assert prefilled_log.losses == first_log.losses
         assert prefilled_log.val == first_log.val
+
+    @pytest.mark.parametrize("steps", [1, 50])
+    @pytest.mark.parametrize("loss", ["lce", "bce", "ranknet"])
+    def test_block_lookups_do_not_grow_with_steps(self, small_world, monkeypatch, loss, steps):
+        # every group is decided before step 1: one feature_matrix call per
+        # train and val query, and no scalar draw
+        asked = []
+        real = ScoringContext.feature_matrix
+
+        def counting(self, query, doc_ids):
+            asked.append(query.id)
+            return real(self, query, doc_ids)
+
+        def scalar_sample(*args, **kwargs):
+            raise AssertionError("SplitMix64.sample called")
+
+        monkeypatch.setattr(ScoringContext, "feature_matrix", counting)
+        monkeypatch.setattr(SplitMix64, "sample", scalar_sample)
+        sampler = None if loss == "ranknet" else SamplerConfig(negatives=5, pool_depth=20, seed=1)
+        stage = StageConfig(loss, 1e-3, steps, val_interval=10, sampler=sampler, seed=2)
+        train, val = small_world.examples[:8], small_world.examples[8:11]
+        _, log = run_stage(init_params(small_world.scorer_config), stage, train, val,
+                           small_world.ctx)
+        assert len(log.losses) == steps
+        assert asked == [ex.query.id for ex in train + val]
 
     def test_wall_time_recorded(self, small_world):
         params = init_params(small_world.scorer_config)
