@@ -8,14 +8,17 @@ Formats handled here:
   teacher rankings  JSONL        ``{"qid": ..., "ranked": [...]}`` (other keys
                                  are ignored)
 
-All parsers are total: any byte stream either yields validated values or a
-ParseError; nothing partially parsed escapes. Parsed values are immutable.
+Every parser takes the whole text of one input and is total: it either
+yields validated values or raises a ParseError; nothing partially parsed
+escapes. Parsed values are immutable. Qrels hold one map,
+{query_id: {doc_id: grade}}; a Ranking holds its doc ids and scores in rank
+order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -124,18 +127,23 @@ class Ranking:
     float64 `scores` (read-only). The document at position i has rank i + 1.
 
     Invariants: no duplicate id, every score finite, scores non-increasing
-    with rank (ties allowed). `Ranking(query_id, entries)` builds one from
-    RunEntry objects, whose ranks must be exactly 1..depth, and `entries`
-    gives them back; `from_scores` builds one from ids and scores.
+    with rank (ties allowed). `Ranking(query_id, ids, scores)` builds one
+    from ids and scores already in final order. With `scores` omitted, the
+    second argument holds RunEntry objects instead (as `parse_run` and
+    `entries` give them), whose ranks must be exactly 1..depth.
     """
 
     __slots__ = ("query_id", "ids", "scores")
 
-    def __init__(self, query_id: str, entries: Iterable[RunEntry]):
-        entries = tuple(entries)
-        ids = tuple(e.doc_id for e in entries)
-        scores = np.array([e.score for e in entries], dtype=np.float64)
-        broken = next((i for i, e in enumerate(entries) if e.rank != i + 1), None)
+    def __init__(
+        self, query_id: str, ids: Iterable, scores: Sequence[float] | np.ndarray | None = None
+    ):
+        broken = None
+        if scores is None:
+            entries = tuple(ids)
+            ids, scores = [e.doc_id for e in entries], [e.score for e in entries]
+            broken = next((i for i, e in enumerate(entries) if e.rank != i + 1), None)
+        ids, scores = tuple(ids), np.array(scores, dtype=np.float64)
         if broken is not None:
             # entries are checked in rank order: a violation ahead of the break wins
             _check_ranking(query_id, ids[:broken], scores[:broken])
@@ -143,24 +151,6 @@ class Ranking:
                 f"query {query_id}: rank sequence broken at position {broken} "
                 f"(expected {broken + 1}, got {entries[broken].rank})"
             )
-        self._hold(query_id, ids, scores)
-
-    @classmethod
-    def from_scores(
-        cls, query_id: str, doc_ids: Iterable, scores: Sequence[float] | np.ndarray | None = None
-    ) -> "Ranking":
-        """A Ranking of doc_ids with their scores, already in final order.
-
-        With scores None, doc_ids holds (doc_id, score) pairs instead.
-        """
-        if scores is None:
-            pairs = tuple(doc_ids)
-            doc_ids, scores = [d for d, _ in pairs], [s for _, s in pairs]
-        ranking = cls.__new__(cls)
-        ranking._hold(query_id, tuple(doc_ids), np.array(scores, dtype=np.float64))
-        return ranking
-
-    def _hold(self, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
         _check_ranking(query_id, ids, scores)
         scores.flags.writeable = False
         object.__setattr__(self, "query_id", query_id)
@@ -199,20 +189,14 @@ class Ranking:
 
 @dataclass(frozen=True)
 class Qrels:
-    """Graded relevance judgments keyed by (query_id, doc_id)."""
+    """Graded relevance judgments, {query_id: {doc_id: grade}}: each query's
+    documents in judgment order."""
 
-    judgments: Mapping[tuple[str, str], int]
-    # {query_id: {doc_id: grade}} in judgment order, built once
-    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        by_query: dict[str, dict[str, int]] = {}
-        for (q, d), r in self.judgments.items():
-            by_query.setdefault(q, {})[d] = r
-        object.__setattr__(self, "_by_query", by_query)
+    by_query: Mapping[str, Mapping[str, int]]
 
     def docs_for(self, query_id: str) -> dict[str, int]:
-        return dict(self._by_query.get(query_id, {}))
+        """A copy of the query's {doc_id: grade}; empty for an unjudged query."""
+        return dict(self.by_query.get(query_id, {}))
 
 
 @dataclass(frozen=True)
@@ -244,18 +228,16 @@ class ContrastiveInstance:
             raise ValueError(f"query {self.query_id}: duplicate negatives")
 
 
-def _lines(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping blank lines."""
-    it = stream.splitlines() if isinstance(stream, str) else stream
-    for no, raw in enumerate(it, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line) of the non-blank lines of text."""
+    for no, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             yield no, line
 
 
-def _parse_tsv(stream, kind: str) -> dict[str, str]:
+def _parse_tsv(tsv: str, kind: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for no, line in _lines(stream):
+    for no, line in _lines(tsv):
         if "\t" not in line:
             raise ParseError(f"expected '{kind}_id<TAB>text'", line=no)
         ident, text = line.split("\t", 1)
@@ -267,21 +249,21 @@ def _parse_tsv(stream, kind: str) -> dict[str, str]:
     return out
 
 
-def parse_corpus(stream: str | Iterable[str]) -> Corpus:
-    """Parse a ``doc_id<TAB>text`` TSV stream into a Corpus."""
-    docs = _parse_tsv(stream, "doc")
+def parse_corpus(text: str) -> Corpus:
+    """Parse a ``doc_id<TAB>text`` TSV text into a Corpus."""
+    docs = _parse_tsv(text, "doc")
     return Corpus({i: Document(i, t) for i, t in docs.items()})
 
 
-def parse_queries(stream: str | Iterable[str]) -> list[Query]:
-    """Parse a ``query_id<TAB>text`` TSV stream."""
-    return [Query(i, t) for i, t in _parse_tsv(stream, "query").items()]
+def parse_queries(text: str) -> list[Query]:
+    """Parse a ``query_id<TAB>text`` TSV text."""
+    return [Query(i, t) for i, t in _parse_tsv(text, "query").items()]
 
 
-def parse_qrels(stream: str | Iterable[str]) -> Qrels:
+def parse_qrels(text: str) -> Qrels:
     """Parse TREC qrels ``qid iter docid rel``; duplicates are hard errors."""
-    judgments: dict[tuple[str, str], int] = {}
-    for no, line in _lines(stream):
+    by_query: dict[str, dict[str, int]] = {}
+    for no, line in _lines(text):
         fields = line.split()
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line=no)
@@ -292,14 +274,14 @@ def parse_qrels(stream: str | Iterable[str]) -> Qrels:
             raise ParseError(f"relevance {rel_s!r} is not an integer", line=no) from None
         if rel < 0:
             raise ParseError(f"negative relevance grade {rel}", line=no)
-        key = (qid, docid)
-        if key in judgments:
+        judged = by_query.setdefault(qid, {})
+        if docid in judged:
             raise ParseError(f"duplicate judgment for ({qid}, {docid})", line=no)
-        judgments[key] = rel
-    return Qrels(judgments)
+        judged[docid] = rel
+    return Qrels(by_query)
 
 
-def parse_run(stream: str | Iterable[str]) -> list[Ranking]:
+def parse_run(text: str) -> list[Ranking]:
     """Parse a TREC run into one validated Ranking per query.
 
     Lines for a query need not be contiguous; entries are regrouped and
@@ -308,7 +290,7 @@ def parse_run(stream: str | Iterable[str]) -> list[Ranking]:
     """
     per_query: dict[str, list[RunEntry]] = {}
     seen: set[tuple[str, str]] = set()
-    for no, line in _lines(stream):
+    for no, line in _lines(text):
         fields = line.split()
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", line=no)
@@ -327,7 +309,7 @@ def parse_run(stream: str | Iterable[str]) -> list[Ranking]:
     for qid, entries in per_query.items():
         entries.sort(key=lambda e: e.rank)
         try:
-            rankings.append(Ranking(qid, tuple(entries)))
+            rankings.append(Ranking(qid, entries))
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     return rankings
@@ -343,11 +325,11 @@ def write_run(rankings: Iterable[Ranking], tag: str) -> str:
     return "".join(out)
 
 
-def parse_teacher(stream: str | Iterable[str]) -> list[TeacherRanking]:
+def parse_teacher(text: str) -> list[TeacherRanking]:
     """Parse JSONL teacher rankings, preserving line order."""
     teachers = []
     seen: set[str] = set()
-    for no, line in _lines(stream):
+    for no, line in _lines(text):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

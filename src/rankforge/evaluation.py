@@ -123,9 +123,7 @@ def rerank(
     docs = ranking.ids[:depth]
     scores, _ = score_batch(params, *ctx.feature_matrix(query, docs))
     order = np.lexsort((np.arange(len(docs)), -scores))
-    return Ranking.from_scores(
-        ranking.query_id, [docs[i] for i in order.tolist()], scores[order]
-    )
+    return Ranking(ranking.query_id, [docs[i] for i in order.tolist()], scores[order])
 
 
 def _gain(grade: int, spec: MetricSpec) -> float:

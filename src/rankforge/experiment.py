@@ -687,10 +687,6 @@ def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Cal
             run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx, memo)
         return memo
 
-    def send(plans: list[TrainPlan]) -> dict:
-        return {prefix: (params.flat, logs)
-                for prefix, (params, logs) in train(plans).items() if prefix}
-
     forked: dict[int, int] = {}  # worker pid -> read end, until reaped
 
     def finish() -> dict:
@@ -705,14 +701,12 @@ def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Cal
             payload = pickle.loads(blob)
             if isinstance(payload, BaseException):
                 raise payload
-            for prefix, (flat, logs) in payload.items():
-                params = ScorerParams.from_flat(flat, cfg.scorer.hidden, cfg.scorer.feature_dim)
-                trained[prefix] = (params, logs)
+            trained.update(payload)
         return trained
 
     try:
         for lane in lanes[:-1]:
-            pid, read_end = _fork(partial(send, lane))
+            pid, read_end = _fork(partial(train, lane))
             forked[pid] = read_end
         yield finish
     finally:

@@ -116,18 +116,11 @@ class InvertedIndex:
         """(len(terms), len(nums)) int32 frequency of each of the distinct
         `terms` in each of the documents numbered `nums`."""
         out = np.zeros((len(terms), len(nums)), dtype=np.int32)
-        known = [(j, self.terms[t]) for j, t in enumerate(terms) if t in self.terms]
-        if not known:
-            return out
-        rows, ids = (np.array(a) for a in zip(*known))
-        lo, hi = self.indptr[ids], self.indptr[ids + 1]
-        pos = concat_ranges(lo, hi)
-        # (row, doc) keys of the terms' postings: ascending, as rows ascend
-        keys = np.repeat(rows, hi - lo) * self.size + self.docs[pos]
-        wanted = (rows[:, None] * self.size + nums).ravel()
-        k = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        found = keys[k] == wanted
-        out[rows] = np.where(found, self.tfs[pos[k]], 0).reshape(len(rows), len(nums))
+        for row, term in enumerate(terms):
+            docs, tfs = self.postings(term)
+            if len(docs):
+                k = np.minimum(np.searchsorted(docs, nums), len(docs) - 1)
+                out[row] = np.where(docs[k] == nums, tfs[k], 0)
         return out
 
     def length_norm(self, params: Bm25Params, lengths: np.ndarray) -> np.ndarray:
@@ -241,4 +234,4 @@ def retrieve_topk(
     # the stable sort keeps equal scores in number order, which is id order
     cand = np.flatnonzero(scores)
     top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
-    return Ranking.from_scores(query.id, [index.doc_ids[i] for i in top.tolist()], scores[top])
+    return Ranking(query.id, [index.doc_ids[i] for i in top.tolist()], scores[top])

@@ -105,6 +105,10 @@ class ScorerParams:
         params._view(flat, hidden, feature_dim)
         return params
 
+    def __reduce__(self):
+        # rebuilt over the unpickled `flat`, so w1, b1 and w2 stay views of it
+        return ScorerParams.from_flat, (self.flat, *self.w1.shape)
+
     def _view(self, flat: np.ndarray, m: int, f: int) -> None:
         if flat.dtype != np.float64 or flat.shape != (m * f + 2 * m + 1,):
             raise ValueError(f"flat must be float64 of size {m * f + 2 * m + 1}")

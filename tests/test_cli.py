@@ -304,8 +304,8 @@ def variant_runs(ws, tmp_path_factory):
             docs = r.doc_ids()
             if flip:
                 docs = docs[::-1]
-            scored = [(d, float(len(docs) - i)) for i, d in enumerate(docs)]
-            rankings.append(Ranking.from_scores(r.query_id, scored))
+            scores = [float(len(docs) - i) for i in range(len(docs))]
+            rankings.append(Ranking(r.query_id, docs, scores))
         (root / f"{label}.txt").write_text(write_run(rankings, label), encoding="utf-8")
     return root
 

@@ -1,5 +1,7 @@
 """Parsers, serializers, and the invariants of the shared domain types."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,7 +85,7 @@ class TestParseQueries:
 
 class TestParseQrels:
     def test_basic(self):
-        assert parse_qrels("q1 0 d3 2\n").judgments == {("q1", "d3"): 2}
+        assert parse_qrels("q1 0 d3 2\n") == Qrels({"q1": {"d3": 2}})
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ParseError, match="q1"):
@@ -108,12 +110,29 @@ class TestParseQrels:
         assert qrels.docs_for("q3") == {}
 
     def test_docs_for_keeps_judgment_order_and_returns_a_copy(self):
-        qrels = Qrels({("q1", "d9"): 2, ("q2", "d1"): 1, ("q1", "d3"): 0, ("q1", "d5"): 1})
+        qrels = parse_qrels("q1 0 d9 2\nq2 0 d1 1\nq1 0 d3 0\nq1 0 d5 1\n")
         assert list(qrels.docs_for("q1").items()) == [("d9", 2), ("d3", 0), ("d5", 1)]
         qrels.docs_for("q1")["d9"] = 0
         qrels.docs_for("q3")["d1"] = 1
         assert qrels.docs_for("q1")["d9"] == 2
         assert qrels.docs_for("q3") == {}
+
+    def test_holds_each_judgment_once(self):
+        # 250 queries x 100 judged docs, the reference dataset's shape
+        text = "".join(
+            f"q{q:04d} 0 d{(q * 16 + k) % 4000:05d} {k % 4}\n"
+            for q in range(250)
+            for k in range(100)
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            qrels = parse_qrels(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(qrels.docs_for("q0249")) == 100
+        assert held < 4 * 2**20
 
 
 class TestRankingInvariants:
@@ -123,32 +142,32 @@ class TestRankingInvariants:
 
     def test_duplicate_doc_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Ranking("q1", (RunEntry("d1", 1, 2.0), RunEntry("d1", 2, 1.0)))
+            Ranking("q1", ["d1", "d1"], [2.0, 1.0])
 
     def test_score_increase_rejected(self):
         with pytest.raises(ValueError, match="score increases"):
-            Ranking("q1", (RunEntry("d1", 1, 1.0), RunEntry("d2", 2, 2.0)))
+            Ranking("q1", ["d1", "d2"], [1.0, 2.0])
 
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Ranking("q1", (RunEntry("d1", 1, float("nan")),))
+            Ranking("q1", ["d1"], [float("nan")])
 
     def test_score_ties_allowed(self):
-        r = Ranking("q1", (RunEntry("d1", 1, 1.0), RunEntry("d2", 2, 1.0)))
+        r = Ranking("q1", ["d1", "d2"], [1.0, 1.0])
         assert r.depth == 2
 
     def test_from_scores_assigns_ranks(self):
         # input must already be in final (non-increasing score) order
-        r = Ranking.from_scores("q1", [("d2", 2.0), ("d3", 1.0), ("d1", 0.5)])
+        r = Ranking("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
         assert r.doc_ids() == ["d2", "d3", "d1"]
         assert [e.rank for e in r.entries] == [1, 2, 3]
 
     def test_from_scores_rejects_unsorted(self):
         with pytest.raises(ValueError, match="score increases"):
-            Ranking.from_scores("q1", [("d1", 0.5), ("d2", 2.0)])
+            Ranking("q1", ["d1", "d2"], [0.5, 2.0])
 
     def test_from_scores_tie_keeps_input_order(self):
-        r = Ranking.from_scores("q1", [("b", 1.0), ("a", 1.0)])
+        r = Ranking("q1", ["b", "a"], [1.0, 1.0])
         assert r.doc_ids() == ["b", "a"]
 
     @pytest.mark.parametrize("ids, scores, message", [
@@ -167,7 +186,7 @@ class TestRankingInvariants:
         with pytest.raises(ValueError) as by_entries:
             Ranking("q1", entries)
         with pytest.raises(ValueError) as by_arrays:
-            Ranking.from_scores("q1", ids, np.array(scores))
+            Ranking("q1", ids, np.array(scores))
         assert str(by_entries.value) == str(by_arrays.value) == f"query q1: {message}"
 
     def test_rank_break_after_other_violation(self):
@@ -178,21 +197,21 @@ class TestRankingInvariants:
 
     def test_from_scores_equals_entries_form(self):
         entries = (RunEntry("d2", 1, 2.0), RunEntry("d3", 2, 1.0), RunEntry("d1", 3, 1.0))
-        r = Ranking.from_scores("q1", ["d2", "d3", "d1"], np.array([2.0, 1.0, 1.0]))
+        r = Ranking("q1", ["d2", "d3", "d1"], np.array([2.0, 1.0, 1.0]))
         assert r == Ranking("q1", entries)
-        assert r == Ranking.from_scores("q1", [("d2", 2.0), ("d3", 1.0), ("d1", 1.0)])
+        assert r == Ranking("q1", ("d2", "d3", "d1"), [2.0, 1.0, 1.0])
         assert r.entries == entries
         assert r.ids == ("d2", "d3", "d1") and r.depth == 3
         assert r.scores.dtype == np.float64 and not r.scores.flags.writeable
-        assert r != Ranking.from_scores("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
-        assert r != Ranking.from_scores("q2", ["d2", "d3", "d1"], [2.0, 1.0, 1.0])
-        assert r != Ranking.from_scores("q1", ["d2", "d1", "d3"], [2.0, 1.0, 1.0])
+        assert r != Ranking("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
+        assert r != Ranking("q2", ["d2", "d3", "d1"], [2.0, 1.0, 1.0])
+        assert r != Ranking("q1", ["d2", "d1", "d3"], [2.0, 1.0, 1.0])
         with pytest.raises(AttributeError):
             r.ids = ("d1",)
 
     def test_from_scores_length_mismatch(self):
         with pytest.raises(ValueError, match="2 doc ids but 3 scores"):
-            Ranking.from_scores("q1", ["d1", "d2"], [3.0, 2.0, 1.0])
+            Ranking("q1", ["d1", "d2"], [3.0, 2.0, 1.0])
 
 
 class TestRunRoundTrip:
@@ -213,6 +232,20 @@ class TestRunRoundTrip:
         with pytest.raises(ParseError):
             parse_run("q1 Q0 d1 1 2.0 x\nq1 Q0 d1 2 1.0 x\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("q1 Q0 d1 1 1.0 x\nq1 Q0 d2 2 2.0 x\nq1 Q0 d3 5 0.5 x\n",
+         "score increases at rank 2 (2.0 > 1.0)"),
+        ("q1 Q0 d1 1 nan x\nq1 Q0 d3 3 0.5 x\n", "non-finite score at rank 1"),
+        ("q1 Q0 d1 1 2.0 x\nq1 Q0 d2 3 1.0 x\nq1 Q0 d3 4 3.0 x\n",
+         "rank sequence broken at position 1 (expected 2, got 3)"),
+        ("q1 Q0 d2 2 1.0 x\nq1 Q0 d1 1 2.0 x\nq1 Q0 d3 2 0.5 x\n",
+         "rank sequence broken at position 2 (expected 3, got 2)"),
+    ])
+    def test_rank_break_loses_to_an_earlier_violation(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_run(text)
+        assert str(exc.value) == f"query q1: {message}"
+
     def test_non_contiguous_lines_grouped(self):
         text = (
             "q1 Q0 d1 1 2.0 x\n"
@@ -224,7 +257,7 @@ class TestRunRoundTrip:
         assert runs["q2"].doc_ids() == ["d9"]
 
     def test_write_run_exact_format(self):
-        r = Ranking("q1", (RunEntry("d1", 1, 0.5),))
+        r = Ranking("q1", ["d1"], [0.5])
         assert write_run([r], "x") == "q1 Q0 d1 1 0.500000 x\n"
 
     def test_write_run_empty(self):
@@ -250,10 +283,7 @@ class TestRunRoundTrip:
             )
             # printed precision is 6 decimals; quantize so equality is exact
             scores = [round(s, 6) for s in scores]
-            entries = tuple(
-                RunEntry(f"d{i}", i + 1, scores[i]) for i in range(depth)
-            )
-            rankings.append(Ranking(f"q{qi}", entries))
+            rankings.append(Ranking(f"q{qi}", [f"d{i}" for i in range(depth)], scores))
         parsed = parse_run(write_run(rankings, "tag"))
         assert len(parsed) == len(rankings)
         by_id = {r.query_id: r for r in parsed}

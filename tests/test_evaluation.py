@@ -31,11 +31,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _ranking(qid: str, docs: list[str]) -> Ranking:
-    return Ranking.from_scores(qid, [(d, float(len(docs) - i)) for i, d in enumerate(docs)])
+    return Ranking(qid, docs, [float(len(docs) - i) for i in range(len(docs))])
 
 
 def _qrels(qid: str, grades: dict[str, int]) -> Qrels:
-    return Qrels({(qid, d): g for d, g in grades.items()})
+    return Qrels({qid: dict(grades)})
 
 
 class TestMetricSpec:
@@ -228,38 +228,38 @@ class TestEvaluateRun:
 
     def test_excludes_unjudged_queries(self):
         rankings = [_ranking("q1", ["d1"]), _ranking("q2", ["d1"])]
-        qrels = Qrels({("q1", "d1"): 1, ("q2", "d1"): 0})
+        qrels = Qrels({"q1": {"d1": 1}, "q2": {"d1": 0}})
         report = evaluate_run(rankings, qrels, self.Q)
         assert list(report.per_query) == ["q1"]
         assert report.mean == 1.0
 
     def test_sorted_aggregation_order(self):
         rankings = [_ranking(q, ["d1"]) for q in ("q9", "q10", "q2")]
-        qrels = Qrels({(q, "d1"): 1 for q in ("q9", "q10", "q2")})
+        qrels = Qrels({q: {"d1": 1} for q in ("q9", "q10", "q2")})
         report = evaluate_run(rankings, qrels, self.Q)
         assert list(report.per_query) == ["q10", "q2", "q9"]
 
     def test_duplicate_query_rejected(self):
         rankings = [_ranking("q1", ["d1"]), _ranking("q1", ["d2"])]
         with pytest.raises(DataError, match="duplicate"):
-            evaluate_run(rankings, Qrels({("q1", "d1"): 1}), self.Q)
+            evaluate_run(rankings, Qrels({"q1": {"d1": 1}}), self.Q)
 
     def test_no_evaluable_queries(self):
         with pytest.raises(DataError, match="no evaluable"):
-            evaluate_run([_ranking("q1", ["d1"])], Qrels({("q1", "d1"): 0}), self.Q)
+            evaluate_run([_ranking("q1", ["d1"])], Qrels({"q1": {"d1": 0}}), self.Q)
 
     def test_mean_is_arithmetic(self):
         rankings = [
             _ranking("q1", ["d1", "d2"]),   # AP 1.0
             _ranking("q2", ["dx", "d1"]),   # AP 0.5
         ]
-        qrels = Qrels({("q1", "d1"): 1, ("q2", "d1"): 1})
+        qrels = Qrels({"q1": {"d1": 1}, "q2": {"d1": 1}})
         report = evaluate_run(rankings, qrels, self.Q)
         assert report.mean == pytest.approx(0.75)
 
     def test_evaluate_all_keys_by_label(self):
         rankings = [_ranking("q1", ["d1"])]
-        qrels = Qrels({("q1", "d1"): 1})
+        qrels = Qrels({"q1": {"d1": 1}})
         specs = [MetricSpec("ap"), MetricSpec("ndcg"), MetricSpec("mrr")]
         out = evaluate_all(rankings, qrels, specs)
         assert set(out) == {"AP", "nDCG@10", "MRR@10"}

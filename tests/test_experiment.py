@@ -309,11 +309,11 @@ class TestDefaultPlanSpecs:
 
 class TestChoosePositive:
     def test_highest_grade_then_id(self):
-        qrels = Qrels({("q", "d2"): 2, ("q", "d1"): 2, ("q", "d0"): 1})
+        qrels = Qrels({"q": {"d2": 2, "d1": 2, "d0": 1}})
         assert choose_positive(qrels, "q") == "d1"
 
     def test_none_without_relevant(self):
-        assert choose_positive(Qrels({("q", "d1"): 0}), "q") is None
+        assert choose_positive(Qrels({"q": {"d1": 0}}), "q") is None
         assert choose_positive(Qrels({}), "q") is None
 
 

@@ -21,7 +21,7 @@ from rankforge.training import QueryExample, StageConfig, stage_pool
 
 
 def _ranking(n: int = 10) -> Ranking:
-    return Ranking.from_scores("q1", [(f"d{i}", float(n - i)) for i in range(n)])
+    return Ranking("q1", [f"d{i}" for i in range(n)], [float(n - i) for i in range(n)])
 
 
 def _sample(ranking, positive_id, config, query_ordinal, epoch):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -431,6 +432,18 @@ class TestParamsLayout:
         g = backward_batch(p, xs, acts, rng.normal(size=4))
         assert g.flat.shape == p.flat.shape
         assert not np.shares_memory(g.flat, p.flat)
+
+    def test_pickle_keeps_views_of_flat(self):
+        """Training workers pipe params back pickled; the copy keeps one layout."""
+        p = _random_params(np.random.default_rng(14), buckets=8, hidden=3)
+        q = pickle.loads(pickle.dumps(p))
+        np.testing.assert_array_equal(q.flat, p.flat)
+        assert q.w1.shape == p.w1.shape and not np.shares_memory(q.flat, p.flat)
+        for view in (q.w1, q.b1, q.w2):
+            assert np.shares_memory(view, q.flat)
+        q.w1[0, 0], q.b1[0], q.w2[0] = 5.0, 6.0, 7.0
+        m, f = q.w1.shape
+        assert (q.flat[0], q.flat[m * f], q.flat[m * f + m]) == (5.0, 6.0, 7.0)
 
 
 class TestInitParams:

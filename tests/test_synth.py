@@ -164,8 +164,8 @@ class TestCorpusShape:
         # reproduce the mixture ordering 3 > 2 > 1 > 0
         corpus, _, qrels, _ = parsed
         grade_of = {}
-        for (qid, doc), g in qrels.judgments.items():
-            grade_of[doc] = g  # identical across queries of the topic
+        for grades in qrels.by_query.values():
+            grade_of.update(grades)  # identical across queries of the topic
         share_sums = {g: [0.0, 0] for g in range(4)}
         for doc in corpus:
             topic = _topic_of_doc(doc.id)
