@@ -16,7 +16,7 @@ corpus = parse_corpus(CORPUS_TSV)
 index = build_index(corpus)
 params = Bm25Params()  # k1=0.9, b=0.4
 
-print(f"indexed {corpus.size} documents, "
+print(f"indexed {len(corpus)} documents, "
       f"{len(index.terms)} distinct terms, "
       f"avg length {index.avg_doc_length:.2f} tokens\n")
 
@@ -24,7 +24,7 @@ for text in ("cat on a mat", "dog park", "singing bird"):
     ranking = retrieve_topk(index, params, Query("q", text), k=3)
     print(f"query: {text!r}")
     for e in ranking.entries:
-        print(f"  {e.rank}. {e.doc_id}  score={e.score:.4f}  | {corpus.get(e.doc_id).text}")
+        print(f"  {e.rank}. {e.doc_id}  score={e.score:.4f}  | {corpus[e.doc_id]}")
     print()
 
 # scoring a single (query, document) pair directly

@@ -20,7 +20,7 @@ corpus = parse_corpus(dataset.corpus_tsv)
 queries = parse_queries(dataset.queries_tsv)
 qrels = parse_qrels(dataset.qrels_txt)
 teachers = {t.query_id: t for t in parse_teacher(dataset.teacher_jsonl)}
-print(f"generated {corpus.size} docs, {len(queries)} queries")
+print(f"generated {len(corpus)} docs, {len(queries)} queries")
 
 index = build_index(corpus)
 bm25 = Bm25Params()

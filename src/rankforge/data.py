@@ -10,7 +10,8 @@ Formats handled here:
 
 Every parser takes the whole text of one input and is total: it either
 yields validated values or raises a ParseError; nothing partially parsed
-escapes. Parsed values are immutable. Qrels hold one map,
+escapes. The corpus is a plain {doc_id: text} dict in file order; the other
+parsed values are immutable. Qrels hold one map,
 {query_id: {doc_id: grade}}; a Ranking holds its doc ids and scores in rank
 order.
 """
@@ -30,8 +31,6 @@ _T = TypeVar("_T")
 
 __all__ = [
     "Query",
-    "Document",
-    "Corpus",
     "RunEntry",
     "Ranking",
     "Qrels",
@@ -55,42 +54,6 @@ class Query:
     def __post_init__(self):
         if not self.id:
             raise ValueError("query id must be non-empty")
-
-
-@dataclass(frozen=True)
-class Document:
-    id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("document id must be non-empty")
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """Id-indexed document collection."""
-
-    documents: Mapping[str, Document]
-
-    @property
-    def size(self) -> int:
-        return len(self.documents)
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.documents
-
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self.documents.values())
-
-    def get(self, doc_id: str) -> Document:
-        try:
-            return self.documents[doc_id]
-        except KeyError:
-            raise KeyError(f"unknown document id {doc_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -249,10 +212,9 @@ def _parse_tsv(tsv: str, kind: str) -> dict[str, str]:
     return out
 
 
-def parse_corpus(text: str) -> Corpus:
-    """Parse a ``doc_id<TAB>text`` TSV text into a Corpus."""
-    docs = _parse_tsv(text, "doc")
-    return Corpus({i: Document(i, t) for i, t in docs.items()})
+def parse_corpus(text: str) -> dict[str, str]:
+    """Parse a ``doc_id<TAB>text`` TSV text into {doc_id: text}, in file order."""
+    return _parse_tsv(text, "doc")
 
 
 def parse_queries(text: str) -> list[Query]:

@@ -76,7 +76,6 @@ from .training import (
 
 __all__ = [
     "ExperimentConfig",
-    "NamedPlan",
     "load_config",
     "default_plan_specs",
     "run_experiment",
@@ -98,12 +97,6 @@ RQ_PLAN_NAMES = ("C", "D", "C->D", "D->C")
 
 
 @dataclass(frozen=True)
-class NamedPlan:
-    name: str
-    plan: TrainPlan
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     corpus: Path
     queries: Path
@@ -119,7 +112,7 @@ class ExperimentConfig:
     scorer: ScorerConfig
     bm25: Bm25Params
     metrics: tuple[MetricSpec, ...]
-    plans: tuple[NamedPlan, ...]
+    plans: dict[str, TrainPlan]  # in config order
 
 
 def default_plan_specs() -> dict:
@@ -228,19 +221,29 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
     return replace(stage, sampler=sampler, seed=substream(seed, _STAGE_TAG, stage_idx))
 
 
-def _resolve_plans(raw_plans: object, seed: int) -> tuple[NamedPlan, ...]:
-    """Each plan's JSON list of stages as a TrainPlan, seeded by stage position."""
+def _resolve_plans(raw_plans: object, seed: int) -> dict[str, TrainPlan]:
+    """Each plan's JSON list of stages as a TrainPlan, seeded by stage
+    position. A plan's directory name must be a single path component of
+    its own, not the bm25 or untrained system's, and holding no whitespace
+    (a run line's fields split on it)."""
     if not isinstance(raw_plans, Mapping):
         raise DataError("config 'plans' must be a JSON object")
-    plans = []
+    plans: dict[str, TrainPlan] = {}
+    owners: dict[str, str] = {}  # directory name -> plan name
     for name, body in raw_plans.items():
+        sub = plan_dir_name(name)
+        spaced = sub.split() != [sub]  # also the empty name
+        if spaced or "/" in sub or "\\" in sub or sub in (".", "..", "bm25", "untrained"):
+            raise DataError(f"plan {name!r}: {sub!r} cannot name its artifact directory")
+        if sub in owners:
+            raise DataError(f"plans {owners[sub]!r} and {name!r} share the directory {sub!r}")
+        owners[sub] = name
         if not isinstance(body, list):
             raise DataError(f"plan {name}: expected a list of stages")
-        seeded = tuple(
+        plans[name] = TrainPlan(tuple(
             _seeded(_stage_from_dict(stage, name, i), seed, i) for i, stage in enumerate(body)
-        )
-        plans.append(NamedPlan(name, TrainPlan(seeded)))
-    return tuple(plans)
+        ))
+    return plans
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -424,7 +427,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
             raise DataError(f"evaluation query {q.id} has no first-stage ranking")
 
     # a query is trainable when every stage of the config can build its pool
-    stages = list(dict.fromkeys(stage for p in cfg.plans for stage in p.plan.stages))
+    stages = list(dict.fromkeys(stage for plan in cfg.plans.values() for stage in plan.stages))
     examples: list[QueryExample] = []
     dropped: list[str] = []
     for q in train_pool:
@@ -458,15 +461,6 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
 
 def plan_dir_name(name: str) -> str:
     return name.replace("->", "-to-")
-
-
-def rerank_eval_set(
-    params: ScorerParams, prep: PreparedData, depth: int
-) -> list[Ranking]:
-    return [
-        rerank(params, prep.ctx, q, prep.first_stage[q.id], depth)
-        for q in sorted(prep.eval_queries, key=lambda q: q.id)
-    ]
 
 
 @dataclass
@@ -527,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     the RQ plans or an nDCG@10 metric is rejected before anything is read or
     written. On any failure partially written outputs are removed.
     """
-    missing = [n for n in RQ_PLAN_NAMES if n not in {p.name for p in cfg.plans}]
+    missing = [n for n in RQ_PLAN_NAMES if n not in cfg.plans]
     if missing:
         raise DataError(f"experiment needs plans {list(RQ_PLAN_NAMES)}; missing {missing}")
     if "nDCG@10" not in {m.label for m in cfg.metrics}:
@@ -554,10 +548,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             }
             trained = finish_training()
 
-        for named in cfg.plans:
-            params, logs = trained[named.plan.stages]
-            _write_checkpoint(ws, named.name, params, logs)
-            systems[named.name] = _write_system(ws, cfg, prep, named.name, params)
+        for name, plan in cfg.plans.items():
+            params, logs = trained[plan.stages]
+            _write_checkpoint(ws, name, params, logs)
+            systems[name] = _write_system(ws, cfg, prep, name, params)
 
         baseline = systems["untrained"]
         rq1 = build_table(
@@ -586,7 +580,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "seed": cfg.seed,
             "queries": {"train": len(prep.train_examples), "val": len(prep.val_examples),
                         "eval": len(prep.eval_queries)},
-            "plans": {p.name: [s.max_steps for s in p.plan.stages] for p in cfg.plans},
+            "plans": {name: [s.max_steps for s in plan.stages]
+                      for name, plan in cfg.plans.items()},
             "means": {
                 label: {col: rep.mean for col, rep in system.reports.items()}
                 for label, system in systems.items()
@@ -679,7 +674,7 @@ def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Cal
     last and yields `finish`, which trains the last lane in this process,
     adds the prefixes the workers pipe back and returns the memo. On exit
     every worker not collected is killed; every worker is reaped."""
-    lanes = _lanes([p.plan for p in cfg.plans], _usable_cpus() if hasattr(os, "fork") else 1)
+    lanes = _lanes(list(cfg.plans.values()), _usable_cpus() if hasattr(os, "fork") else 1)
 
     def train(plans: list[TrainPlan]) -> dict:
         memo: dict = {}
@@ -724,7 +719,10 @@ def _write_system(
 ) -> SystemResult:
     """Re-rank the eval queries, write the system's rerank.txt and metrics.csv."""
     sub = plan_dir_name(name)
-    rankings = rerank_eval_set(params, prep, cfg.rerank_depth)
+    rankings = [
+        rerank(params, prep.ctx, q, prep.first_stage[q.id], cfg.rerank_depth)
+        for q in sorted(prep.eval_queries, key=lambda q: q.id)
+    ]
     ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
     system = SystemResult(name, evaluate_all(rankings, prep.qrels, cfg.metrics))
     ws.write_text(f"{sub}/metrics.csv", report_csv(system.reports))
@@ -750,14 +748,12 @@ def train_plan(cfg: ExperimentConfig, name: str) -> tuple[Path, list[TrainLog]]:
     unless the config's other plans drop more, the files equal those
     `run_experiment` writes for the plan.
     """
-    chosen = [p for p in cfg.plans if p.name == name]
-    if not chosen:
-        raise DataError(f"plan {name!r} not in config (have {[p.name for p in cfg.plans]})")
-    cfg = replace(cfg, plans=(chosen[0],))
+    if name not in cfg.plans:
+        raise DataError(f"plan {name!r} not in config (have {list(cfg.plans)})")
+    plan = cfg.plans[name]
+    cfg = replace(cfg, plans={name: plan})
     prep = prepare(cfg)
-    params, logs = run_plan(
-        cfg.scorer, chosen[0].plan, prep.train_examples, prep.val_examples, prep.ctx
-    )
+    params, logs = run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx)
     ws = _Workspace(cfg.out, created_out=not cfg.out.exists())
     try:
         sub = _write_checkpoint(ws, name, params, logs)

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Corpus, Ranking, Query
+from .data import Ranking, Query
 
 _TOKEN = re.compile(r"[^\W_]+")  # maximal runs of alphanumeric code points
 
@@ -136,15 +136,15 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
-def build_index(corpus: Corpus) -> InvertedIndex:
-    """Index a corpus. Deterministic: documents are numbered in ascending id
-    order, whatever the corpus order."""
-    doc_ids = tuple(sorted(corpus.documents))
+def build_index(corpus: Mapping[str, str]) -> InvertedIndex:
+    """Index a {doc_id: text} corpus. Deterministic: documents are numbered
+    in ascending id order, whatever the corpus order."""
+    doc_ids = tuple(sorted(corpus))
     terms: dict[str, int] = {}
     stream = array("i")
     lengths = np.zeros(len(doc_ids), dtype=np.int32)
     for i, doc_id in enumerate(doc_ids):
-        tokens = tokenize(corpus.get(doc_id).text)
+        tokens = tokenize(corpus[doc_id])
         stream.extend([terms.setdefault(t, len(terms)) for t in tokens])
         lengths[i] = len(tokens)
     tokens = np.frombuffer(stream, dtype=np.intc).astype(np.int32, copy=False)

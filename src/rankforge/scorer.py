@@ -39,11 +39,11 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Corpus, Query
+from .data import Query
 from .errors import DataError
 from .retrieval import Bm25Params, InvertedIndex, bm25_block, concat_ranges, tokenize
 from .rng import SplitMix64
@@ -323,7 +323,9 @@ class _QueryFeatures:
 
 
 class ScoringContext:
-    """Bundles corpus, index, and BM25 params; memoizes feature extraction.
+    """Bundles the {doc_id: text} corpus, its index, and BM25 params;
+    memoizes feature extraction. The corpus is only asked which ids it
+    holds: a document missing from it is a DataError.
 
     Feature vectors are pure functions of (query, doc), so the memo never
     invalidates. It is keyed by query id and holds each query's rows as
@@ -334,7 +336,9 @@ class ScoringContext:
     being compared.
     """
 
-    def __init__(self, corpus: Corpus, index: InvertedIndex, bm25: Bm25Params, buckets: int):
+    def __init__(
+        self, corpus: Mapping[str, str], index: InvertedIndex, bm25: Bm25Params, buckets: int
+    ):
         self.corpus = corpus
         self.index = index
         self.bm25 = bm25

@@ -8,7 +8,6 @@ import pytest
 
 import rankforge
 from rankforge.data import (
-    Corpus,
     Qrels,
     Query,
     Ranking,
@@ -61,7 +60,7 @@ def no_child_process_left():
 
 
 @pytest.fixture(scope="session")
-def tiny_corpus() -> Corpus:
+def tiny_corpus() -> dict[str, str]:
     return parse_corpus(TINY_CORPUS_TSV)
 
 
@@ -74,7 +73,7 @@ def tiny_index(tiny_corpus) -> InvertedIndex:
 class SynthWorld:
     """Parsed small synthetic dataset plus retrieval scaffolding."""
 
-    corpus: Corpus
+    corpus: dict[str, str]
     queries: list[Query]
     qrels: Qrels
     teachers: dict[str, TeacherRanking]

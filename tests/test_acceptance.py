@@ -240,16 +240,16 @@ def test_05_bm25_closed_form_and_ranking_invariants():
         q_terms = set(tokenize(query.text))
         for e in entries:
             assert e.score > 0.0
-            assert q_terms & set(tokenize(corpus.get(e.doc_id).text))
+            assert q_terms & set(tokenize(corpus[e.doc_id]))
         for first, second in zip(entries, entries[1:]):
             assert first.score >= second.score
             if first.score == second.score:
                 ties_seen += 1
                 assert first.doc_id < second.doc_id
         if len(docs) < k:
-            left_out = set(corpus.documents) - set(docs)
+            left_out = set(corpus) - set(docs)
             for d in left_out:
-                assert not (q_terms & set(tokenize(corpus.get(d).text)))
+                assert not (q_terms & set(tokenize(corpus[d])))
     assert ties_seen > 0
 
 

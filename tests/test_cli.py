@@ -78,7 +78,7 @@ class TestIndex:
 
     def test_tiny_corpus_counts(self, tiny_corpus, tmp_path, capsys):
         path = tmp_path / "corpus.tsv"
-        path.write_text("".join(f"{d.id}\t{d.text}\n" for d in tiny_corpus), encoding="utf-8")
+        path.write_text("".join(f"{d}\t{t}\n" for d, t in tiny_corpus.items()), encoding="utf-8")
         assert main(["index", "--corpus", str(path)]) == 0
         assert capsys.readouterr().out == (
             "documents: 5\nterms: 18\npostings: 23\navg_doc_length: 5.4000\n"

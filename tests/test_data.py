@@ -27,11 +27,10 @@ from rankforge.errors import DataError, ParseError
 class TestParseCorpus:
     def test_single_line(self):
         corpus = parse_corpus("d1\thello world\n")
-        assert corpus.size == 1
-        assert corpus.get("d1").text == "hello world"
+        assert corpus == {"d1": "hello world"}
 
     def test_empty_stream(self):
-        assert parse_corpus("").size == 0
+        assert parse_corpus("") == {}
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="d1"):
@@ -45,17 +44,17 @@ class TestParseCorpus:
     def test_text_may_contain_tabs(self):
         # only the first tab separates id from text
         corpus = parse_corpus("d1\ta\tb\n")
-        assert corpus.get("d1").text == "a\tb"
+        assert corpus["d1"] == "a\tb"
 
     def test_membership_and_iteration(self):
         corpus = parse_corpus("d1\ta\nd2\tb\n")
         assert "d1" in corpus and "d9" not in corpus
-        assert [d.id for d in corpus] == ["d1", "d2"]
+        assert list(corpus) == ["d1", "d2"]
         assert len(corpus) == 2
 
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError, match="d9"):
-            parse_corpus("d1\ta\n").get("d9")
+            parse_corpus("d1\ta\n")["d9"]
 
     @pytest.mark.parametrize("ident", ["", "d 1", "d1 ", " d1", "d\u00a01", "d\u20031"])
     def test_bad_id_rejected_with_line_number(self, ident):
@@ -365,4 +364,4 @@ class TestParsePath:
     def test_success(self, tmp_path):
         good = tmp_path / "c.tsv"
         good.write_text("d1\thello\n", encoding="utf-8")
-        assert parse_path(good, parse_corpus).size == 1
+        assert parse_path(good, parse_corpus) == {"d1": "hello"}

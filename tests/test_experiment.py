@@ -115,7 +115,7 @@ class TestLoadConfig:
         assert cfg.scorer.hidden == 16
         assert (cfg.bm25.k1, cfg.bm25.b) == (0.9, 0.4)
         assert [m.label for m in cfg.metrics] == ["AP", "nDCG@10", "MRR@10"]
-        assert [p.name for p in cfg.plans] == ["C", "D", "C->D", "D->C"]
+        assert list(cfg.plans) == ["C", "D", "C->D", "D->C"]
         assert cfg.teacher is None
         assert cfg.first_stage == "build"
 
@@ -202,8 +202,8 @@ class TestLoadConfig:
         path = _write_workspace(
             tmp_path, plans={"C": [dict(_LCE, loss="bce", negatives=7, pool_depth=9)]}
         )
-        (named,) = load_config(path).plans
-        sampler = named.plan.stages[0].sampler
+        (plan,) = load_config(path).plans.values()
+        sampler = plan.stages[0].sampler
         assert (sampler.negatives, sampler.pool_depth) == (7, 9)
 
     @pytest.mark.parametrize("over, match", [
@@ -260,6 +260,18 @@ class TestLoadConfig:
         with pytest.raises(DataError, match=f"duplicate key '{key}'"):
             load_config(path)
 
+    @pytest.mark.parametrize("name", [
+        "bm25", "untrained",  # the systems every RQ table compares against
+        "C-to-D",  # the directory of C->D
+        "../escaped", "a/b", "a\\b", ".", "..", "",  # not one directory inside out
+        "a b", "a\tb",  # would split a run line into more fields
+    ])
+    def test_plan_name_must_own_an_artifact_directory(self, tmp_path, name):
+        plans = dict(_config_dict()["plans"], **{name: [_RK]})
+        path = _write_workspace(tmp_path, plans=plans)
+        with pytest.raises(DataError, match=re.escape(repr(name))):
+            load_config(path)
+
     def test_duplicate_metric_labels(self, tmp_path):
         path = _write_workspace(tmp_path, metrics=[{"kind": "ap"}, {"kind": "ap"}])
         with pytest.raises(DataError, match="unique"):
@@ -267,7 +279,7 @@ class TestLoadConfig:
 
     def test_shared_leading_stages_are_equal(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
-        plans = {p.name: p.plan.stages for p in cfg.plans}
+        plans = {name: plan.stages for name, plan in cfg.plans.items()}
         assert plans["C"][0] == plans["C->D"][0]
         assert plans["D"][0] == plans["D->C"][0]
         # seeds follow the stage position: the same settings one stage later differ
@@ -367,7 +379,7 @@ class TestPrepare:
         prep = prepare(cfg)
         kept = prep.train_examples + prep.val_examples
         assert (len(prep.train_examples), len(prep.val_examples)) == (83, 1)
-        sampler = cfg.plans[0].plan.stages[0].sampler
+        sampler = cfg.plans["C"].stages[0].sampler
         for ex in kept:
             assert len(hard_pool(ex.ranking, ex.positive_id, sampler)) >= 20
         # every query dropped ranks its positive inside the pool
@@ -641,7 +653,7 @@ def _process_state(pid: int) -> str | None:
 class TestParallelSubtrees:
     def test_lanes_take_subtrees_longest_first(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
-        plans = [p.plan for p in cfg.plans]
+        plans = list(cfg.plans.values())
         c, d, c_to_d, d_to_c = plans
         # D's subtree trains 30 + 20 steps, C's 30 + 15
         assert _lanes(plans, 2) == [[d, d_to_c], [c, c_to_d]]

@@ -206,9 +206,9 @@ class TestRetrievalProperties:
             cutoff = ranking.entries[-1].score
             returned = set(ranking.doc_ids())
             tokens = query.text.split()
-            for doc in corpus:
-                if doc.id not in returned:
-                    assert bm25_score(index, params, tokens, doc.id) <= cutoff
+            for doc_id in corpus:
+                if doc_id not in returned:
+                    assert bm25_score(index, params, tokens, doc_id) <= cutoff
 
 
 class _ReferenceIndex:
@@ -218,12 +218,12 @@ class _ReferenceIndex:
     def __init__(self, corpus):
         self.postings: dict[str, dict[str, int]] = {}
         self.doc_lengths: dict[str, int] = {}
-        for doc in corpus:
-            tokens = tokenize(doc.text)
-            self.doc_lengths[doc.id] = len(tokens)
+        for doc_id, text in corpus.items():
+            tokens = tokenize(text)
+            self.doc_lengths[doc_id] = len(tokens)
             for t in tokens:
                 bucket = self.postings.setdefault(t, {})
-                bucket[doc.id] = bucket.get(doc.id, 0) + 1
+                bucket[doc_id] = bucket.get(doc_id, 0) + 1
         n = len(self.doc_lengths)
         self.avg_doc_length = sum(self.doc_lengths.values()) / n if n else 0.0
         self.size = n
@@ -277,7 +277,7 @@ class TestRetrievalMatchesReference:
         w = small_world
         ref = _ReferenceIndex(w.corpus)
         params = Bm25Params()
-        k = w.corpus.size if full else 100
+        k = len(w.corpus) if full else 100
         for q in w.queries:
             got = retrieve_topk(w.index, params, q, k)
             _assert_ranking_bits(got, _reference_retrieve_topk(ref, params, q, k))
@@ -300,12 +300,12 @@ class TestRetrievalMatchesReference:
             params = Bm25Params(k1=0.5 + rng.uniform(), b=rng.uniform())
             query = Query("q", " ".join(f"w{rng.below(30)}" for _ in range(1 + rng.below(4))))
             tokens = tokenize(query.text)
-            for k in (3, corpus.size):
+            for k in (3, len(corpus)):
                 got = retrieve_topk(index, params, query, k)
                 _assert_ranking_bits(got, _reference_retrieve_topk(ref, params, query, k))
             scores = [e.score for e in got.entries]
             ties += len(scores) - len(set(scores))
-            for doc in corpus:
-                want = _reference_bm25_score(ref, params, tokens, doc.id)
-                assert bm25_score(index, params, tokens, doc.id).hex() == want.hex()
+            for doc_id in corpus:
+                want = _reference_bm25_score(ref, params, tokens, doc_id)
+                assert bm25_score(index, params, tokens, doc_id).hex() == want.hex()
         assert ties > 0  # the worlds did exercise the tie-break

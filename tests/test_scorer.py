@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rankforge import retrieval, scorer
-from rankforge.data import Document, Query, parse_corpus
+from rankforge.data import Query, parse_corpus
 from rankforge.errors import DataError
 from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_topk, tokenize
 from rankforge.scorer import (
@@ -140,17 +140,17 @@ class TestExtractFeatures:
         np.testing.assert_array_equal(a, b)
 
 
-def _reference_features(index, params, query, doc, buckets):
+def _reference_features(index, params, query, doc_id, text, buckets):
     """The per-pair extractor the batch one replaced, frozen as a reference."""
     q_tokens = tokenize(query.text)
-    d_tokens = tokenize(doc.text)
+    d_tokens = tokenize(text)
     q_set = set(q_tokens)
     d_set = set(d_tokens)
     overlap = q_set & d_set
 
     x = np.zeros(buckets + N_DENSE, dtype=np.float64)
 
-    bm25 = bm25_score(index, params, q_tokens, doc.id)
+    bm25 = bm25_score(index, params, q_tokens, doc_id)
     x[0] = bm25 / (1.0 + bm25)
     x[1] = len(overlap) / max(1, len(q_set))
     idf_q = sum(index.idf(t) for t in sorted(q_set))
@@ -190,10 +190,10 @@ def _assert_matches_reference(block: np.ndarray, cols: np.ndarray, want: np.ndar
     np.testing.assert_array_max_ulp(block[:, N_DENSE:], want[:, cols[N_DENSE:]], maxulp=2)
 
 
-def _reference_block(corpus, index, params, query, docs, buckets):
-    """The reference rows of docs, and the query's columns."""
+def _reference_block(corpus, index, params, query, doc_ids, buckets):
+    """The reference rows of doc_ids, and the query's columns."""
     want = np.stack([
-        _reference_features(index, params, query, doc, buckets) for doc in docs
+        _reference_features(index, params, query, d, corpus[d], buckets) for d in doc_ids
     ])
     return want, _query_cols(corpus, index, query, buckets)
 
@@ -208,9 +208,7 @@ class TestExtractionMatchesReference:
         bm25 = Bm25Params()
         for q in w.queries:
             ids = retrieve_topk(w.index, bm25, q, 100).doc_ids()
-            want, cols = _reference_block(
-                w.corpus, w.index, bm25, q, [w.corpus.get(d) for d in ids], buckets
-            )
+            want, cols = _reference_block(w.corpus, w.index, bm25, q, ids, buckets)
             _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), cols, want)
 
     @pytest.mark.parametrize("buckets, first", [
@@ -227,15 +225,13 @@ class TestExtractionMatchesReference:
                 head = ids[::3]
             else:
                 q_terms = set(tokenize(q.text))
-                head = [d.id for d in w.corpus if not q_terms & set(tokenize(d.text))][:5]
+                head = [d for d, text in w.corpus.items() if not q_terms & set(tokenize(text))][:5]
                 assert head
             # a partial block first, then the whole list reversed with a repeat,
             # so rows come from two extractions and are gathered out of order
             ctx.feature_matrix(q, head)
             asked = ids[::-1] + head[:1]
-            want, cols = _reference_block(
-                w.corpus, w.index, Bm25Params(), q, [w.corpus.get(d) for d in asked], buckets
-            )
+            want, cols = _reference_block(w.corpus, w.index, Bm25Params(), q, asked, buckets)
             block, held_cols = ctx.feature_matrix(q, asked)
             np.testing.assert_array_equal(held_cols, cols)
             _assert_matches_reference(block, cols, want)
@@ -250,7 +246,7 @@ class TestExtractionMatchesReference:
         corpus, index = feature_world
         q = Query("q", qtext)
         want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
-        got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
+        got = extract_features(index, Bm25Params(), q, list(corpus), 16)
         _assert_matches_reference(got, cols, want)
 
     @pytest.mark.parametrize("qtext", [
@@ -267,14 +263,13 @@ class TestExtractionMatchesReference:
         index = build_index(corpus)
         q = Query("q", qtext)
         want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
-        got = extract_features(index, Bm25Params(), q, [d.id for d in corpus], 16)
+        got = extract_features(index, Bm25Params(), q, list(corpus), 16)
         _assert_matches_reference(got, cols, want)
 
     def test_doc_missing_from_index_raises(self, feature_world):
         _, index = feature_world
-        stray = Document("d9", "cat dog")
         with pytest.raises(ValueError, match="d9"):
-            _reference_features(index, Bm25Params(), Query("q", "cat"), stray, 16)
+            _reference_features(index, Bm25Params(), Query("q", "cat"), "d9", "cat dog", 16)
         with pytest.raises(ValueError, match="d9"):
             extract_features(index, Bm25Params(), Query("q", "cat"), ["d1", "d9"], 16)
 

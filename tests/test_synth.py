@@ -143,20 +143,19 @@ def test_pinned_bytes(name):
 class TestCorpusShape:
     def test_doc_count_and_ids(self, parsed):
         corpus, _, _, _ = parsed
-        assert corpus.size == SPEC.topics * SPEC.docs_per_topic
-        ids = [doc.id for doc in corpus]
-        assert ids == [f"d{i:05d}" for i in range(corpus.size)]
+        assert len(corpus) == SPEC.topics * SPEC.docs_per_topic
+        assert list(corpus) == [f"d{i:05d}" for i in range(len(corpus))]
 
     def test_doc_lengths(self, parsed):
         corpus, _, _, _ = parsed
-        for doc in corpus:
-            n = len(tokenize(doc.text))
-            assert 20 <= n <= 60, doc.id
+        for doc_id, text in corpus.items():
+            n = len(tokenize(text))
+            assert 20 <= n <= 60, doc_id
 
     def test_vocabulary_stays_in_range(self, parsed):
         corpus, _, _, _ = parsed
-        for doc in corpus:
-            for tok in tokenize(doc.text):
+        for text in corpus.values():
+            for tok in tokenize(text):
                 assert 0 <= _word_index(tok) < SPEC.vocab_size
 
     def test_primary_topic_dominates_high_grades(self, parsed):
@@ -167,13 +166,13 @@ class TestCorpusShape:
         for grades in qrels.by_query.values():
             grade_of.update(grades)  # identical across queries of the topic
         share_sums = {g: [0.0, 0] for g in range(4)}
-        for doc in corpus:
-            topic = _topic_of_doc(doc.id)
-            toks = tokenize(doc.text)
+        for doc_id, text in corpus.items():
+            topic = _topic_of_doc(doc_id)
+            toks = tokenize(text)
             inside = sum(
                 1 for t in toks if topic * SLICE <= _word_index(t) < (topic + 1) * SLICE
             )
-            acc = share_sums[grade_of[doc.id]]
+            acc = share_sums[grade_of[doc_id]]
             acc[0] += inside / len(toks)
             acc[1] += 1
         means = {g: s / n for g, (s, n) in share_sums.items()}
@@ -271,8 +270,8 @@ class TestSmallestWorlds:
     def test_single_topic_is_all_primary(self):
         spec = SynthSpec(vocab_size=50, topics=1, docs_per_topic=6, queries=2, seed=3)
         corpus = parse_corpus(generate(spec).corpus_tsv)
-        for doc in corpus:
-            for tok in tokenize(doc.text):
+        for text in corpus.values():
+            for tok in tokenize(text):
                 assert _word_index(tok) < 50
 
 
