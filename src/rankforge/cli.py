@@ -88,7 +88,6 @@ def cmd_retrieve(args) -> int:
     index = build_index(corpus)
     params = Bm25Params(k1=args.k1, b=args.b)
     rankings = [retrieve_topk(index, params, q, args.depth) for q in queries]
-    rankings = [r for r in rankings if r.depth]
     _write_or_print(write_run(rankings, tag="bm25"), args.out)
     return 0
 
@@ -136,26 +135,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_label(path: str) -> str:
-    """System label for a run file: its tag column."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if parts:
-                    return parts[5] if len(parts) >= 6 else Path(path).stem
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return Path(path).stem
-
-
 def cmd_compare(args) -> int:
     qrels = parse_path(args.qrels, parse_qrels)
     specs = _parse_metrics(args.metrics, args.threshold, args.gain)
 
     def system(path: str) -> SystemResult:
-        rankings = parse_path(path, parse_run)
-        return SystemResult(_run_label(path), evaluate_all(rankings, qrels, specs))
+        rankings, text = parse_path(path, lambda text: (parse_run(text), text))
+        reports = evaluate_all(rankings, qrels, specs)  # an empty run fails here
+        # the system's label is its tag, the sixth field of every run line
+        return SystemResult(text.split(None, 6)[5], reports)
 
     baseline = system(args.baseline)
     variants = [system(p) for p in args.runs]

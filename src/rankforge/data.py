@@ -146,9 +146,6 @@ class Ranking:
             RunEntry(d, i + 1, s) for i, (d, s) in enumerate(zip(self.ids, self.scores.tolist()))
         )
 
-    def doc_ids(self) -> list[str]:
-        return list(self.ids)
-
 
 @dataclass(frozen=True)
 class Qrels:

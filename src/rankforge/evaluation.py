@@ -74,7 +74,6 @@ class MetricSpec:
 class MetricReport:
     """Per-query metric values plus their arithmetic mean."""
 
-    label: str
     per_query: Mapping[str, float]  # insertion order is query-id sorted
     mean: float
 
@@ -86,7 +85,7 @@ class MetricReport:
         for qid, v in ordered.items():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{label}: query {qid} value {v} outside [0, 1]")
-        return MetricReport(label, ordered, sum(ordered.values()) / len(ordered))
+        return MetricReport(ordered, sum(ordered.values()) / len(ordered))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def rerank(
     ctx: ScoringContext,
     query: Query,
     ranking: Ranking,
-    depth: int = 100,
+    depth: int,
 ) -> Ranking:
     """Re-score the top `depth` entries; ties keep first-stage order.
 

@@ -465,12 +465,16 @@ def plan_dir_name(name: str) -> str:
 
 @dataclass
 class _Workspace:
-    """Tracks artifacts so a failed run leaves nothing half-written."""
+    """Tracks artifacts so a failed run leaves nothing half-written; an
+    output directory that did not exist when it was made goes entirely."""
 
     out: Path
-    created_out: bool = False
     files: list[Path] = field(default_factory=list)
     dirs: list[Path] = field(default_factory=list)
+    created_out: bool = field(init=False)
+
+    def __post_init__(self):
+        self.created_out = not self.out.exists()
 
     def write_text(self, rel: str, text: str) -> Path:
         return self.write_bytes(rel, text.encode("utf-8"))
@@ -527,7 +531,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if "nDCG@10" not in {m.label for m in cfg.metrics}:
         raise DataError("experiment requires an nDCG@10 metric for best-plan selection")
 
-    ws = _Workspace(cfg.out, created_out=not cfg.out.exists())
+    ws = _Workspace(cfg.out)
     try:
         cfg.out.mkdir(parents=True, exist_ok=True)
         prep = prepare(cfg)
@@ -754,7 +758,7 @@ def train_plan(cfg: ExperimentConfig, name: str) -> tuple[Path, list[TrainLog]]:
     cfg = replace(cfg, plans={name: plan})
     prep = prepare(cfg)
     params, logs = run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx)
-    ws = _Workspace(cfg.out, created_out=not cfg.out.exists())
+    ws = _Workspace(cfg.out)
     try:
         sub = _write_checkpoint(ws, name, params, logs)
     except BaseException:

@@ -1,9 +1,11 @@
 """AdamW optimization and single- or multi-stage fine-tuning.
 
 One optimizer step consumes one query group: a sampled contrastive instance
-(1 positive + h negatives) for LCE/BCE stages, or the teacher's list (up to
-20 docs) for RankNet stages. Queries are visited in a seeded shuffle,
-reshuffled every epoch. Optimizer state is reset at stage boundaries;
+(1 positive + h negatives) for LCE/BCE stages, which carry a sampler, or
+the teacher's list (up to 20 docs) for RankNet stages, which carry none.
+Queries are visited in a seeded shuffle, reshuffled every epoch. AdamW's
+hyperparameters are fixed (beta1 0.9, beta2 0.999, eps 1e-8, weight decay
+0.01); its state (step count and moments) is reset at stage boundaries;
 parameters carry across.
 
 Before its first step a stage decides every group. It builds each train
@@ -63,35 +65,32 @@ _VAL_TAG = 0x56414C00
 
 TEACHER_GROUP_CAP = 20  # forwards per distillation step
 
+# AdamW's hyperparameters, the same for every stage
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+_WEIGHT_DECAY = 0.01
 
-@dataclass
+
 class OptimizerState:
-    """AdamW moments plus the (decoupled) hyperparameters, and two scratch
-    vectors of the moments' size that `adamw_step` computes in."""
+    """AdamW's step count `t` and its first and second moments `m` and `v`,
+    flat vectors of the parameters' size that start at zero, plus two
+    scratch vectors of that size that `adamw_step` computes in."""
 
-    m: ScorerParams
-    v: ScorerParams
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    __slots__ = ("t", "m", "v", "scratch")
 
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m.flat), np.empty_like(self.m.flat))
-
-    @staticmethod
-    def for_params(params: ScorerParams) -> "OptimizerState":
-        m, v = (ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
-                for _ in range(2))
-        return OptimizerState(m, v)
+    def __init__(self, params: ScorerParams):
+        self.t = 0
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adamw_step(
     params: ScorerParams, grads: ScorerParams, state: OptimizerState, lr: float
-) -> tuple[ScorerParams, OptimizerState]:
-    """One AdamW update with decoupled weight decay (mutates params and state).
+) -> None:
+    """One AdamW update with decoupled weight decay, in place on params and
+    state.
 
     m <- b1 m + (1-b1) g ; v <- b2 v + (1-b2) g^2 ; bias-corrected m^, v^ ;
     w <- w - lr * ( m^ / (sqrt(v^) + eps) + wd * w ), elementwise on `flat`,
@@ -101,25 +100,23 @@ def adamw_step(
     """
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    g, m, v, w = grads.flat, state.m.flat, state.v.flat, params.flat
+    g, m, v, w = grads.flat, state.m, state.v, params.flat
     if not np.isfinite(g).all():
         raise ValueError("non-finite gradient passed to adamw_step")
 
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
     a, b = state.scratch
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=a)
-    v *= b2
+    m *= _BETA1
+    m += np.multiply(1.0 - _BETA1, g, out=a)
+    v *= _BETA2
     np.multiply(g, g, out=a)
-    v += np.multiply(1.0 - b2, a, out=a)
+    v += np.multiply(1.0 - _BETA2, a, out=a)
     if lr != 0.0:
-        m_hat = np.divide(m, 1.0 - b1 ** state.t, out=a)
-        v_hat = np.divide(v, 1.0 - b2 ** state.t, out=b)
-        step = np.divide(m_hat, np.add(np.sqrt(v_hat, out=b), state.eps, out=b), out=a)
-        step += np.multiply(state.weight_decay, w, out=b)
+        m_hat = np.divide(m, 1.0 - _BETA1 ** state.t, out=a)
+        v_hat = np.divide(v, 1.0 - _BETA2 ** state.t, out=b)
+        step = np.divide(m_hat, np.add(np.sqrt(v_hat, out=b), _EPS, out=b), out=a)
+        step += np.multiply(_WEIGHT_DECAY, w, out=b)
         w -= np.multiply(lr, step, out=a)
-    return params, state
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class StageConfig:
     lr: float
     max_steps: int
     val_interval: int = 500
-    sampler: SamplerConfig | None = None  # LCE/BCE stages only
+    sampler: SamplerConfig | None = None  # LCE/BCE stages need one, ranknet takes none
     seed: int = 0
 
     def __post_init__(self):
@@ -142,7 +139,10 @@ class StageConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.val_interval < 1:
             raise ValueError(f"val_interval must be >= 1, got {self.val_interval}")
-        if self.loss in ("lce", "bce") and self.sampler is None:
+        if self.loss == "ranknet":
+            if self.sampler is not None:
+                raise ValueError("ranknet stage takes no sampler config")
+        elif self.sampler is None:
             raise ValueError(f"{self.loss} stage needs a sampler config")
 
 
@@ -176,11 +176,12 @@ class QueryExample:
 
 def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     """Every doc a group of this example can contain in this stage: the
-    teacher's head (the whole group, in loss-alignment order) for ranknet,
-    else the positive followed by its `hard_pool`. Raises DataError naming
-    the query when the example cannot form the stage's groups."""
+    teacher's head (the whole group, in loss-alignment order) for a stage
+    without a sampler (ranknet), else the positive followed by its
+    `hard_pool`. Raises DataError naming the query when the example cannot
+    form the stage's groups."""
     qid = example.query.id
-    if stage.loss == "ranknet":
+    if stage.sampler is None:
         if example.teacher is None:
             raise DataError(f"query {qid}: no teacher ranking for distillation")
         return list(example.teacher.doc_ids[:TEACHER_GROUP_CAP])
@@ -260,7 +261,7 @@ def run_stage(
     reach = np.flatnonzero(reached)
     blocks = [(x, slot[cols]) for x, cols in blocks]
     live = ScorerParams(params.w1[:, reach], params.b1, params.w2, params.b2)
-    state = OptimizerState.for_params(live)
+    state = OptimizerState(live)
 
     # the schedule: each step's query (epoch orders end to end) and, for
     # sampled groups, its rows in the query's block
@@ -272,7 +273,7 @@ def run_stage(
         queries[start : start + n] = order[: stage.max_steps - start]
     positions = None
     val_groups = blocks[n:]
-    if stage.loss != "ranknet":
+    if stage.sampler is not None:
         sizes = [len(pool) for pool in pools]
         positions = _group_positions(
             stage.sampler, sizes[:n], queries, np.arange(stage.max_steps) // n
@@ -290,7 +291,7 @@ def run_stage(
         scores, acts = score_batch(live, x_mat, cols)
         loss = _group_loss(stage, scores)
         grads = backward_batch(live, x_mat, acts, loss.grad, cols)
-        live, state = adamw_step(live, grads, state, stage.lr)
+        adamw_step(live, grads, state, stage.lr)
         log.losses.append(loss.value)
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
@@ -306,7 +307,7 @@ def run_stage(
         w = np.ascontiguousarray(w1[:, rest])
         t = np.empty_like(w)
         for _ in range(stage.max_steps):
-            w -= np.multiply(stage.lr, np.multiply(state.weight_decay, w, out=t), out=t)
+            w -= np.multiply(stage.lr, np.multiply(_WEIGHT_DECAY, w, out=t), out=t)
         w1[:, rest] = w
     w1[:, reach] = live.w1
     params = ScorerParams(w1, live.b1, live.w2, live.b2)
@@ -345,9 +346,7 @@ def run_plan(
     return params, logs
 
 
-def split_train_val(
-    queries: Sequence, fraction: float = 0.01, seed: int = 0
-) -> tuple[list, list]:
+def split_train_val(queries: Sequence, fraction: float, seed: int) -> tuple[list, list]:
     """Seeded disjoint partition; validation gets round(n * fraction), min 1."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")

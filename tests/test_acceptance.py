@@ -368,7 +368,7 @@ def test_09_run_and_checkpoint_round_trips():
         back = parse_run(text)
         assert [r.query_id for r in back] == [r.query_id for r in rankings]
         for orig, echo in zip(rankings, back):
-            assert echo.doc_ids() == orig.doc_ids()
+            assert list(echo.ids) == list(orig.ids)
             assert [e.score for e in echo.entries] == [e.score for e in orig.entries]
             assert [e.rank for e in echo.entries] == [e.rank for e in orig.entries]
         assert write_run(back, tag="trial") == text

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import struct
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import rankforge.experiment
 import rankforge.training
-from rankforge.cli import main
+from rankforge.cli import _build_parser, main
 from rankforge.data import Ranking, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.scorer import N_DENSE
@@ -144,6 +145,20 @@ class TestRetrieve:
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
         assert (tmp_path / "a.txt").read_bytes() == (ws / "bm25.txt").read_bytes()
 
+    def test_query_matching_no_document_writes_no_lines(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text("d0\tcat\nd1\tcat dog\n", encoding="utf-8")
+        runs = []
+        # q1 matches no document
+        for name, text in (("all", "q0\tdog\nq1\tzebra\nq2\tcat\n"),
+                           ("matched", "q0\tdog\nq2\tcat\n")):
+            queries = tmp_path / f"{name}.tsv"
+            queries.write_text(text, encoding="utf-8")
+            assert main(["retrieve", "--corpus", str(corpus), "--queries", str(queries)]) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert [line.split()[0] for line in runs[0].splitlines()] == ["q0", "q2", "q2"]
+
 
 class TestTrain:
     def test_artifacts(self, ws):
@@ -185,8 +200,8 @@ class TestRerank:
         first = {r.query_id: r for r in parse_run((ws / "bm25.txt").read_text(encoding="utf-8"))}
         assert set(reranked) == set(first)
         for qid, r in reranked.items():
-            head = first[qid].doc_ids()[:20]
-            assert sorted(r.doc_ids()) == sorted(head)
+            head = list(first[qid].ids)[:20]
+            assert sorted(r.ids) == sorted(head)
 
     def test_scores_come_from_the_checkpoint(self, ws, tmp_path):
         out_path = tmp_path / "reranked.txt"
@@ -199,7 +214,7 @@ class TestRerank:
         ])
         reranked = parse_run(out_path.read_text(encoding="utf-8"))
         first = {r.query_id: r for r in parse_run((ws / "bm25.txt").read_text(encoding="utf-8"))}
-        assert any(r.doc_ids() != first[r.query_id].doc_ids() for r in reranked)
+        assert any(list(r.ids) != list(first[r.query_id].ids) for r in reranked)
         for r in reranked:
             scores = [e.score for e in r.entries]
             assert scores == sorted(scores, reverse=True)
@@ -301,7 +316,7 @@ def variant_runs(ws, tmp_path_factory):
     for label, flip in (("sysA", False), ("sysB", True)):
         rankings = []
         for r in base:
-            docs = r.doc_ids()
+            docs = list(r.ids)
             if flip:
                 docs = docs[::-1]
             scores = [float(len(docs) - i) for i in range(len(docs))]
@@ -344,6 +359,35 @@ class TestCompare:
         ])
         assert rc == 2
         assert "bad --pairs" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The README's command-line block as argument lists, one per command,
+    with backslash continuations joined and comments dropped."""
+    readme = (_REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+    def test_command_parses(self, argv):
+        assert argv[0] == "rankforge"
+        assert _build_parser().parse_args(argv[1:]).command == argv[1]
+
+    def test_compare_line_runs_on_experiment_output(self, ws, tmp_path, monkeypatch):
+        (argv,) = [a for a in _readme_commands() if a[1] == "compare"]
+        shutil.copytree(ws / "data", tmp_path / "data")
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(ws / "exp.json"), "--out", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(argv[1:]) == 0
+        table = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8").splitlines()
+        # the header and the untrained, C and D rows of rq1.md
+        assert len(table) == 5
+        assert set(table) <= set((out / "rq1.md").read_text(encoding="utf-8").splitlines())
 
 
 class TestSynth:

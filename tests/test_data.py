@@ -158,7 +158,7 @@ class TestRankingInvariants:
     def test_from_scores_assigns_ranks(self):
         # input must already be in final (non-increasing score) order
         r = Ranking("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
-        assert r.doc_ids() == ["d2", "d3", "d1"]
+        assert list(r.ids) == ["d2", "d3", "d1"]
         assert [e.rank for e in r.entries] == [1, 2, 3]
 
     def test_from_scores_rejects_unsorted(self):
@@ -167,7 +167,7 @@ class TestRankingInvariants:
 
     def test_from_scores_tie_keeps_input_order(self):
         r = Ranking("q1", ["b", "a"], [1.0, 1.0])
-        assert r.doc_ids() == ["b", "a"]
+        assert list(r.ids) == ["b", "a"]
 
     @pytest.mark.parametrize("ids, scores, message", [
         ("d1 d2 d1", [3.0, 2.0, 1.0], "duplicate doc 'd1'"),
@@ -252,8 +252,8 @@ class TestRunRoundTrip:
             "q1 Q0 d2 2 1.0 x\n"
         )
         runs = {r.query_id: r for r in parse_run(text)}
-        assert runs["q1"].doc_ids() == ["d1", "d2"]
-        assert runs["q2"].doc_ids() == ["d9"]
+        assert list(runs["q1"].ids) == ["d1", "d2"]
+        assert list(runs["q2"].ids) == ["d9"]
 
     def test_write_run_exact_format(self):
         r = Ranking("q1", ["d1"], [0.5])
@@ -288,7 +288,7 @@ class TestRunRoundTrip:
         by_id = {r.query_id: r for r in parsed}
         for original in rankings:
             got = by_id[original.query_id]
-            assert got.doc_ids() == original.doc_ids()
+            assert list(got.ids) == list(original.ids)
             assert [e.rank for e in got.entries] == [e.rank for e in original.entries]
             for ge, oe in zip(got.entries, original.entries):
                 assert ge.score == pytest.approx(oe.score, abs=5e-7)

@@ -476,7 +476,7 @@ class TestRerank:
         )
         ex = small_world.examples[0]
         out = rerank(zero, small_world.ctx, ex.query, ex.ranking, depth=10)
-        assert out.doc_ids() == ex.ranking.doc_ids()[:10]
+        assert list(out.ids) == list(ex.ranking.ids)[:10]
         assert all(e.score == 0.0 for e in out.entries)
 
     def test_depth_truncates(self, small_world):
@@ -484,14 +484,14 @@ class TestRerank:
         ex = small_world.examples[0]
         out = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=5)
         assert out.depth == 5
-        assert set(out.doc_ids()) <= set(ex.ranking.doc_ids()[:5])
+        assert set(out.ids) <= set(ex.ranking.ids[:5])
 
     def test_permutation_of_head(self, small_world):
         params = init_params(small_world.scorer_config)
         ex = small_world.examples[0]
         depth = min(20, ex.ranking.depth)
         out = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=depth)
-        assert sorted(out.doc_ids()) == sorted(ex.ranking.doc_ids()[:depth])
+        assert sorted(out.ids) == sorted(ex.ranking.ids[:depth])
         scores = [e.score for e in out.entries]
         assert scores == sorted(scores, reverse=True)
 
@@ -504,6 +504,6 @@ class TestRerank:
     def test_deterministic(self, small_world):
         params = init_params(small_world.scorer_config)
         ex = small_world.examples[1]
-        a = rerank(params, small_world.ctx, ex.query, ex.ranking)
-        b = rerank(params, small_world.ctx, ex.query, ex.ranking)
+        a = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=100)
+        b = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=100)
         assert a == b

@@ -432,7 +432,7 @@ class TestPrepare:
         assert cfg.first_stage == str(run_path)
         direct = prepare(done_cfg)
         for qid in list(prep.first_stage)[:5]:
-            assert prep.first_stage[qid].doc_ids() == direct.first_stage[qid].doc_ids()
+            assert list(prep.first_stage[qid].ids) == list(direct.first_stage[qid].ids)
 
 
 class TestRunExperiment:

@@ -132,13 +132,13 @@ class TestRetrieveTopk:
     def test_tie_breaks_by_doc_id(self):
         index = build_index(parse_corpus("db\tcat\nda\tcat\n"))
         r = retrieve_topk(index, Bm25Params(), Query("q", "cat"), 2)
-        assert r.doc_ids() == ["da", "db"]
+        assert list(r.ids) == ["da", "db"]
 
     def test_k_larger_than_candidates(self, tiny_index):
         r = retrieve_topk(tiny_index, Bm25Params(), Query("q", "cat"), 50)
         # only docs containing at least one query term are candidates
         assert r.depth == 3
-        assert set(r.doc_ids()) == {"d1", "d2", "d4"}
+        assert set(r.ids) == {"d1", "d2", "d4"}
 
     def test_no_match_gives_empty_ranking(self, tiny_index):
         r = retrieve_topk(tiny_index, Bm25Params(), Query("q", "zebra"), 5)
@@ -204,7 +204,7 @@ class TestRetrievalProperties:
             if ranking.depth < 5:
                 continue
             cutoff = ranking.entries[-1].score
-            returned = set(ranking.doc_ids())
+            returned = set(ranking.ids)
             tokens = query.text.split()
             for doc_id in corpus:
                 if doc_id not in returned:

@@ -66,7 +66,7 @@ class TestSampleHard:
         assert inst.positive_id == "d2"
         assert len(inst.negatives) == 3
         assert "d2" not in inst.negatives
-        pool = set(ranking.doc_ids()[:8])
+        pool = set(ranking.ids[:8])
         assert set(inst.negatives) <= pool
 
     def test_no_duplicates(self):
@@ -95,7 +95,7 @@ class TestSampleHard:
 
     def test_negatives_canonicalized_to_rank_order(self):
         ranking = _ranking(30)
-        ranks = {d: i for i, d in enumerate(ranking.doc_ids())}
+        ranks = {d: i for i, d in enumerate(ranking.ids)}
         cfg = SamplerConfig(negatives=5, pool_depth=30, seed=9)
         for epoch in range(10):
             inst = _sample(ranking, "d0", cfg, 0, epoch)

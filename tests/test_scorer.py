@@ -207,7 +207,7 @@ class TestExtractionMatchesReference:
         w = small_world
         bm25 = Bm25Params()
         for q in w.queries:
-            ids = retrieve_topk(w.index, bm25, q, 100).doc_ids()
+            ids = list(retrieve_topk(w.index, bm25, q, 100).ids)
             want, cols = _reference_block(w.corpus, w.index, bm25, q, ids, buckets)
             _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), cols, want)
 
@@ -220,7 +220,7 @@ class TestExtractionMatchesReference:
         w = small_world
         ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets)
         for q in w.queries[:10]:
-            ids = retrieve_topk(w.index, Bm25Params(), q, 100).doc_ids()
+            ids = list(retrieve_topk(w.index, Bm25Params(), q, 100).ids)
             if first == "every third":
                 head = ids[::3]
             else:
@@ -636,7 +636,7 @@ class TestNarrowBlock:
         params = init_params(ScorerConfig(buckets, hidden=8, seed=buckets))
         rng = np.random.default_rng(buckets)
         for q in w.queries:
-            block, cols = ctx.feature_matrix(q, w.rankings[q.id].doc_ids())
+            block, cols = ctx.feature_matrix(q, list(w.rankings[q.id].ids))
             full = np.zeros((len(block), params.feature_dim))
             full[:, cols] = block
             scores, acts = score_batch(params, block, cols)
