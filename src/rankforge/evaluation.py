@@ -238,6 +238,13 @@ def _t_two_sided_p(t: float, df: int) -> float:
     return 1.0 - math.sin(theta) * total
 
 
+def _some(ids: set[str], shown: int = 3) -> str:
+    """The count of a set of query ids and its first few, sorted."""
+    head = sorted(ids)[:shown]
+    more = ", ..." if len(ids) > shown else ""
+    return f"{len(ids)} ({', '.join(head)}{more})" if head else "0"
+
+
 def paired_ttest(a: MetricReport, b: MetricReport) -> SignificanceResult:
     """Two-sided paired Student t-test on per-query differences a - b.
 
@@ -245,10 +252,9 @@ def paired_ttest(a: MetricReport, b: MetricReport) -> SignificanceResult:
     constant nonzero shift gives p = 0; both are flagged degenerate.
     """
     if set(a.per_query) != set(b.per_query):
-        extra_a = sorted(set(a.per_query) - set(b.per_query))
-        extra_b = sorted(set(b.per_query) - set(a.per_query))
         raise DataError(
-            f"query sets differ: only in first {extra_a}, only in second {extra_b}"
+            f"query sets differ: {_some(set(a.per_query) - set(b.per_query))} only in "
+            f"first, {_some(set(b.per_query) - set(a.per_query))} only in second"
         )
     qids = sorted(a.per_query)
     n = len(qids)

@@ -11,6 +11,15 @@ uint64 arithmetic wraps mod 2^64 like the scalar masks, and the shift and
 the power-of-two scale of `uniform` are exact in float64, so a block holds
 the same floats as the scalar calls it replaces and leaves each generator
 in the same state.
+
+The `state_*` draws take many generators at once as a uint64 array of
+their states (`substreams` derives one per key), advanced in place. The
+rejection draws are blocks too: `state_below` makes one masked draw per
+generator, then redraws only the rejected ones until none is left, and
+`state_sample` runs the partial Fisher-Yates of `SplitMix64.sample` one
+position at a time through it. Each row gets the values, and ends in the
+state, of the scalar `SplitMix64.below` and `.sample`, which stay as their
+one-generator reference.
 """
 
 from __future__ import annotations
@@ -57,6 +66,17 @@ def substream(seed: int, *keys: int) -> int:
     state = mix64(seed)
     for key in keys:
         state = mix64(state ^ ((key * _GOLDEN) & _MASK64))
+    return state
+
+
+def substreams(seed: int, *keys) -> np.ndarray:
+    """`substream(seed, *keys)` of every element of the keys broadcast
+    together, as a uint64 array; a key is an int or an array of ints in
+    [0, 2^64)."""
+    golden = np.uint64(_GOLDEN)
+    state = np.full(1, mix64(seed), dtype=np.uint64)
+    for key in keys:
+        state = mix64_array(state ^ np.array(key, dtype=np.uint64, ndmin=1) * golden)
     return state
 
 
@@ -110,15 +130,68 @@ def block_uniforms(rngs: Sequence[SplitMix64], counts: Sequence[int]) -> np.ndar
     """The next counts[i] `uniform()` draws of each generator rngs[i], laid
     end to end in one float64 array, computed in one pass; each generator
     advances by its count."""
-    if len(rngs) != len(counts):
-        raise ValueError(f"{len(rngs)} generators but {len(counts)} counts")
+    state = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    u = state_uniforms(state, counts)
+    for rng, s in zip(rngs, state.tolist()):
+        rng._state = s
+    return u
+
+
+def state_uniforms(state: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """`block_uniforms` of the generators whose states are the uint64 array
+    state, which advances in place."""
     n = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if n.size != state.size:
+        raise ValueError(f"{state.size} generators but {n.size} counts")
     ends = np.cumsum(n)
     # counter k = 1..counts[i] inside each generator's run; np.repeat
     # rejects a negative count
     k = np.arange(1, int(n.sum()) + 1) - np.repeat(ends - n, n)
-    bases = np.array([rng._state for rng in rngs], dtype=np.uint64)
-    states = np.repeat(bases, n) + k.astype(np.uint64) * np.uint64(_GOLDEN)
-    for rng, c in zip(rngs, n.tolist()):
-        rng._state = (rng._state + c * _GOLDEN) & _MASK64
+    golden = np.uint64(_GOLDEN)
+    states = np.repeat(state, n) + k.astype(np.uint64) * golden
+    state += n.astype(np.uint64) * golden
     return (mix64_array(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def state_below(state: np.ndarray, m: int) -> np.ndarray:
+    """`below(m)` of each generator whose state is in the uint64 array
+    state, as an int64 array, for 1 <= m <= 2^63: one masked draw for
+    every generator, then rounds that redraw only the rejected ones. Each
+    state advances in place past all of its draws."""
+    if not 1 <= m <= 2**63:
+        raise ValueError(f"below() needs 1 <= n <= 2^63, got {m}")
+    golden = np.uint64(_GOLDEN)
+    mask = np.uint64((1 << m.bit_length()) - 1)
+    bound = np.uint64(m)
+    state += golden
+    v = mix64_array(state) & mask
+    pending = np.flatnonzero(v >= bound)
+    while pending.size:
+        state[pending] += golden
+        v[pending] = mix64_array(state[pending]) & mask
+        pending = pending[v[pending] >= bound]
+    return v.astype(np.int64)
+
+
+def state_sample(state: np.ndarray, n: int, k) -> np.ndarray:
+    """`sample(range(n), k)` of each generator whose state is in the uint64
+    array state, one row each: k is one count or one per generator, and
+    row i of the (len(state), max k) result starts with its k[i] draws, in
+    draw order. Each state advances in place past all of its draws."""
+    top = int(np.max(k, initial=0))
+    if top > n:
+        raise ValueError(f"cannot sample {top} from {n} items")
+    if np.min(k, initial=0) < 0:
+        raise ValueError("cannot sample a negative count")
+    k = np.broadcast_to(k, state.shape)
+    perm = np.broadcast_to(np.arange(n, dtype=np.int32 if n < 2**31 else np.int64),
+                           (state.size, n)).copy()
+    rows = np.arange(state.size)
+    for i in range(top):
+        # the rows still drawing swap position i with a below(n - i) pick
+        rows = rows[k[rows] > i]
+        s = state[rows]
+        j = state_below(s, n - i) + i
+        state[rows] = s
+        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
+    return perm[:, :top]

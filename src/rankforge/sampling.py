@@ -9,12 +9,10 @@ so any instance of the training stream can be reproduced without
 replaying earlier draws, and per-epoch resampling is free.
 
 The draws of many instances from pools of one length are independent, so
-`sample_positions` makes them all in one numpy pass: each row's substream
-and splitmix64 counters are uint64 arrays, and each partial Fisher-Yates
-position redraws, by masked rejection, only the rows it rejected. A row
-holds the same positions as `SplitMix64(substream(seed, _HARD_TAG, epoch,
-ordinal)).sample(range(n), h)`, sorted; `sample_instance` is its one-row
-case.
+`sample_positions` makes them all in one numpy pass: `rng.state_sample`
+over one substream per row. A row holds the same positions as
+`SplitMix64(substream(seed, _HARD_TAG, epoch, ordinal)).sample(range(n),
+h)`, sorted; `sample_instance` is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import ContrastiveInstance, Ranking
-from .rng import _GOLDEN, mix64_array, substream
+from .rng import state_sample, substreams
 
 __all__ = ["SamplerConfig", "hard_pool", "sample_instance", "sample_positions"]
 
@@ -59,31 +57,10 @@ def sample_positions(
     """The (len(epochs), negatives) positions in a pool of n docs that the
     draws keyed (epochs[r], ordinals[r]) choose, each row ascending.
 
-    Keys are non-negative and below 2^64. The uint64 arithmetic runs on
-    arrays only, which wrap mod 2^64 as the scalar masks do.
+    Keys are non-negative and below 2^64.
     """
-    h = config.negatives
-    if h > n:
-        raise ValueError(f"cannot sample {h} from {n} items")
-    golden = np.uint64(_GOLDEN)
-    base = np.full(1, substream(config.seed, _HARD_TAG), dtype=np.uint64)
-    state = mix64_array(base ^ np.asarray(epochs, dtype=np.uint64) * golden)
-    state = mix64_array(state ^ np.asarray(ordinals, dtype=np.uint64) * golden)
-    rows = np.arange(state.size)
-    perm = np.broadcast_to(np.arange(n, dtype=np.int32), (state.size, n)).copy()
-    v = np.empty_like(state)
-    for i in range(h):
-        # below(n - i): masked rejection, one pass per round of rejects
-        m = n - i
-        mask = np.uint64((1 << m.bit_length()) - 1)
-        pending = rows
-        while pending.size:
-            state[pending] += golden
-            v[pending] = mix64_array(state[pending]) & mask
-            pending = pending[v[pending] >= m]
-        j = v.astype(np.intp) + i
-        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
-    return np.sort(perm[:, :h], axis=1)
+    state = substreams(config.seed, _HARD_TAG, epochs, ordinals)
+    return np.sort(state_sample(state, n, config.negatives), axis=1)
 
 
 def sample_instance(

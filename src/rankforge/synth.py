@@ -10,12 +10,13 @@ memberships never cross the lowest band. Teacher rankings sort the judged
 documents by true grade plus Gaussian noise.
 
 Everything is derived from counter-based substreams of one seed, so the
-rendered files are byte-identical across runs. A document's header (alpha,
-side topics, length) uses rejection draws and is drawn one value at a time;
-the draws whose count is then known (every token's source and word, a
-query's words, the teacher's noise) are taken as blocks of uniforms, which
-splitmix64's counter form makes equal to the same draws made one at a time
-(see `rng`), so the token choices are computed over whole arrays.
+rendered files are byte-identical across runs. Every draw is made for all
+documents or all queries at once over an array of their generator states
+(see `rng`), with the same bits as one generator per document or query
+drawing in turn: a document's header (alpha, then its side topics and its
+length by rejection), then every token's source and word; a query's
+length, then its words; the teacher's noise. So the token choices, query
+words and teacher orders are computed over whole arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import SplitMix64, block_uniforms, box_muller, substream
+from .rng import box_muller, state_below, state_sample, state_uniforms, substreams
 
 __all__ = ["SynthSpec", "SynthDataset", "generate", "write_dataset"]
 
@@ -91,9 +92,19 @@ def _zipf_cdf(m: int) -> np.ndarray:
 
 def _word_ids(cdf: np.ndarray, u: np.ndarray, slice_start) -> np.ndarray:
     """The vocabulary index each uniform in u picks from the Zipf slice with
-    this CDF starting at slice_start (a scalar or one start per uniform)."""
+    this CDF starting at slice_start[i]."""
     idx = np.searchsorted(cdf, u, side="right")
     return slice_start + np.minimum(idx, len(cdf) - 1)
+
+
+def _tsv(ids: list[str], words: list[str], counts: list[int]) -> str:
+    """One `id<TAB>words` line per id, holding the next counts[i] words."""
+    lines = []
+    end = 0
+    for name, n in zip(ids, counts):
+        lines.append(f"{name}\t{' '.join(words[end:end + n])}\n")
+        end += n
+    return "".join(lines)
 
 
 def _grade_counts(n: int) -> list[tuple[int, float, float, int]]:
@@ -116,34 +127,32 @@ def generate(spec: SynthSpec) -> SynthDataset:
     cdf = _zipf_cdf(slice_len)
     query_cdf = _zipf_cdf(min(slice_len, _QUERY_VOCAB_CAP))
     t_count = spec.topics
+    per_topic = spec.docs_per_topic
+    n_docs = t_count * per_topic
     vocab = [f"w{i:05d}" for i in range(t_count * slice_len)]
 
     # document headers, topic-major with strata in decreasing grade inside a
-    # topic: the mixture weight alpha, the side topics and the length use
-    # rejection draws, so they are drawn one document at a time
-    rngs: list[SplitMix64] = []
-    doc_grade: list[int] = []  # grade w.r.t. the primary topic
-    doc_topic: list[int] = []
-    alphas: list[float] = []
-    lengths: list[int] = []
-    n_sides: list[int] = []
-    sides: list[int] = []  # every document's side topics, end to end
-    for topic in range(t_count):
-        others = [t for t in range(t_count) if t != topic]
-        for grade, lo, hi, count in _grade_counts(spec.docs_per_topic):
-            for _ in range(count):
-                rng = SplitMix64(substream(spec.seed, _DOC_TAG, len(rngs)))
-                alpha, n_side = 1.0, 0
-                if t_count > 1:
-                    alpha = lo + rng.uniform() * (hi - lo)
-                    n_side = min(t_count - 1, max(3, math.ceil((1.0 - alpha) / 0.20)))
-                    sides.extend(rng.sample(others, n_side))
-                lengths.append(20 + rng.below(41))
-                rngs.append(rng)
-                doc_grade.append(grade)
-                doc_topic.append(topic)
-                alphas.append(alpha)
-                n_sides.append(n_side)
+    # topic, one generator state per document: the mixture weight alpha,
+    # then the side topics, then the length, each drawn for every document
+    # at once; a pick p of the other t_count - 1 topics is topic p, skipping
+    # the document's own
+    grade, lo, hi, count = (np.array(col) for col in zip(*_grade_counts(per_topic)))
+    stratum = np.tile(np.repeat(np.arange(grade.size), count), t_count)
+    doc_grade = grade[stratum]
+    doc_topic = np.repeat(np.arange(t_count), per_topic)
+    state = substreams(spec.seed, _DOC_TAG, np.arange(n_docs))
+    alphas = np.ones(n_docs)
+    n_sides = np.zeros(n_docs, dtype=np.int64)
+    sides = n_sides[:0]  # every document's side topics, end to end
+    if t_count > 1:
+        lo, hi = lo[stratum], hi[stratum]
+        alphas = lo + state_uniforms(state, np.ones(n_docs)) * (hi - lo)
+        n_sides = np.minimum(t_count - 1,
+                             np.maximum(3, np.ceil((1.0 - alphas) / 0.20).astype(np.int64)))
+        picks = state_sample(state, t_count - 1, n_sides)
+        picks = picks[np.arange(picks.shape[1]) < n_sides[:, None]]
+        sides = picks + (picks >= np.repeat(doc_topic, n_sides))
+    lengths = 20 + state_below(state, 41)
 
     # then each document's tokens, one (source, word) pair of uniforms per
     # token, all in one block; a token comes from the primary topic when its
@@ -151,59 +160,61 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # else from side topic int((u - alpha) / per) of the document, with
     # per = (1 - alpha) / n_side: the float operations of a per-token loop,
     # and the cast truncates like int() since u >= alpha
-    u = block_uniforms(rngs, [2 * n for n in lengths])
+    u = state_uniforms(state, 2 * lengths)
     src_u, word_u = u[0::2], u[1::2]
-    doc_of = np.repeat(np.arange(len(rngs)), lengths)
-    src = np.array(doc_topic)[doc_of]
-    tok_alpha = np.array(alphas)[doc_of]
+    doc_of = np.repeat(np.arange(n_docs), lengths)
+    src = doc_topic[doc_of]
+    tok_alpha = alphas[doc_of]
     on_side = ~(src_u < tok_alpha)
     side_doc = doc_of[on_side]
     side_alpha = tok_alpha[on_side]
-    side_n = np.array(n_sides)[side_doc]
+    side_n = n_sides[side_doc]
     per = (1.0 - side_alpha) / side_n
     pick = np.minimum(side_n - 1, ((src_u[on_side] - side_alpha) / per).astype(np.int64))
     first_side = (np.cumsum(n_sides) - n_sides)[side_doc]
-    src[on_side] = np.array(sides, dtype=np.int64)[first_side + pick]
+    src[on_side] = sides[first_side + pick]
     tokens = [vocab[i] for i in _word_ids(cdf, word_u, src * slice_len).tolist()]
-    doc_names = [f"d{d:05d}" for d in range(len(rngs))]
-    corpus_lines = []
-    end = 0
-    for name, n in zip(doc_names, lengths):
-        corpus_lines.append(f"{name}\t{' '.join(tokens[end:end + n])}\n")
-        end += n
+    doc_names = [f"d{d:05d}" for d in range(n_docs)]
 
-    query_lines: list[str] = []
-    qrels_lines: list[str] = []
-    teacher_lines: list[str] = []
-    for q in range(spec.queries):
-        topic = q % t_count
-        qid = f"q{q:04d}"
-        rng = SplitMix64(substream(spec.seed, _QRY_TAG, q))
-        n_tok = 3 + rng.below(4)
-        words = _word_ids(query_cdf, rng.uniforms(n_tok), topic * slice_len)
-        query_lines.append(f"{qid}\t{' '.join(vocab[i] for i in words.tolist())}\n")
+    # each query's length below(4), then its words, both for every query at
+    # once
+    q_topic = np.arange(spec.queries) % t_count
+    q_state = substreams(spec.seed, _QRY_TAG, np.arange(spec.queries))
+    n_tok = 3 + state_below(q_state, 4)
+    words = _word_ids(query_cdf, state_uniforms(q_state, n_tok),
+                      np.repeat(q_topic * slice_len, n_tok))
+    qids = [f"q{q:04d}" for q in range(spec.queries)]
 
-        # every document of the topic is judged, in doc-id order
-        judged = range(topic * spec.docs_per_topic, (topic + 1) * spec.docs_per_topic)
-        for d in judged:
-            qrels_lines.append(f"{qid} 0 {doc_names[d]} {doc_grade[d]}\n")
+    # every document of the query's topic is judged, in doc-id order: the
+    # same lines for every query of a topic but for the leading query id
+    lines = [f" 0 {name} {g}\n" for name, g in zip(doc_names, doc_grade.tolist())]
+    judged = [lines[t * per_topic:(t + 1) * per_topic] for t in range(t_count)]
+    qrels_txt = "".join(qid + qid.join(judged[t]) for qid, t in zip(qids, q_topic.tolist()))
 
-        if len(judged) >= 2:
-            # one Box-Muller deviate per judged document from two uniforms;
-            # at noise 0 each would be scaled to 0, so none is drawn
-            noise = [0.0] * len(judged)
-            if spec.noise:
-                u = SplitMix64(substream(spec.seed, _TCH_TAG, q)).uniforms(2 * len(judged))
-                noise = [spec.noise * box_muller(u1, u2)
-                         for u1, u2 in zip(u[0::2].tolist(), u[1::2].tolist())]
-            keyed = sorted((-(doc_grade[d] + z), doc_names[d]) for d, z in zip(judged, noise))
-            ranked = [doc for _, doc in keyed[:TEACHER_DEPTH]]
+    # the teacher ranks a query's judged documents by grade plus noise,
+    # ties by doc id, from one Box-Muller deviate per document made of two
+    # uniforms; at noise 0 each would be scaled to 0, so none is drawn
+    teacher_lines = []
+    if per_topic >= 2:
+        noise = np.zeros((spec.queries, per_topic))
+        if spec.noise:
+            t_state = substreams(spec.seed, _TCH_TAG, np.arange(spec.queries))
+            u = state_uniforms(t_state, np.full(spec.queries, 2 * per_topic)).tolist()
+            noise = spec.noise * np.reshape(
+                [box_muller(u1, u2) for u1, u2 in zip(u[0::2], u[1::2])], noise.shape)
+        # doc ids compare as strings, which is not numeric order past d99999
+        name_rank = np.empty(n_docs, dtype=np.int64)
+        name_rank[np.argsort(np.array(doc_names), kind="stable")] = np.arange(n_docs)
+        docs = q_topic[:, None] * per_topic + np.arange(per_topic)
+        order = np.lexsort((name_rank[docs], -(doc_grade[docs] + noise)))
+        for qid, row in zip(qids, np.take_along_axis(docs, order[:, :TEACHER_DEPTH], 1).tolist()):
+            ranked = [doc_names[d] for d in row]
             teacher_lines.append(json.dumps({"qid": qid, "ranked": ranked}) + "\n")
 
     return SynthDataset(
-        "".join(corpus_lines),
-        "".join(query_lines),
-        "".join(qrels_lines),
+        _tsv(doc_names, tokens, lengths.tolist()),
+        _tsv(qids, [vocab[i] for i in words.tolist()], n_tok.tolist()),
+        qrels_txt,
         "".join(teacher_lines),
     )
 

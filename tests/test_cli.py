@@ -409,6 +409,19 @@ class TestSynth:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_numpy_ma_not_imported(self, tmp_path):
+        """synth finds its groups by counting and sorting, not with numpy's
+        set routines, which import numpy.ma."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rankforge.cli import main; rc = main(sys.argv[1:]); "
+             "print('numpy.ma' in sys.modules); sys.exit(rc)",
+             "synth", "--out", str(tmp_path / "data"), "--seed", "42", "--noise", "0.5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestExperimentCommand:
     def test_end_to_end(self, ws, tmp_path, capsys):

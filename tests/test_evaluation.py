@@ -390,6 +390,24 @@ class TestPairedTtest:
         with pytest.raises(DataError, match=r"q2.*q3"):
             paired_ttest(a, b)
 
+    def test_query_set_mismatch_is_one_short_line(self):
+        # a 250-query baseline against a 50-query run names the 200 extras
+        # by count and first few, not one by one
+        a = _report("AP", {f"q{i:04d}": 0.5 for i in range(250)})
+        b = _report("AP", {f"q{i:04d}": 0.5 for i in range(200, 250)})
+        with pytest.raises(DataError) as err:
+            paired_ttest(a, b)
+        assert str(err.value) == (
+            "query sets differ: 200 (q0000, q0001, q0002, ...) only in first, "
+            "0 only in second"
+        )
+        with pytest.raises(DataError) as err:
+            paired_ttest(b, _report("AP", {"q0201": 0.5, "q0200": 0.5, "x": 0.5}))
+        assert str(err.value) == (
+            "query sets differ: 48 (q0202, q0203, q0204, ...) only in first, "
+            "1 (x) only in second"
+        )
+
     def test_needs_two_queries(self):
         with pytest.raises(DataError, match=">= 2"):
             paired_ttest(_report("AP", {"q1": 0.5}), _report("AP", {"q1": 0.4}))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rankforge.rng import (
     SplitMix64,
@@ -11,7 +13,10 @@ from rankforge.rng import (
     box_muller,
     mix64,
     mix64_array,
+    state_below,
+    state_sample,
     substream,
+    substreams,
 )
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -158,3 +163,98 @@ class TestBlockDraws:
             box_muller(u1, u2) for u1, u2 in zip(u[0::2], u[1::2])
         ]
         assert math.isfinite(box_muller(0.0, 0.5))
+
+
+_SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+# bounds at 2^k + 1 reject about half their masked draws, at 2^k - 1 almost
+# none; below() takes bounds up to 2^63
+_BOUNDS = st.one_of(
+    st.integers(1, 70),
+    st.sampled_from([2**k + d for k in range(1, 63) for d in (-1, 1)] + [2**63 - 1, 2**63]),
+)
+_POOLS = st.one_of(st.integers(0, 70), st.sampled_from([2**k + d for k in range(1, 8)
+                                                        for d in (-1, 1)]))
+
+
+def _next_outputs(states) -> list[int]:
+    """The next output of a generator in each state: equal outputs mean
+    equal states."""
+    return [SplitMix64(s).next_u64() for s in np.asarray(states).tolist()]
+
+
+@st.composite
+def _sample_draws(draw):
+    """A pool length n, some seeds and a draw size k in 0..n: one for every
+    row, or one per row (often 1 or n)."""
+    n = draw(_POOLS)
+    seeds = draw(st.lists(_SEEDS, max_size=8))
+    sizes = st.one_of(st.just(n), st.just(min(1, n)), st.integers(0, n))
+    k = draw(st.one_of(sizes, st.lists(sizes, min_size=len(seeds), max_size=len(seeds))))
+    return n, seeds, k
+
+
+class TestStateDraws:
+    """The array-state draws equal the scalar generator's, draw for draw, and
+    leave every row's state where the scalar generator ends."""
+
+    def test_substreams_match_scalar(self):
+        keys = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        for seed in (0, 2**64 - 1):
+            got = substreams(seed, 7, keys, keys[::-1])
+            want = [substream(seed, 7, a, b) for a, b in zip(keys.tolist(), keys[::-1].tolist())]
+            assert got.tolist() == want
+            assert substreams(seed, 7).tolist() == [substream(seed, 7)]
+
+    @given(st.lists(_SEEDS, max_size=8), _BOUNDS)
+    @example([0, 2**64 - 1], 2**63)
+    @example([0, 2**64 - 1, 5], 3)
+    @example([], 5)
+    @settings(max_examples=150, deadline=None)
+    def test_below_equals_scalar_draws(self, seeds, m):
+        state = np.array(seeds, dtype=np.uint64)
+        scalar = [SplitMix64(s) for s in seeds]
+        got = state_below(state, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [rng.below(m) for rng in scalar]
+        assert _next_outputs(state) == [rng.next_u64() for rng in scalar]
+
+    @given(_sample_draws())
+    @example((65, [0, 2**64 - 1], 65))
+    @example((129, [2**64 - 1, 0, 3], [1, 129, 0]))
+    @example((9, [0, 2**64 - 1], [2, 9]))
+    @example((3, [], 2))
+    @example((0, [1, 2], 0))
+    @settings(max_examples=150, deadline=None)
+    def test_sample_equals_scalar_draws(self, drawn):
+        n, seeds, k = drawn
+        sizes = k if isinstance(k, list) else [k] * len(seeds)
+        state = np.array(seeds, dtype=np.uint64)
+        scalar = [SplitMix64(s) for s in seeds]
+        got = state_sample(state, n, k)
+        assert got.shape == (len(seeds), max(sizes, default=0) if isinstance(k, list) else k)
+        for row, rng, size in zip(got.tolist(), scalar, sizes):
+            assert row[:size] == rng.sample(range(n), size)
+        assert _next_outputs(state) == [rng.next_u64() for rng in scalar]
+
+    def test_zero_rows(self):
+        empty = np.zeros(0, dtype=np.uint64)
+        assert state_below(empty, 7).shape == (0,)
+        assert state_sample(empty, 5, 3).shape == (0, 3)
+        assert state_sample(empty, 5, []).shape == (0, 0)
+
+    def test_sample_more_than_the_pool_raises(self):
+        state = np.array([1, 2], dtype=np.uint64)
+        with pytest.raises(ValueError, match="cannot sample 4 from 3 items"):
+            state_sample(state, 3, 4)
+        with pytest.raises(ValueError, match="cannot sample 4 from 3 items"):
+            state_sample(state, 3, [1, 4])
+        with pytest.raises(ValueError, match="negative"):
+            state_sample(state, 3, [1, -1])
+        assert state.tolist() == [1, 2]
+
+    def test_below_bounds(self):
+        state = np.array([1], dtype=np.uint64)
+        for m in (0, -1, 2**63 + 1):
+            with pytest.raises(ValueError, match="below"):
+                state_below(state, m)
+        assert state.tolist() == [1]

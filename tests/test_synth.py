@@ -2,11 +2,14 @@
 teacher order."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
+import rankforge.synth
 from rankforge.data import parse_corpus, parse_qrels, parse_queries, parse_teacher
 from rankforge.retrieval import tokenize
+from rankforge.rng import SplitMix64
 from rankforge.synth import (
     TEACHER_DEPTH,
     SynthDataset,
@@ -138,6 +141,33 @@ def test_pinned_bytes(name):
         for text in (ds.corpus_tsv, ds.queries_tsv, ds.qrels_txt, ds.teacher_jsonl)
     )
     assert got == want
+
+
+class TestBlockDraws:
+    def test_draw_count_does_not_grow_with_size(self, monkeypatch):
+        # at noise 0 every draw is one of a fixed number of array passes:
+        # no scalar generator step and no Box-Muller deviate, however many
+        # documents and queries
+        calls = Counter()
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SplitMix64, "next_u64", counted("next_u64", SplitMix64.next_u64))
+        for name in ("box_muller", "state_below", "state_sample", "state_uniforms"):
+            monkeypatch.setattr(rankforge.synth, name,
+                                counted(name, getattr(rankforge.synth, name)))
+        counts = []
+        for docs, queries in ((25, 40), (100, 40), (25, 400)):
+            calls.clear()
+            generate(SynthSpec(vocab_size=800, topics=4, docs_per_topic=docs,
+                               queries=queries, noise=0.0, seed=7))
+            counts.append(dict(calls))
+        assert counts[0] == {"state_uniforms": 3, "state_below": 2, "state_sample": 1}
+        assert counts[1] == counts[0] and counts[2] == counts[0]
 
 
 class TestCorpusShape:
