@@ -3,6 +3,8 @@
 Subcommands: index, retrieve, train, rerank, evaluate, compare, synth,
 experiment. Every command is deterministic given its inputs and seeds; any
 failure prints a single `error: <message>` line on stderr and exits nonzero.
+Each command imports the training, evaluation and scoring code it runs inside
+its `cmd_*` function, so a command that runs none of it loads none of it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .data import (
     parse_corpus,
@@ -21,18 +24,11 @@ from .data import (
     write_run,
 )
 from .errors import DataError, RankforgeError
-from .evaluation import (
-    MetricSpec,
-    SystemResult,
-    build_table,
-    evaluate_all,
-    report_csv,
-    rerank,
-)
-from .experiment import load_config, run_experiment, train_plan
 from .retrieval import Bm25Params, build_index, retrieve_topk
-from .scorer import ScoringContext, load_params
 from .synth import SynthSpec, generate, write_dataset
+
+if TYPE_CHECKING:
+    from .evaluation import MetricSpec
 
 __all__ = ["main"]
 
@@ -45,6 +41,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_metrics(spec: str, threshold: int, gain: str) -> tuple[MetricSpec, ...]:
     """Parse 'ap,ndcg@10,mrr@10' style metric lists."""
+    from .evaluation import MetricSpec
+
     out = []
     for item in spec.split(","):
         item = item.strip().lower()
@@ -93,6 +91,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .experiment import load_config, train_plan
+
     cfg = load_config(args.config, seed=args.seed, out=args.out)
     plan_dir, logs = train_plan(cfg, args.plan)
     steps = sum(len(log.losses) for log in logs)
@@ -103,6 +103,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    from .evaluation import rerank
+    from .scorer import ScoringContext, load_params
+
     corpus = parse_path(args.corpus, parse_corpus)
     queries = {q.id: q for q in parse_path(args.queries, parse_queries)}
     rankings = parse_path(args.run, parse_run)
@@ -124,6 +127,8 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import evaluate_all, report_csv
+
     rankings = parse_path(args.run, parse_run)
     qrels = parse_path(args.qrels, parse_qrels)
     specs = _parse_metrics(args.metrics, args.threshold, args.gain)
@@ -136,6 +141,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .evaluation import SystemResult, build_table, evaluate_all
+
     qrels = parse_path(args.qrels, parse_qrels)
     specs = _parse_metrics(args.metrics, args.threshold, args.gain)
 
@@ -175,6 +182,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from .experiment import load_config, run_experiment
+
     cfg = load_config(args.config, seed=args.seed, out=args.out)
     started = time.perf_counter()
     summary = run_experiment(cfg)

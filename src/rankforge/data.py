@@ -13,7 +13,8 @@ yields validated values or raises a ParseError; nothing partially parsed
 escapes. The corpus is a plain {doc_id: text} dict in file order; the other
 parsed values are immutable. Qrels hold one map,
 {query_id: {doc_id: grade}}; a Ranking holds its doc ids and scores in rank
-order.
+order. Parsed qrels and teacher lists hold one string per distinct doc id of
+their text, however many lines name it.
 """
 
 from __future__ import annotations
@@ -222,6 +223,7 @@ def parse_queries(text: str) -> list[Query]:
 def parse_qrels(text: str) -> Qrels:
     """Parse TREC qrels ``qid iter docid rel``; duplicates are hard errors."""
     by_query: dict[str, dict[str, int]] = {}
+    ids: dict[str, str] = {}  # one string per distinct doc id
     for no, line in _lines(text):
         fields = line.split()
         if len(fields) != 4:
@@ -236,7 +238,7 @@ def parse_qrels(text: str) -> Qrels:
         judged = by_query.setdefault(qid, {})
         if docid in judged:
             raise ParseError(f"duplicate judgment for ({qid}, {docid})", line=no)
-        judged[docid] = rel
+        judged[ids.setdefault(docid, docid)] = rel
     return Qrels(by_query)
 
 
@@ -288,6 +290,7 @@ def parse_teacher(text: str) -> list[TeacherRanking]:
     """Parse JSONL teacher rankings, preserving line order."""
     teachers = []
     seen: set[str] = set()
+    ids: dict[str, str] = {}  # one string per distinct doc id
     for no, line in _lines(text):
         try:
             obj = json.loads(line)
@@ -303,7 +306,7 @@ def parse_teacher(text: str) -> list[TeacherRanking]:
         if not isinstance(ranked, list) or not all(isinstance(d, str) for d in ranked):
             raise ParseError(f"query {qid}: 'ranked' must be a list of doc id strings", line=no)
         try:
-            teachers.append(TeacherRanking(qid, tuple(ranked)))
+            teachers.append(TeacherRanking(qid, tuple(ids.setdefault(d, d) for d in ranked)))
         except ValueError as exc:
             raise ParseError(str(exc), line=no) from None
     return teachers

@@ -7,7 +7,6 @@ needs the same scrutiny as changing the code under test.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -277,12 +276,11 @@ def test_07_synthetic_experiment_gains_and_reproducibility(tmp_path):
     contrastive plan gains >= 0.10 nDCG@10 over the untrained re-rank and the
     distillation plan >= 0.05, each run finishes inside 2 minutes, and two
     runs produce byte-identical artifact trees."""
-    env = dict(os.environ, RANKFORGE_THREADS="1")
     cli = [sys.executable, "-m", "rankforge.cli"]
 
     proc = subprocess.run(
         cli + ["synth", "--out", str(tmp_path / "data"), "--seed", "42", "--noise", "0.0"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -302,7 +300,7 @@ def test_07_synthetic_experiment_gains_and_reproducibility(tmp_path):
         proc = subprocess.run(
             cli + ["experiment", "--config", str(tmp_path / "exp.json"),
                    "--out", str(tmp_path / out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         elapsed = time.perf_counter() - began
         assert proc.returncode == 0, proc.stderr

@@ -423,6 +423,46 @@ class TestSynth:
         assert proc.stdout.splitlines()[-1] == "False"
 
 
+class TestCommandImports:
+    """A command loads only the modules it runs: synth, index and retrieve
+    start no training, evaluation or scoring code."""
+
+    RUN_ONLY = {f"rankforge.{m}" for m in
+                ("experiment", "training", "evaluation", "sampling", "losses", "scorer")}
+
+    @staticmethod
+    def loaded_after(*argv: str) -> set[str]:
+        """The modules a fresh process holds once `main(argv)` returns."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rankforge.cli import main; rc = main(sys.argv[1:]); "
+             "print(' '.join(sys.modules)); sys.exit(rc)", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("command", ["synth", "index", "retrieve"])
+    def test_command_loads_no_run_code(self, ws, tmp_path, command):
+        corpus, queries = str(ws / "data" / "corpus.tsv"), str(ws / "data" / "queries.tsv")
+        argv = {
+            "synth": ["--out", str(tmp_path / "data"), "--vocab", "100", "--topics", "2",
+                      "--docs-per-topic", "5", "--queries", "4"],
+            "index": ["--corpus", corpus],
+            "retrieve": ["--corpus", corpus, "--queries", queries,
+                         "--out", str(tmp_path / "bm25.txt")],
+        }[command]
+        loaded = self.loaded_after(command, *argv)
+        assert "rankforge.data" in loaded
+        assert sorted(loaded & self.RUN_ONLY) == []
+
+    def test_experiment_loads_them(self, ws, tmp_path):
+        loaded = self.loaded_after(
+            "experiment", "--config", str(ws / "exp.json"), "--out", str(tmp_path / "out")
+        )
+        assert self.RUN_ONLY <= loaded
+
+
 class TestExperimentCommand:
     def test_end_to_end(self, ws, tmp_path, capsys):
         rc = main([

@@ -131,7 +131,12 @@ class TestParseQrels:
         finally:
             tracemalloc.stop()
         assert len(qrels.docs_for("q0249")) == 100
-        assert held < 4 * 2**20
+        assert held < 1.5 * 2**20
+
+    def test_queries_share_doc_id_strings(self):
+        qrels = parse_qrels("q1 0 doc7 1\nq2 0 doc7 0\n")
+        (first,), (second,) = qrels.by_query["q1"], qrels.by_query["q2"]
+        assert first == "doc7" and first is second
 
 
 class TestRankingInvariants:
@@ -324,6 +329,12 @@ class TestParseTeacher:
         with pytest.raises(ParseError) as exc:
             parse_teacher('{"qid":"q1","ranked":["d1","d2"]}\nnot json\n')
         assert exc.value.line == 2
+
+    def test_lines_share_doc_id_strings(self):
+        first, second = parse_teacher(
+            '{"qid":"q1","ranked":["doc7","doc1"]}\n{"qid":"q2","ranked":["doc2","doc7"]}\n'
+        )
+        assert first.doc_ids[0] == "doc7" and first.doc_ids[0] is second.doc_ids[1]
 
 
 class TestInstanceInvariants:
