@@ -13,12 +13,11 @@ from rankforge.evaluation import (
     paired_ttest,
     rerank,
 )
-from rankforge.experiment import choose_positive
 from rankforge.retrieval import Bm25Params, build_index, retrieve_topk
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import ScorerConfig, ScoringContext
 from rankforge.synth import SynthSpec, generate
-from rankforge.training import QueryExample, StageConfig, TrainPlan, run_plan
+from rankforge.training import QueryExample, StageConfig, run_plan
 
 spec = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25,
                  queries=40, noise=0.0, seed=5)
@@ -35,7 +34,7 @@ scorer_config = ScorerConfig(buckets=64, hidden=8, seed=0)
 ctx = ScoringContext(corpus, index, bm25, buckets=scorer_config.buckets)
 
 examples = [
-    QueryExample(q, choose_positive(qrels, q.id), rankings[q.id], teachers.get(q.id))
+    QueryExample(q, qrels.by_query.get(q.id), rankings[q.id], teachers.get(q.id))
     for q in queries
 ]
 train, val = examples[4:], examples[:4]
@@ -54,7 +53,7 @@ def evaluate(run_rankings) -> dict:
 
 systems = [SystemResult("bm25", evaluate(list(rankings.values())))]
 for name, stage in stages.items():
-    params, _ = run_plan(scorer_config, TrainPlan((stage,)), train, val, ctx)
+    params, _ = run_plan(scorer_config, (stage,), train, val, ctx)
     reranked = [rerank(params, ctx, q, rankings[q.id], depth=50) for q in queries]
     systems.append(SystemResult(name, evaluate(reranked)))
     print(f"trained {name}")

@@ -6,12 +6,11 @@ negatives, run one training stage, then compare nDCG@10 before and after.
 
 from rankforge.data import parse_corpus, parse_qrels, parse_queries, parse_teacher
 from rankforge.evaluation import MetricReport, MetricSpec, compute_metric, rerank
-from rankforge.experiment import choose_positive
 from rankforge.retrieval import Bm25Params, build_index, retrieve_topk
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import ScorerConfig, ScoringContext, init_params
 from rankforge.synth import SynthSpec, generate
-from rankforge.training import QueryExample, StageConfig, TrainPlan, run_plan, split_train_val
+from rankforge.training import QueryExample, StageConfig, run_plan, split_train_val
 
 spec = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25,
                  queries=40, noise=0.0, seed=3)
@@ -35,13 +34,13 @@ train_queries, val_queries = split_train_val(queries, fraction=0.1, seed=1)
 def to_example(q):
     return QueryExample(
         query=q,
-        positive_id=choose_positive(qrels, q.id),
+        judged=qrels.by_query.get(q.id),
         ranking=rankings[q.id],
         teacher=teachers.get(q.id),
     )
 
 
-plan = TrainPlan((
+plan = (
     StageConfig(
         loss="lce",
         lr=1e-3,
@@ -49,7 +48,7 @@ plan = TrainPlan((
         val_interval=100,
         sampler=SamplerConfig(negatives=10, pool_depth=40),
     ),
-))
+)
 params, logs = run_plan(
     scorer_config, plan,
     [to_example(q) for q in train_queries],

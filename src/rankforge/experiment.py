@@ -68,7 +68,6 @@ from .training import (
     QueryExample,
     StageConfig,
     TrainLog,
-    TrainPlan,
     run_plan,
     split_train_val,
     stage_pool,
@@ -80,7 +79,6 @@ __all__ = [
     "default_plan_specs",
     "run_experiment",
     "prepare",
-    "choose_positive",
     "plan_dir_name",
     "train_plan",
     "merged_train_csv",
@@ -94,6 +92,8 @@ _STAGE_TAG = 0x53544147
 _SAMPLER_TAG = 0x534D504C
 
 RQ_PLAN_NAMES = ("C", "D", "C->D", "D->C")
+
+Plan = tuple[StageConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class ExperimentConfig:
     scorer: ScorerConfig
     bm25: Bm25Params
     metrics: tuple[MetricSpec, ...]
-    plans: dict[str, TrainPlan]  # in config order
+    plans: dict[str, Plan]  # in config order
 
 
 def default_plan_specs() -> dict:
@@ -221,14 +221,14 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
     return replace(stage, sampler=sampler, seed=substream(seed, _STAGE_TAG, stage_idx))
 
 
-def _resolve_plans(raw_plans: object, seed: int) -> dict[str, TrainPlan]:
-    """Each plan's JSON list of stages as a TrainPlan, seeded by stage
-    position. A plan's directory name must be a single path component of
+def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
+    """Each plan's JSON list of stages, at least one, as a tuple seeded by
+    stage position. A plan's directory name must be a single path component of
     its own, not the bm25 or untrained system's, and holding no whitespace
     (a run line's fields split on it)."""
     if not isinstance(raw_plans, Mapping):
         raise DataError("config 'plans' must be a JSON object")
-    plans: dict[str, TrainPlan] = {}
+    plans: dict[str, Plan] = {}
     owners: dict[str, str] = {}  # directory name -> plan name
     for name, body in raw_plans.items():
         sub = plan_dir_name(name)
@@ -238,11 +238,11 @@ def _resolve_plans(raw_plans: object, seed: int) -> dict[str, TrainPlan]:
         if sub in owners:
             raise DataError(f"plans {owners[sub]!r} and {name!r} share the directory {sub!r}")
         owners[sub] = name
-        if not isinstance(body, list):
-            raise DataError(f"plan {name}: expected a list of stages")
-        plans[name] = TrainPlan(tuple(
+        if not isinstance(body, list) or not body:
+            raise DataError(f"plan {name}: expected a list of stages, at least one")
+        plans[name] = tuple(
             _seeded(_stage_from_dict(stage, name, i), seed, i) for i, stage in enumerate(body)
-        ))
+        )
     return plans
 
 
@@ -372,15 +372,6 @@ def _config_from_dict(
     )
 
 
-def choose_positive(qrels: Qrels, query_id: str) -> str | None:
-    """Highest-graded judged doc with grade >= 1; ties break on doc id."""
-    best: tuple[int, str] | None = None
-    for doc, grade in qrels.docs_for(query_id).items():
-        if grade >= 1 and (best is None or (-grade, doc) < best):
-            best = (-grade, doc)
-    return None if best is None else best[1]
-
-
 @dataclass
 class PreparedData:
     """Everything the driver needs after parsing, indexing, and splitting."""
@@ -427,11 +418,11 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
             raise DataError(f"evaluation query {q.id} has no first-stage ranking")
 
     # a query is trainable when every stage of the config can build its pool
-    stages = list(dict.fromkeys(stage for plan in cfg.plans.values() for stage in plan.stages))
+    stages = list(dict.fromkeys(stage for plan in cfg.plans.values() for stage in plan))
     examples: list[QueryExample] = []
     dropped: list[str] = []
     for q in train_pool:
-        ex = QueryExample(q, choose_positive(qrels, q.id), first_stage.get(q.id),
+        ex = QueryExample(q, qrels.by_query.get(q.id), first_stage.get(q.id),
                           teachers.get(q.id))
         try:
             ctx.feature_matrix(q, list(dict.fromkeys(
@@ -553,7 +544,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             trained = finish_training()
 
         for name, plan in cfg.plans.items():
-            params, logs = trained[plan.stages]
+            params, logs = trained[plan]
             _write_checkpoint(ws, name, params, logs)
             systems[name] = _write_system(ws, cfg, prep, name, params)
 
@@ -584,7 +575,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "seed": cfg.seed,
             "queries": {"train": len(prep.train_examples), "val": len(prep.val_examples),
                         "eval": len(prep.eval_queries)},
-            "plans": {name: [s.max_steps for s in plan.stages]
+            "plans": {name: [s.max_steps for s in plan]
                       for name, plan in cfg.plans.items()},
             "means": {
                 label: {col: rep.mean for col, rep in system.reports.items()}
@@ -612,19 +603,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _lanes(plans: Sequence[TrainPlan], count: int) -> list[list[TrainPlan]]:
+def _lanes(plans: Sequence[Plan], count: int) -> list[list[Plan]]:
     """The plans grouped into subtrees by first stage, at most count lanes
     of them: longest first by the steps a subtree trains (each distinct
     prefix once), each subtree goes to the lane with the fewest steps."""
-    subtrees: dict[StageConfig, list[TrainPlan]] = {}
+    subtrees: dict[StageConfig, list[Plan]] = {}
     for plan in plans:
-        subtrees.setdefault(plan.stages[0], []).append(plan)
+        subtrees.setdefault(plan[0], []).append(plan)
 
-    def steps(tree: list[TrainPlan]) -> int:
-        prefixes = {p.stages[:k] for p in tree for k in range(1, len(p.stages) + 1)}
+    def steps(tree: list[Plan]) -> int:
+        prefixes = {p[:k] for p in tree for k in range(1, len(p) + 1)}
         return sum(prefix[-1].max_steps for prefix in prefixes)
 
-    lanes: list[list[TrainPlan]] = [[] for _ in range(min(count, len(subtrees)))]
+    lanes: list[list[Plan]] = [[] for _ in range(min(count, len(subtrees)))]
     loads = [0] * len(lanes)
     for tree in sorted(subtrees.values(), key=steps, reverse=True):
         i = loads.index(min(loads))
@@ -680,7 +671,7 @@ def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Cal
     every worker not collected is killed; every worker is reaped."""
     lanes = _lanes(list(cfg.plans.values()), _usable_cpus() if hasattr(os, "fork") else 1)
 
-    def train(plans: list[TrainPlan]) -> dict:
+    def train(plans: list[Plan]) -> dict:
         memo: dict = {}
         for plan in plans:
             run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx, memo)

@@ -2,8 +2,8 @@
 
 Localized contrastive estimation (LCE; Gao, Dai & Callan, ECIR 2021) draws
 its negatives from the top of the first-stage ranking, and so do BCE stages:
-this is the one sampler. `hard_pool` defines what a query's group may
-draw; training builds it once per query and stage. Negatives are drawn
+this is the one sampler. `training.stage_pool` decides what a query's
+group may draw, once per query and stage. Negatives are drawn
 through counter-based substreams keyed by (seed, epoch, query_ordinal),
 so any instance of the training stream can be reproduced without
 replaying earlier draws, and per-epoch resampling is free.
@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ContrastiveInstance, Ranking
+from .data import ContrastiveInstance
 from .rng import state_sample, substreams
 
-__all__ = ["SamplerConfig", "hard_pool", "sample_instance", "sample_positions"]
+__all__ = ["SamplerConfig", "sample_instance", "sample_positions"]
 
 _HARD_TAG = 0x48415244  # "HARD"
 
@@ -43,12 +43,6 @@ class SamplerConfig:
             raise ValueError(
                 f"pool depth {self.pool_depth} smaller than negative count {self.negatives}"
             )
-
-
-def hard_pool(ranking: Ranking, positive_id: str, config: SamplerConfig) -> list[str]:
-    """The negatives a group may draw: the top pool_depth ranked docs other
-    than the positive, in rank order."""
-    return [d for d in ranking.ids[: config.pool_depth] if d != positive_id]
 
 
 def sample_positions(
@@ -71,7 +65,8 @@ def sample_instance(
     query_ordinal: int,
     epoch: int,
 ) -> ContrastiveInstance:
-    """Uniform h-subset of a `hard_pool`, which must hold at least h docs.
+    """Uniform h-subset of a hard pool, the negatives of a
+    `training.stage_pool`, which must hold at least h docs.
 
     The sampled negatives are canonicalized to pool (rank) order.
     """

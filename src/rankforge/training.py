@@ -10,7 +10,8 @@ parameters carry across.
 
 Before its first step a stage decides every group. It builds each train
 and validation query's `stage_pool` (every document the stage can group
-with it; a query without one is not trainable) and asks the feature memo
+with it: the teacher's head, or the positive its judgments give and the
+hard pool; a query without one is not trainable) and asks the feature memo
 for it once, which extracts it in one block and gives the query's
 columns; the stage keeps these blocks. Its schedule holds each step's
 query (the epoch shuffles end to end) and, for LCE/BCE stages, the rows
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .data import Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, bce, lce, ranknet
 from .rng import SplitMix64, substream
-from .sampling import SamplerConfig, hard_pool, sample_positions
+from .sampling import SamplerConfig, sample_positions
 from .sampling import sample_instance  # noqa: F401  (perfbench's trace wraps it here)
 from .scorer import (
     ScorerConfig,
@@ -49,7 +50,6 @@ from .scorer import (
 __all__ = [
     "OptimizerState",
     "StageConfig",
-    "TrainPlan",
     "TrainLog",
     "QueryExample",
     "adamw_step",
@@ -146,15 +146,6 @@ class StageConfig:
             raise ValueError(f"{self.loss} stage needs a sampler config")
 
 
-@dataclass(frozen=True)
-class TrainPlan:
-    stages: tuple[StageConfig, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("a train plan needs at least one stage")
-
-
 @dataclass
 class TrainLog:
     """Per-step training losses, periodic validation losses, stage wall time."""
@@ -166,10 +157,11 @@ class TrainLog:
 
 @dataclass(frozen=True)
 class QueryExample:
-    """Everything the training loop may need for one query."""
+    """Everything the training loop may need for one query; `judged` is
+    its {doc_id: grade} judgments."""
 
     query: Query
-    positive_id: str | None = None
+    judged: Mapping[str, int] | None = None
     ranking: Ranking | None = None
     teacher: TeacherRanking | None = None
 
@@ -177,23 +169,29 @@ class QueryExample:
 def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     """Every doc a group of this example can contain in this stage: the
     teacher's head (the whole group, in loss-alignment order) for a stage
-    without a sampler (ranknet), else the positive followed by its
-    `hard_pool`. Raises DataError naming the query when the example cannot
-    form the stage's groups."""
+    without a sampler (ranknet), else the positive followed by the hard
+    pool the negatives are drawn from. The positive is the judged doc of
+    highest grade >= 1, ties going to the smaller id; the pool is the top
+    pool_depth first-stage docs other than the positive, in rank order.
+    Raises DataError naming the query when the example cannot form the
+    stage's groups."""
     qid = example.query.id
     if stage.sampler is None:
         if example.teacher is None:
             raise DataError(f"query {qid}: no teacher ranking for distillation")
         return list(example.teacher.doc_ids[:TEACHER_GROUP_CAP])
-    if example.positive_id is None:
+    judged = example.judged or {}
+    positive = min((d for d, g in judged.items() if g >= 1),
+                   key=lambda d: (-judged[d], d), default=None)
+    if positive is None:
         raise DataError(f"query {qid}: no positive document for {stage.loss} stage")
     if example.ranking is None:
         raise DataError(f"query {qid}: no first-stage ranking for hard sampling")
-    pool = hard_pool(example.ranking, example.positive_id, stage.sampler)
+    pool = [d for d in example.ranking.ids[: stage.sampler.pool_depth] if d != positive]
     h = stage.sampler.negatives
     if len(pool) < h:
         raise DataError(f"query {qid}: only {len(pool)} eligible negatives in pool, need {h}")
-    return [example.positive_id, *pool]
+    return [positive, *pool]
 
 
 def _group_positions(
@@ -317,14 +315,15 @@ def run_stage(
 
 def run_plan(
     config: ScorerConfig,
-    plan: TrainPlan,
+    stages: tuple[StageConfig, ...],
     train: Sequence[QueryExample],
     val: Sequence[QueryExample],
     ctx: ScoringContext,
     trained: dict[tuple[StageConfig, ...], tuple[ScorerParams, list[TrainLog]]]
     | None = None,
 ) -> tuple[ScorerParams, list[TrainLog]]:
-    """Initialize from config and apply stages left to right.
+    """Initialize from config and apply the stages, at least one, left to
+    right.
 
     Parameters carry across stage boundaries; optimizer state does not.
     A stage's result depends only on its start parameters, its config and
@@ -334,9 +333,10 @@ def run_plan(
     memo filled in another process (as the experiment driver's workers do)
     serves as well: the process a stage runs in changes none of its bits.
     """
+    if not stages:
+        raise ValueError("a train plan needs at least one stage")
     memo = {} if trained is None else trained
     memo.setdefault((), (init_params(config), []))
-    stages = plan.stages
     done = max(k for k in range(len(stages) + 1) if stages[:k] in memo)
     params, logs = memo[stages[:done]]
     for k in range(done, len(stages)):

@@ -90,12 +90,6 @@ SMALL_SPEC = SynthSpec(
 SMALL_SCORER = ScorerConfig(buckets=64, hidden=8, seed=11)
 
 
-def _positive_for(qrels: Qrels, qid: str) -> str:
-    judged = qrels.docs_for(qid)
-    return min((d for d, g in judged.items() if g >= 1),
-               key=lambda d: (-judged[d], d))
-
-
 @pytest.fixture(scope="session")
 def small_world() -> SynthWorld:
     ds = generate(SMALL_SPEC)
@@ -109,7 +103,7 @@ def small_world() -> SynthWorld:
     examples = [
         QueryExample(
             query=q,
-            positive_id=_positive_for(qrels, q.id),
+            judged=qrels.by_query.get(q.id),
             ranking=rankings[q.id],
             teacher=teachers.get(q.id),
         )

@@ -31,7 +31,7 @@ from rankforge.losses import bce, lce, ranknet
 from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_topk, tokenize
 from rankforge.sampling import SamplerConfig
 from rankforge.scorer import N_DENSE, ScorerParams, load_params, save_params, score_batch, backward_batch
-from rankforge.training import StageConfig, TrainPlan, run_plan
+from rankforge.training import StageConfig, run_plan
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -261,11 +261,11 @@ def test_06_zero_lr_stage_is_identity(small_world):
     train, val = small_world.examples[:32], small_world.examples[32:36]
 
     single, _ = run_plan(
-        small_world.scorer_config, TrainPlan((contrastive,)), train, val, small_world.ctx
+        small_world.scorer_config, (contrastive,), train, val, small_world.ctx
     )
     padded, _ = run_plan(
         small_world.scorer_config,
-        TrainPlan((contrastive, frozen_distill)),
+        (contrastive, frozen_distill),
         train, val, small_world.ctx,
     )
     assert save_params(padded) == save_params(single)

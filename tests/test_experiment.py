@@ -15,11 +15,10 @@ import pytest
 import rankforge.experiment
 import rankforge.training
 from rankforge.cli import main
-from rankforge.data import Qrels, parse_path, parse_queries, parse_run, write_run
+from rankforge.data import Query, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
     _lanes,
-    choose_positive,
     default_plan_specs,
     load_config,
     merged_train_csv,
@@ -28,9 +27,8 @@ from rankforge.experiment import (
     prepare,
     run_experiment,
 )
-from rankforge.sampling import hard_pool
 from rankforge.synth import SynthSpec, generate, write_dataset
-from rankforge.training import TrainLog
+from rankforge.training import QueryExample, TrainLog, stage_pool
 
 SPEC = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25, queries=40, noise=0.5, seed=7)
 
@@ -203,7 +201,7 @@ class TestLoadConfig:
             tmp_path, plans={"C": [dict(_LCE, loss="bce", negatives=7, pool_depth=9)]}
         )
         (plan,) = load_config(path).plans.values()
-        sampler = plan.stages[0].sampler
+        sampler = plan[0].sampler
         assert (sampler.negatives, sampler.pool_depth) == (7, 9)
 
     @pytest.mark.parametrize("over, match", [
@@ -240,6 +238,8 @@ class TestLoadConfig:
          "plan C stage 0: pool depth 5 smaller than negative count 10"),
         ({"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
         ({"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
+        # a plan trains at least one stage
+        ({"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -279,7 +279,7 @@ class TestLoadConfig:
 
     def test_shared_leading_stages_are_equal(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
-        plans = {name: plan.stages for name, plan in cfg.plans.items()}
+        plans = cfg.plans
         assert plans["C"][0] == plans["C->D"][0]
         assert plans["D"][0] == plans["D->C"][0]
         # seeds follow the stage position: the same settings one stage later differ
@@ -319,16 +319,6 @@ class TestDefaultPlanSpecs:
         assert specs["C"][0]["negatives"] == 20
 
 
-class TestChoosePositive:
-    def test_highest_grade_then_id(self):
-        qrels = Qrels({"q": {"d2": 2, "d1": 2, "d0": 1}})
-        assert choose_positive(qrels, "q") == "d1"
-
-    def test_none_without_relevant(self):
-        assert choose_positive(Qrels({"q": {"d1": 0}}), "q") is None
-        assert choose_positive(Qrels({}), "q") is None
-
-
 class TestPlanDirName:
     def test_arrow_replaced(self):
         assert plan_dir_name("C->D") == "C-to-D"
@@ -348,7 +338,7 @@ class TestPrepare:
         train_ids = {e.query.id for e in prep.train_examples}
         assert not (eval_ids & train_ids)
         for ex in prep.train_examples:
-            assert ex.positive_id is not None
+            assert ex.judged is prep.qrels.by_query[ex.query.id]  # shared, not copied
             assert ex.ranking is not None
             assert ex.teacher is not None
 
@@ -379,15 +369,17 @@ class TestPrepare:
         prep = prepare(cfg)
         kept = prep.train_examples + prep.val_examples
         assert (len(prep.train_examples), len(prep.val_examples)) == (83, 1)
-        sampler = cfg.plans["C"].stages[0].sampler
+        stage = cfg.plans["C"][0]
         for ex in kept:
-            assert len(hard_pool(ex.ranking, ex.positive_id, sampler)) >= 20
+            assert len(stage_pool(ex, stage)) >= 21
         # every query dropped ranks its positive inside the pool
         kept_ids = {ex.query.id for ex in kept}
         eval_ids = {q.id for q in prep.eval_queries}
         for qid, ranking in prep.first_stage.items():
             if qid not in kept_ids | eval_ids:
-                assert len(hard_pool(ranking, choose_positive(prep.qrels, qid), sampler)) == 19
+                dropped = QueryExample(Query(qid, ""), prep.qrels.by_query.get(qid), ranking)
+                with pytest.raises(DataError, match="only 19 eligible negatives"):
+                    stage_pool(dropped, stage)
 
     def test_document_missing_from_corpus_drops_query(self, tmp_path):
         path = _write_workspace(tmp_path)

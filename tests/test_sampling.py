@@ -13,7 +13,6 @@ from rankforge.rng import SplitMix64, substream
 from rankforge.sampling import (
     _HARD_TAG,
     SamplerConfig,
-    hard_pool,
     sample_instance,
     sample_positions,
 )
@@ -24,9 +23,16 @@ def _ranking(n: int = 10) -> Ranking:
     return Ranking("q1", [f"d{i}" for i in range(n)], [float(n - i) for i in range(n)])
 
 
+def _hard_pool(ranking, positive_id, config):
+    """The negatives `stage_pool` gives an lce stage of this sampler when
+    positive_id is the query's only judged doc."""
+    example = QueryExample(Query(ranking.query_id, "text"), {positive_id: 1}, ranking)
+    return stage_pool(example, StageConfig("lce", 1e-3, 1, sampler=config))[1:]
+
+
 def _sample(ranking, positive_id, config, query_ordinal, epoch):
     """One draw from the ranking's hard pool, as a training step makes it."""
-    pool = hard_pool(ranking, positive_id, config)
+    pool = _hard_pool(ranking, positive_id, config)
     return sample_instance(ranking.query_id, positive_id, pool, config, query_ordinal, epoch)
 
 
@@ -52,8 +58,8 @@ class TestHardPool:
         (3, "d0", ["d1", "d2"]),
     ], ids=["positive-inside", "positive-outside", "short-ranking"])
     def test_top_depth_without_the_positive(self, depth, positive, pool):
-        cfg = SamplerConfig(negatives=3, pool_depth=5)
-        assert hard_pool(_ranking(depth), positive, cfg) == pool
+        cfg = SamplerConfig(negatives=2, pool_depth=5)
+        assert _hard_pool(_ranking(depth), positive, cfg) == pool
 
 
 class TestSampleHard:
@@ -105,7 +111,7 @@ class TestSampleHard:
     def test_pool_too_small(self):
         cfg = SamplerConfig(negatives=5, pool_depth=5, seed=0)
         stage = StageConfig("lce", 1e-3, 1, sampler=cfg)
-        example = QueryExample(Query("q1", "text"), "d0", _ranking(5))
+        example = QueryExample(Query("q1", "text"), {"d0": 1}, _ranking(5))
         with pytest.raises(DataError, match="q1: only 4 eligible negatives in pool, need 5"):
             stage_pool(example, stage)
 

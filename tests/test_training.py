@@ -8,13 +8,13 @@ import pytest
 import rankforge.sampling
 import rankforge.scorer
 import rankforge.training
-from rankforge.data import TeacherRanking
+from rankforge.data import Query, Ranking, TeacherRanking
 from rankforge.errors import DataError
 from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import bce, ranknet
 from rankforge.retrieval import Bm25Params
 from rankforge.rng import SplitMix64, substream
-from rankforge.sampling import SamplerConfig, hard_pool, sample_instance
+from rankforge.sampling import SamplerConfig, sample_instance
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
@@ -27,7 +27,6 @@ from rankforge.training import (
     QueryExample,
     StageConfig,
     TrainLog,
-    TrainPlan,
     adamw_step,
     run_plan,
     run_stage,
@@ -294,7 +293,29 @@ class TestStageConfig:
 
     def test_empty_plan(self):
         with pytest.raises(ValueError, match="stage"):
-            TrainPlan(())
+            run_plan(CONFIG, (), [], [], None)
+
+
+class TestStagePool:
+    STAGE = StageConfig("lce", 1e-3, 1, sampler=SamplerConfig(negatives=2, pool_depth=5))
+    RANKING = Ranking("q", [f"d{i}" for i in range(6)], [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])
+
+    def _pool(self, judged):
+        return stage_pool(QueryExample(Query("q", "text"), judged, self.RANKING), self.STAGE)
+
+    @pytest.mark.parametrize("judged, positive", [
+        ({"d1": 2, "d4": 3, "d0": 1}, "d4"),
+        ({"d3": 2, "d1": 2, "d0": 1}, "d1"),
+    ], ids=["highest-grade", "tie-to-smaller-id"])
+    def test_positive_highest_grade_then_id(self, judged, positive):
+        pool = self._pool(judged)
+        assert pool[0] == positive
+        assert positive not in pool[1:]
+
+    @pytest.mark.parametrize("judged", [None, {}, {"d1": 0, "d2": -1}])
+    def test_no_positive_without_relevant(self, judged):
+        with pytest.raises(DataError, match="q: no positive document for lce stage"):
+            self._pool(judged)
 
 
 def _lce_stage(steps: int, lr: float = 1e-3, seed: int = 0, val_interval: int = 500):
@@ -384,7 +405,7 @@ class TestRunStage:
     def test_missing_teacher_named(self, small_world):
         params = init_params(small_world.scorer_config)
         ex = small_world.examples[0]
-        bare = QueryExample(query=ex.query, positive_id=ex.positive_id, ranking=ex.ranking)
+        bare = QueryExample(query=ex.query, judged=ex.judged, ranking=ex.ranking)
         stage = StageConfig("ranknet", 1e-3, 1, seed=0)
         with pytest.raises(DataError, match=ex.query.id):
             run_stage(params, stage, [bare], [], small_world.ctx)
@@ -398,7 +419,7 @@ class TestRunStage:
 
     def test_missing_ranking_named(self, small_world):
         ex = small_world.examples[0]
-        bare = QueryExample(query=ex.query, positive_id=ex.positive_id)
+        bare = QueryExample(query=ex.query, judged=ex.judged)
         params = init_params(small_world.scorer_config)
         with pytest.raises(DataError, match=ex.query.id):
             run_stage(params, _lce_stage(1), [bare], [], small_world.ctx)
@@ -411,8 +432,8 @@ class TestRunStage:
         stage = StageConfig("bce", 1e-3, 1, sampler=sampler, seed=4)
         _, log = run_stage(params, stage, [ex], [], small_world.ctx)
         # one example, so the step's group is its epoch-0 draw at ordinal 0
-        pool = hard_pool(ex.ranking, ex.positive_id, sampler)
-        instance = sample_instance(ex.query.id, ex.positive_id, pool, sampler, 0, 0)
+        positive, *pool = stage_pool(ex, stage)
+        instance = sample_instance(ex.query.id, positive, pool, sampler, 0, 0)
         docs = [instance.positive_id, *instance.negatives]
         scores, _ = score_batch(params, *small_world.ctx.feature_matrix(ex.query, docs))
         assert log.losses == [bce(scores).value]
@@ -453,7 +474,7 @@ class TestRunStage:
         # rows held from other blocks, in another order, train the same bits
         filled = ScoringContext(w.corpus, w.index, Bm25Params(), w.scorer_config.buckets)
         for ex in reversed(train + val):
-            docs = [ex.positive_id, *ex.ranking.ids][::-1]
+            docs = [stage_pool(ex, stage)[0], *ex.ranking.ids][::-1]
             for k in range(0, len(docs), 7):
                 filled.feature_matrix(ex.query, docs[k : k + 7])
         prefilled, prefilled_log = run_stage(params, stage, train, val, filled)
@@ -501,7 +522,7 @@ class TestRunPlan:
             init_params(small_world.scorer_config), stage, train, [], small_world.ctx
         )
         planned, logs = run_plan(
-            small_world.scorer_config, TrainPlan((stage,)), train, [], small_world.ctx
+            small_world.scorer_config, (stage,), train, [], small_world.ctx
         )
         assert len(logs) == 1
         assert np.array_equal(planned.w1, direct.w1)
@@ -514,10 +535,10 @@ class TestRunPlan:
         first = _lce_stage(25, seed=3)
         frozen = StageConfig("ranknet", 0.0, 10, seed=3)
         solo, _ = run_plan(
-            small_world.scorer_config, TrainPlan((first,)), train, [], small_world.ctx
+            small_world.scorer_config, (first,), train, [], small_world.ctx
         )
         chained, logs = run_plan(
-            small_world.scorer_config, TrainPlan((first, frozen)), train, [],
+            small_world.scorer_config, (first, frozen), train, [],
             small_world.ctx,
         )
         assert len(logs) == 2
@@ -530,8 +551,8 @@ class TestRunPlan:
         # two 4-step stages restart moments and the shuffle; one 8-step
         # stage does not, so the trajectories must diverge
         train = small_world.examples[:10]
-        split = TrainPlan((_lce_stage(4, lr=1e-2), _lce_stage(4, lr=1e-2)))
-        merged = TrainPlan((_lce_stage(8, lr=1e-2),))
+        split = (_lce_stage(4, lr=1e-2), _lce_stage(4, lr=1e-2))
+        merged = (_lce_stage(8, lr=1e-2),)
         p_split, _ = run_plan(small_world.scorer_config, split, train, [], small_world.ctx)
         p_merged, _ = run_plan(small_world.scorer_config, merged, train, [], small_world.ctx)
         assert not np.array_equal(p_split.w1, p_merged.w1)
@@ -539,7 +560,7 @@ class TestRunPlan:
     def test_memo_continues_from_longest_trained_prefix(self, small_world, monkeypatch):
         train = [e for e in small_world.examples if e.teacher is not None][:10]
         first = _lce_stage(12, seed=5)
-        plan = TrainPlan((first, StageConfig("ranknet", 1e-3, 6, seed=6)))
+        plan = (first, StageConfig("ranknet", 1e-3, 6, seed=6))
         alone, alone_logs = run_plan(small_world.scorer_config, plan, train, [],
                                      small_world.ctx)
 
@@ -552,14 +573,14 @@ class TestRunPlan:
 
         monkeypatch.setattr(rankforge.training, "run_stage", counting_run_stage)
         memo = {}
-        head, _ = run_plan(small_world.scorer_config, TrainPlan((first,)), train, [],
+        head, _ = run_plan(small_world.scorer_config, (first,), train, [],
                            small_world.ctx, memo)
         head_w1 = head.w1.copy()
         shared, shared_logs = run_plan(small_world.scorer_config, plan, train, [],
                                        small_world.ctx, memo)
         again, _ = run_plan(small_world.scorer_config, plan, train, [], small_world.ctx, memo)
         # the shared first stage ran once, the repeated plan not at all
-        assert stages_run == list(plan.stages)
+        assert stages_run == list(plan)
         assert again is shared
         for name in ("w1", "b1", "w2"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name))
@@ -570,7 +591,7 @@ class TestRunPlan:
         assert not np.array_equal(head.w1, shared.w1)
 
     def test_deterministic(self, small_world):
-        plan = TrainPlan((_lce_stage(20, seed=9), StageConfig("ranknet", 1e-4, 10, seed=9)))
+        plan = (_lce_stage(20, seed=9), StageConfig("ranknet", 1e-4, 10, seed=9))
         train = [e for e in small_world.examples if e.teacher is not None][:10]
         p1, logs1 = run_plan(small_world.scorer_config, plan, train, [], small_world.ctx)
         p2, logs2 = run_plan(small_world.scorer_config, plan, train, [], small_world.ctx)
