@@ -94,7 +94,7 @@ class Ranking:
     with rank (ties allowed). `Ranking(query_id, ids, scores)` builds one
     from ids and scores already in final order. With `scores` omitted, the
     second argument holds RunEntry objects instead (as `parse_run` and
-    `entries` give them), whose ranks must be exactly 1..depth.
+    `entries` give them), whose ranks must be exactly 1..n.
     """
 
     __slots__ = ("query_id", "ids", "scores")
@@ -135,10 +135,6 @@ class Ranking:
 
     def __repr__(self):
         return f"Ranking(query_id={self.query_id!r}, ids={self.ids!r}, scores={self.scores!r})"
-
-    @property
-    def depth(self) -> int:
-        return len(self.ids)
 
     @property
     def entries(self) -> tuple[RunEntry, ...]:

@@ -136,7 +136,7 @@ _TOP_KEYS = {
 }
 _STAGE_KEYS = {"loss", "lr", "steps", "val_interval"}
 _SAMPLER_KEYS = {"negatives", "pool_depth"}
-_SCORER_KEYS = {"buckets", "hidden", "seed"}
+_SCORER_KEYS = {"buckets", "hidden"}
 _BM25_KEYS = {"k1", "b"}
 _METRIC_KEYS = {"kind", "cutoff", "threshold", "gain"}
 
@@ -322,7 +322,7 @@ def _config_from_dict(
     scorer = ScorerConfig(
         buckets=_integer(scorer_raw, "buckets", where, ScorerConfig.buckets),
         hidden=_integer(scorer_raw, "hidden", where, ScorerConfig.hidden),
-        seed=_integer(scorer_raw, "seed", where, substream(master_seed, _INIT_TAG)),
+        seed=substream(master_seed, _INIT_TAG),
     )
     where = "config 'bm25'"
     bm25_raw = _object(raw.get("bm25", {}), where, _BM25_KEYS)

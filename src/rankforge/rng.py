@@ -6,7 +6,7 @@ are bit-reproducible and independent substreams can be derived from
 
 splitmix64 is counter-based: the k-th output of a generator in state s is
 mix64(s + k * gamma mod 2^64). So a run of draws of known length is one
-numpy pass over those counters (`SplitMix64.uniforms`, `block_uniforms`):
+numpy pass over those counters (`SplitMix64.uniforms`, `state_uniforms`):
 uint64 arithmetic wraps mod 2^64 like the scalar masks, and the shift and
 the power-of-two scale of `uniform` are exact in float64, so a block holds
 the same floats as the scalar calls it replaces and leaves each generator
@@ -96,7 +96,10 @@ class SplitMix64:
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next n `uniform()` draws as a float64 array."""
-        return block_uniforms([self], [n])
+        state = np.array([self._state], dtype=np.uint64)
+        u = state_uniforms(state, [n])
+        self._state = int(state[0])
+        return u
 
     def below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n) via masked rejection."""
@@ -126,20 +129,11 @@ class SplitMix64:
         return pool[:k]
 
 
-def block_uniforms(rngs: Sequence[SplitMix64], counts: Sequence[int]) -> np.ndarray:
-    """The next counts[i] `uniform()` draws of each generator rngs[i], laid
-    end to end in one float64 array, computed in one pass; each generator
-    advances by its count."""
-    state = np.array([rng._state for rng in rngs], dtype=np.uint64)
-    u = state_uniforms(state, counts)
-    for rng, s in zip(rngs, state.tolist()):
-        rng._state = s
-    return u
-
-
 def state_uniforms(state: np.ndarray, counts: Sequence[int]) -> np.ndarray:
-    """`block_uniforms` of the generators whose states are the uint64 array
-    state, which advances in place."""
+    """The next counts[i] `uniform()` draws of the generator whose state is
+    state[i], laid end to end in one float64 array, computed in one pass;
+    the uint64 array state advances in place, each generator by its
+    count."""
     n = np.asarray(counts, dtype=np.int64).reshape(-1)
     if n.size != state.size:
         raise ValueError(f"{state.size} generators but {n.size} counts")

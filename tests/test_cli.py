@@ -101,7 +101,7 @@ class TestRetrieve:
     def test_run_file(self, ws):
         rankings = parse_run((ws / "bm25.txt").read_text(encoding="utf-8"))
         assert len(rankings) == 40
-        assert all(r.depth <= 50 for r in rankings)
+        assert all(len(r.ids) <= 50 for r in rankings)
 
     def test_stdout_when_no_out_flag(self, ws, capsys):
         rc = main([

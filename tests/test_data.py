@@ -158,7 +158,7 @@ class TestRankingInvariants:
 
     def test_score_ties_allowed(self):
         r = Ranking("q1", ["d1", "d2"], [1.0, 1.0])
-        assert r.depth == 2
+        assert len(r.ids) == 2
 
     def test_from_scores_assigns_ranks(self):
         # input must already be in final (non-increasing score) order
@@ -205,7 +205,7 @@ class TestRankingInvariants:
         assert r == Ranking("q1", entries)
         assert r == Ranking("q1", ("d2", "d3", "d1"), [2.0, 1.0, 1.0])
         assert r.entries == entries
-        assert r.ids == ("d2", "d3", "d1") and r.depth == 3
+        assert r.ids == ("d2", "d3", "d1") and len(r.ids) == 3
         assert r.scores.dtype == np.float64 and not r.scores.flags.writeable
         assert r != Ranking("q1", ["d2", "d3", "d1"], [2.0, 1.0, 0.5])
         assert r != Ranking("q2", ["d2", "d3", "d1"], [2.0, 1.0, 1.0])
@@ -222,7 +222,7 @@ class TestRunRoundTrip:
     def test_parse_two_lines(self):
         runs = parse_run("q1 Q0 d1 1 2.000000 x\nq1 Q0 d2 2 1.000000 x\n")
         assert len(runs) == 1
-        assert runs[0].depth == 2
+        assert len(runs[0].ids) == 2
 
     def test_rank_gap_error(self):
         with pytest.raises(ParseError):

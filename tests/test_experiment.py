@@ -238,6 +238,8 @@ class TestLoadConfig:
          "plan C stage 0: pool depth 5 smaller than negative count 10"),
         ({"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
         ({"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
+        # the initialization seed follows the master seed only
+        ({"scorer": {"seed": 1}}, r"'scorer' has unknown keys \['seed'\]"),
         # a plan trains at least one stage
         ({"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
     ])
@@ -480,7 +482,7 @@ class TestRunExperiment:
         cfg, _, out = finished
         rankings = parse_run((out / "first_stage.txt").read_text(encoding="utf-8"))
         assert len(rankings) == SPEC.queries
-        assert all(r.depth <= cfg.retrieve_depth for r in rankings)
+        assert all(len(r.ids) <= cfg.retrieve_depth for r in rankings)
 
     def test_training_curves_parse(self, finished):
         _, _, out = finished

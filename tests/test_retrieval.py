@@ -137,12 +137,12 @@ class TestRetrieveTopk:
     def test_k_larger_than_candidates(self, tiny_index):
         r = retrieve_topk(tiny_index, Bm25Params(), Query("q", "cat"), 50)
         # only docs containing at least one query term are candidates
-        assert r.depth == 3
+        assert len(r.ids) == 3
         assert set(r.ids) == {"d1", "d2", "d4"}
 
     def test_no_match_gives_empty_ranking(self, tiny_index):
         r = retrieve_topk(tiny_index, Bm25Params(), Query("q", "zebra"), 5)
-        assert r.depth == 0
+        assert len(r.ids) == 0
 
     def test_k_validated(self, tiny_index):
         with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ class TestRetrievalProperties:
             ranking = retrieve_topk(index, params, query, k)
 
             assert [e.rank for e in ranking.entries] == list(
-                range(1, ranking.depth + 1)
+                range(1, len(ranking.ids) + 1)
             )
             tokens = query.text.split()
             for entry in ranking.entries:
@@ -201,7 +201,7 @@ class TestRetrievalProperties:
             index = build_index(corpus)
             query = Query("q", f"w{rng.below(30)} w{rng.below(30)}")
             ranking = retrieve_topk(index, params, query, 5)
-            if ranking.depth < 5:
+            if len(ranking.ids) < 5:
                 continue
             cutoff = ranking.entries[-1].score
             returned = set(ranking.ids)

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from rankforge.rng import (
     SplitMix64,
-    block_uniforms,
     box_muller,
     mix64,
     mix64_array,
     state_below,
     state_sample,
+    state_uniforms,
     substream,
     substreams,
 )
@@ -137,23 +137,23 @@ class TestBlockDraws:
     def test_block_uniforms_match_scalar_draws(self):
         counts = [0, 1, 10_000, 3, 0, 7]
         seeds = [*EDGE_SEEDS, substream(7, 1), 12345]
-        block = [SplitMix64(s) for s in seeds]
+        state = np.array(seeds, dtype=np.uint64)
         scalar = [SplitMix64(s) for s in seeds]
-        got = block_uniforms(block, counts)
+        got = state_uniforms(state, counts)
         want = [rng.uniform() for rng, c in zip(scalar, counts) for _ in range(c)]
         assert got.tolist() == want
-        assert [r.next_u64() for r in block] == [r.next_u64() for r in scalar]
+        assert [SplitMix64(int(s)).next_u64() for s in state] == [r.next_u64() for r in scalar]
 
     def test_block_uniforms_no_generators(self):
-        got = block_uniforms([], [])
+        got = state_uniforms(np.empty(0, dtype=np.uint64), [])
         assert got.shape == (0,) and got.dtype == np.float64
 
     def test_block_uniforms_rejects_bad_counts(self):
-        rngs = [SplitMix64(1), SplitMix64(2)]
+        state = np.array([1, 2], dtype=np.uint64)
         with pytest.raises(ValueError):
-            block_uniforms(rngs, [3])
+            state_uniforms(state, [3])
         with pytest.raises(ValueError):
-            block_uniforms(rngs, [3, -1])
+            state_uniforms(state, [3, -1])
 
     def test_gauss_is_box_muller_of_two_uniforms(self):
         # deviates drawn one at a time equal those from one block's pairs
