@@ -171,10 +171,12 @@ def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     teacher's head (the whole group, in loss-alignment order) for a stage
     without a sampler (ranknet), else the positive followed by the hard
     pool the negatives are drawn from. The positive is the judged doc of
-    highest grade >= 1, ties going to the smaller id; the pool is the top
-    pool_depth first-stage docs other than the positive, in rank order.
-    Raises DataError naming the query when the example cannot form the
-    stage's groups."""
+    highest grade >= 1, ties going to the smaller id. The pool drops from
+    the first-stage ranking every other doc judged relevant (RocketQA's
+    denoised hard negatives; Qu et al., NAACL 2021), keeps the top
+    pool_depth and leaves the positive out, in rank order. Raises
+    DataError naming the query when the example cannot form the stage's
+    groups."""
     qid = example.query.id
     if stage.sampler is None:
         if example.teacher is None:
@@ -187,7 +189,8 @@ def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
         raise DataError(f"query {qid}: no positive document for {stage.loss} stage")
     if example.ranking is None:
         raise DataError(f"query {qid}: no first-stage ranking for hard sampling")
-    pool = [d for d in example.ranking.ids[: stage.sampler.pool_depth] if d != positive]
+    kept = [d for d in example.ranking.ids if d == positive or judged.get(d, 0) < 1]
+    pool = [d for d in kept[: stage.sampler.pool_depth] if d != positive]
     h = stage.sampler.negatives
     if len(pool) < h:
         raise DataError(f"query {qid}: only {len(pool)} eligible negatives in pool, need {h}")

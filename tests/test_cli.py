@@ -503,8 +503,9 @@ class TestExperimentCommand:
         assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
 
     def test_pool_as_deep_as_the_negative_count(self, tmp_path):
-        # every pool of a query whose positive ranks in the top 20 holds 19
-        # negatives; those queries are dropped before training, not mid-stage
+        # every pool of a query whose positive ranks in the top 20 of its
+        # docs not judged relevant holds 19 negatives; those queries are
+        # dropped before training, not mid-stage
         assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "42",
                      "--noise", "0.0"]) == 0
         lce = dict(_LCE, steps=20, negatives=20, pool_depth=20)
@@ -519,7 +520,7 @@ class TestExperimentCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
-        assert summary["queries"] == {"eval": 50, "train": 83, "val": 1}
+        assert summary["queries"] == {"eval": 50, "train": 60, "val": 1}
 
     def test_document_missing_from_corpus_drops_query(self, tmp_path):
         # the last teacher entry names a document the corpus does not hold:

@@ -351,11 +351,12 @@ class TestPrepare:
             prepare(cfg)
 
     def test_dropped_query_reason_is_reported(self, tmp_path):
-        # on this small dataset only one train query ranks its positive below
-        # the top 20, so every other pool holds 19 negatives
+        # on this small dataset every train query ranks its positive in the
+        # top 20 of its docs not judged relevant, so every pool holds 19
+        # negatives
         lce = dict(_LCE, negatives=20, pool_depth=20)
         cfg = load_config(_write_workspace(tmp_path, plans={"C": [lce]}))
-        with pytest.raises(DataError, match="only 1 trainable queries; first dropped query "
+        with pytest.raises(DataError, match="only 0 trainable queries; first dropped query "
                            r"q\d+: only 19 eligible negatives in pool, need 20"):
             prepare(cfg)
 
@@ -370,10 +371,13 @@ class TestPrepare:
         cfg = load_config(path)
         prep = prepare(cfg)
         kept = prep.train_examples + prep.val_examples
-        assert (len(prep.train_examples), len(prep.val_examples)) == (83, 1)
+        assert (len(prep.train_examples), len(prep.val_examples)) == (60, 1)
         stage = cfg.plans["C"][0]
         for ex in kept:
-            assert len(stage_pool(ex, stage)) >= 21
+            positive, *pool = stage_pool(ex, stage)
+            assert len(pool) >= 20
+            # no negative the pool offers is judged relevant
+            assert all(ex.judged.get(d, 0) < 1 for d in pool)
         # every query dropped ranks its positive inside the pool
         kept_ids = {ex.query.id for ex in kept}
         eval_ids = {q.id for q in prep.eval_queries}

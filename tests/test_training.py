@@ -312,6 +312,16 @@ class TestStagePool:
         assert pool[0] == positive
         assert positive not in pool[1:]
 
+    @pytest.mark.parametrize("judged, pool", [
+        ({"d4": 3, "d1": 1, "d2": 0}, ["d4", "d0", "d2", "d3"]),
+        ({"d0": 2, "d1": 1, "d3": 1}, ["d0", "d2", "d4"]),
+    ], ids=["positive-below-depth", "positive-inside-depth"])
+    def test_judged_relevant_docs_leave_the_pool(self, judged, pool):
+        # pool_depth 3 counts the docs left after the drop, the positive among them
+        stage = StageConfig("lce", 1e-3, 1, sampler=SamplerConfig(negatives=2, pool_depth=3))
+        example = QueryExample(Query("q", "text"), judged, self.RANKING)
+        assert stage_pool(example, stage) == pool
+
     @pytest.mark.parametrize("judged", [None, {}, {"d1": 0, "d2": -1}])
     def test_no_positive_without_relevant(self, judged):
         with pytest.raises(DataError, match="q: no positive document for lce stage"):
