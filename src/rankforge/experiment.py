@@ -223,9 +223,9 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
 
 def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
     """Each plan's JSON list of stages, at least one, as a tuple seeded by
-    stage position. A plan's directory name must be a single path component of
-    its own, not the bm25 or untrained system's, and holding no whitespace
-    (a run line's fields split on it)."""
+    stage position. A plan's directory name must be a single path
+    component of its own, not the bm25 or untrained system's, and holding
+    no whitespace (a run line's fields split on it)."""
     if not isinstance(raw_plans, Mapping):
         raise DataError("config 'plans' must be a JSON object")
     plans: dict[str, Plan] = {}
@@ -387,9 +387,11 @@ class PreparedData:
 def prepare(cfg: ExperimentConfig) -> PreparedData:
     """Parse inputs, build/read the first-stage run, and split queries.
 
-    A training query is kept when every stage of the config can build its
-    `stage_pool` from documents the corpus holds; its pools are then
-    extracted into `ctx`'s feature memo, before any training.
+    A training query's example holds its parsed judgments, the qrels' own
+    map, from which `stage_pool` picks the positive. The query is kept when
+    every stage of the config can build its `stage_pool` from documents the
+    corpus holds; its pools are then extracted into `ctx`'s feature memo,
+    before any training.
     """
     corpus = parse_path(cfg.corpus, parse_corpus)
     queries = {q.id: q for q in parse_path(cfg.queries, parse_queries)}

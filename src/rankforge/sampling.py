@@ -3,8 +3,9 @@
 Localized contrastive estimation (LCE; Gao, Dai & Callan, ECIR 2021) draws
 its negatives from the top of the first-stage ranking, and so do BCE stages:
 this is the one sampler. `training.stage_pool` decides what a query's
-group may draw, once per query and stage. Negatives are drawn
-through counter-based substreams keyed by (seed, epoch, query_ordinal),
+group may draw (the positive, and a pool without the other documents
+judged relevant), once per query and stage. Negatives are drawn through
+counter-based substreams keyed by (seed, epoch, query_ordinal),
 so any instance of the training stream can be reproduced without
 replaying earlier draws, and per-epoch resampling is free.
 

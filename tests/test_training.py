@@ -322,7 +322,8 @@ class TestStagePool:
         example = QueryExample(Query("q", "text"), judged, self.RANKING)
         assert stage_pool(example, stage) == pool
 
-    @pytest.mark.parametrize("judged", [None, {}, {"d1": 0, "d2": -1}])
+    @pytest.mark.parametrize("judged", [None, {}, {"d1": 0, "d2": -1}],
+                             ids=["unjudged", "empty", "none-relevant"])
     def test_no_positive_without_relevant(self, judged):
         with pytest.raises(DataError, match="q: no positive document for lce stage"):
             self._pool(judged)
