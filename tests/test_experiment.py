@@ -374,7 +374,7 @@ class TestPrepare:
         assert (len(prep.train_examples), len(prep.val_examples)) == (60, 1)
         stage = cfg.plans["C"][0]
         for ex in kept:
-            positive, *pool = stage_pool(ex, stage)
+            _, *pool = stage_pool(ex, stage)
             assert len(pool) >= 20
             # no negative the pool offers is judged relevant
             assert all(ex.judged.get(d, 0) < 1 for d in pool)
