@@ -129,21 +129,23 @@ def _gain(grade: int, spec: MetricSpec) -> float:
     return float(grade) if spec.gain == "linear" else float(2**grade - 1)
 
 
-def _evaluable(judged: Mapping[str, int], spec: MetricSpec) -> bool:
-    if spec.kind == "ndcg":
-        return any(g >= 1 for g in judged.values())
-    return any(g >= spec.threshold for g in judged.values())
-
-
 def compute_metric(ranking: Ranking, qrels: Qrels, spec: MetricSpec) -> float:
     """Single-query metric value in [0, 1].
 
     Raises DataError when the query has no relevant judgments for this
-    metric; evaluate_run filters such queries out beforehand.
+    metric; evaluate_run leaves such queries out.
     """
-    judged = qrels.docs_for(ranking.query_id)
-    if not _evaluable(judged, spec):
+    value = _metric(ranking, qrels.docs_for(ranking.query_id), spec)
+    if value is None:
         raise DataError(f"query {ranking.query_id}: no relevant judgments for {spec.label}")
+    return value
+
+
+def _metric(ranking: Ranking, judged: Mapping[str, int], spec: MetricSpec) -> float | None:
+    """compute_metric given the query's judgments; None when none is relevant."""
+    threshold = 1 if spec.kind == "ndcg" else spec.threshold
+    if not any(g >= threshold for g in judged.values()):
+        return None
     top = ranking.ids[: spec.cutoff]
 
     if spec.kind == "ap":
@@ -188,8 +190,9 @@ def evaluate_run(
         if ranking.query_id in seen:
             raise DataError(f"duplicate ranking for query {ranking.query_id}")
         seen.add(ranking.query_id)
-        if _evaluable(qrels.docs_for(ranking.query_id), spec):
-            values[ranking.query_id] = compute_metric(ranking, qrels, spec)
+        value = _metric(ranking, qrels.docs_for(ranking.query_id), spec)
+        if value is not None:
+            values[ranking.query_id] = value
     if not values:
         raise DataError(f"{spec.label}: no evaluable queries in run")
     return MetricReport.from_values(spec.label, values)

@@ -12,8 +12,9 @@ one stream of term ids. Retrieval and feature extraction run numpy
 operations over postings blocks, not per-document Python, and never
 tokenize a document after indexing.
 
-Every BM25 score is a sum of `term_weight` over the query tokens, in query
-order, with the length norm from `InvertedIndex.length_norm`.
+The query-independent half of BM25 lives in the index: each term's idf, and
+each posting's `term_weight` once per `Bm25Params` (`InvertedIndex.impacts`).
+Every BM25 score is a sum of impacts over the query tokens, in query order.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,9 +54,14 @@ def _idf(size: int, df: int) -> float:
 
 
 def term_weight(idf, tf, norm, k1: float):
-    """BM25 weight of one query-token occurrence, idf*tf*(k1+1)/(tf+norm);
-    elementwise when tf and norm are arrays."""
-    return idf * tf * (k1 + 1.0) / (tf + norm)
+    """BM25 weight of one query-token occurrence, idf*tf*(k1+1)/(tf+norm) in
+    that order; elementwise over float64 arrays idf and norm, which it
+    overwrites (the result is idf) rather than make whole-array temporaries."""
+    idf *= tf
+    idf *= k1 + 1.0
+    norm += tf
+    idf /= norm
+    return idf
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +78,8 @@ class InvertedIndex:
                     frequencies tfs[indptr[t]:indptr[t+1]] (int32)
     tokens, starts  the corpus as one int32 stream of term ids: document i
                     is tokens[starts[i]:starts[i+1]]
+    idfs            float64 idf per term id
+    _impacts        Bm25Params -> impacts(params), filled on first use
     """
 
     doc_ids: tuple[str, ...]
@@ -83,7 +91,9 @@ class InvertedIndex:
     tfs: np.ndarray
     tokens: np.ndarray
     starts: np.ndarray
+    idfs: np.ndarray
     avg_doc_length: float
+    _impacts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -102,8 +112,9 @@ class InvertedIndex:
         return len(self.postings(term)[0])
 
     def idf(self, term: str) -> float:
-        """Lucene-style smoothed idf; 0 for unseen terms in an empty index."""
-        return _idf(self.size, self.df(term))
+        """Lucene-style smoothed idf from `idfs`; an unseen term has df 0."""
+        t = self.terms.get(term)
+        return _idf(self.size, 0) if t is None else float(self.idfs[t])
 
     def doc_numbers(self, doc_ids: Iterable[str]) -> np.ndarray:
         """int32 numbers of `doc_ids`; ValueError names one not in the index."""
@@ -112,22 +123,39 @@ class InvertedIndex:
         except KeyError as missing:
             raise ValueError(f"doc id {missing.args[0]!r} not in index") from None
 
-    def tf_matrix(self, terms: Sequence[str], nums: np.ndarray) -> np.ndarray:
-        """(len(terms), len(nums)) int32 frequency of each of the distinct
-        `terms` in each of the documents numbered `nums`."""
-        out = np.zeros((len(terms), len(nums)), dtype=np.int32)
-        for row, term in enumerate(terms):
-            docs, tfs = self.postings(term)
-            if len(docs):
-                k = np.minimum(np.searchsorted(docs, nums), len(docs) - 1)
-                out[row] = np.where(docs[k] == nums, tfs[k], 0)
-        return out
+    def impacts(self, params: Bm25Params) -> np.ndarray:
+        """Read-only `term_weight` of every posting under `params`, parallel
+        to docs and tfs, with its document's length norm k1*(1-b+b*len/avglen)
+        (tf >= 1, so never 0/0); built on first use per params, then held."""
+        if params not in self._impacts:
+            avg = self.avg_doc_length or 1.0  # 0 only when there are no postings
+            norm = params.k1 * (1.0 - params.b + params.b * self.lengths / avg)
+            w = np.repeat(self.idfs, np.diff(self.indptr))  # each posting's idf
+            w = term_weight(w, self.tfs, norm[self.docs], params.k1)
+            w.flags.writeable = False
+            self._impacts[params] = w
+        return self._impacts[params]
 
-    def length_norm(self, params: Bm25Params, lengths: np.ndarray) -> np.ndarray:
-        """k1*(1 - b + b*len/avglen) for each of the document `lengths`."""
-        if self.avg_doc_length <= 0:
-            return np.full(len(lengths), params.k1)
-        return params.k1 * (1.0 - params.b + params.b * lengths / self.avg_doc_length)
+    def match(
+        self, params: Bm25Params, query_tokens: Sequence[str], nums: np.ndarray
+    ) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(terms, hit, bm25) for the documents numbered `nums`: the distinct
+        query tokens, sorted so no order depends on the hash seed; hit[i, j],
+        whether terms[i] occurs in nums[j] (one search of its postings); and
+        each document's BM25, which each query token in order adds its impact to."""
+        terms = sorted(set(query_tokens))
+        hit = np.zeros((len(terms), len(nums)), dtype=bool)
+        weight = np.empty((len(terms), len(nums)))
+        for row, t in enumerate(map(self.terms.get, terms)):
+            if t is not None:
+                lo, hi = self.indptr[t], self.indptr[t + 1]
+                at = lo + np.minimum(np.searchsorted(self.docs[lo:hi], nums), hi - lo - 1)
+                hit[row] = self.docs[at] == nums
+                weight[row] = self.impacts(params)[at]
+        bm25 = np.zeros(len(nums))
+        for j in map(terms.index, query_tokens):
+            np.add(bm25, weight[j], out=bm25, where=hit[j])
+        return terms, hit, bm25
 
 
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -167,36 +195,12 @@ def build_index(corpus: Mapping[str, str]) -> InvertedIndex:
     indptr = np.zeros(len(terms) + 1, dtype=np.intp)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=indptr[1:])
 
+    idfs = np.array([_idf(len(doc_ids), df) for df in np.diff(indptr).tolist()], dtype=np.float64)
     avg = int(starts[-1]) / len(doc_ids) if doc_ids else 0.0
     return InvertedIndex(
         doc_ids, {d: i for i, d in enumerate(doc_ids)}, lengths, terms,
-        indptr, docs, tfs, tokens, starts, avg,
+        indptr, docs, tfs, tokens, starts, idfs, avg,
     )
-
-
-def bm25_block(
-    index: InvertedIndex,
-    params: Bm25Params,
-    query_tokens: Sequence[str],
-    terms: Sequence[str],
-    tf: np.ndarray,
-    nums: np.ndarray,
-) -> np.ndarray:
-    """BM25 scores of the documents numbered `nums`, given their term
-    frequencies `tf` (one row per entry of `terms`, which holds every query
-    token): each query token in order adds its term weight where it occurs.
-    """
-    idf = np.array([index.idf(t) for t in terms])
-    norm = index.length_norm(params, index.lengths[nums])
-    # where tf is 0 the weight is unused, and 0/0 when b = 1 and a document
-    # is empty
-    with np.errstate(invalid="ignore"):
-        weight = term_weight(idf[:, None], tf, norm, params.k1)
-    row = {t: j for j, t in enumerate(terms)}
-    score = np.zeros(len(nums))
-    for t in query_tokens:
-        np.add(score, weight[row[t]], out=score, where=tf[row[t]] > 0)
-    return score
 
 
 def bm25_score(
@@ -207,13 +211,10 @@ def bm25_score(
 ) -> float:
     """BM25 score of one document against query tokens.
 
-    Each query token occurrence contributes `term_weight`; repeating a
-    term in the query therefore scales its contribution.
+    Each query token occurrence contributes its term's impact; repeating
+    a term in the query therefore scales its contribution.
     """
-    nums = index.doc_numbers([doc_id])
-    tokens = list(query_tokens)
-    terms = sorted(set(tokens))
-    return float(bm25_block(index, params, tokens, terms, index.tf_matrix(terms, nums), nums)[0])
+    return float(index.match(params, list(query_tokens), index.doc_numbers([doc_id]))[2][0])
 
 
 def retrieve_topk(
@@ -226,12 +227,13 @@ def retrieve_topk(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = np.zeros(index.size)
-    norm = index.length_norm(params, index.lengths)
-    for t in tokenize(query.text):
-        docs, tfs = index.postings(t)
-        scores[docs] += term_weight(_idf(index.size, len(docs)), tfs, norm[docs], params.k1)
-    # every term weight is > 0, so the candidates are the nonzero scores;
-    # the stable sort keeps equal scores in number order, which is id order
-    cand = np.flatnonzero(scores)
+    impacts = index.impacts(params)
+    for t in map(index.terms.get, tokenize(query.text)):
+        if t is not None:
+            lo, hi = index.indptr[t], index.indptr[t + 1]
+            scores[index.docs[lo:hi]] += impacts[lo:hi]
+    # every impact is > 0 (idf > 0, tf >= 1, k1 > 0), so the candidates are the
+    # positive scores; the stable sort keeps ties in number order, which is id order
+    cand = np.flatnonzero(scores > 0.0)
     top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
     return Ranking(query.id, [index.doc_ids[i] for i in top.tolist()], scores[top])

@@ -14,10 +14,11 @@ A query-document pair is encoded as F = buckets + 6 interaction features:
 `extract_features` computes these for one query and a list of documents at
 once. The query side (tokens, idf, buckets, bigrams) is done once per call,
 and the document side is read from the inverted index's arrays with numpy
-operations over the whole block: term frequencies from the query terms'
-postings, lengths from `lengths`, and [5] from adjacent term ids in the
-token stream. The index must be built from the same corpus; no document
-text is re-tokenized. A row of a query can be nonzero only in the query's
+operations over the whole block: one search of each query term's postings
+finds where it occurs and its precomputed BM25 impact (`InvertedIndex.match`),
+lengths come from `lengths`, and [5] from adjacent term ids in the token
+stream. The index must be built from the same corpus; no document text
+is re-tokenized. A row of a query can be nonzero only in the query's
 columns: the N_DENSE features and its terms' distinct buckets, since the
 hashed block is written only at those buckets. So the extractor returns
 the narrow block over those columns, `ScoringContext` memoizes it per query
@@ -45,7 +46,7 @@ import numpy as np
 
 from .data import Query
 from .errors import DataError
-from .retrieval import Bm25Params, InvertedIndex, bm25_block, concat_ranges, tokenize
+from .retrieval import Bm25Params, InvertedIndex, concat_ranges, tokenize
 from .rng import SplitMix64
 
 _EPS = 1e-12
@@ -161,11 +162,7 @@ def extract_features(
     """
     nums = index.doc_numbers(doc_ids)
     q_tokens = tokenize(query.text)
-    # sorted terms: accumulation order must not depend on the process hash
-    # seed or the result is not bit-reproducible across runs
-    q_terms = sorted(set(q_tokens))
-    tf = index.tf_matrix(q_terms, nums)
-    hit = tf > 0  # (query terms, docs)
+    q_terms, hit, bm25 = index.match(params, q_tokens, nums)  # hit: (terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
     if term_cols is None:
         term_cols = term_columns(q_terms, buckets)
@@ -174,14 +171,12 @@ def extract_features(
     slots = np.searchsorted(cols, term_cols).tolist()
 
     x = np.zeros((len(nums), len(cols)), dtype=np.float64)
-    bm25 = bm25_block(index, params, q_tokens, q_terms, tf, nums)
     x[:, 0] = bm25 / (1.0 + bm25)
     x[:, 1] = hit.sum(axis=0) / max(1, len(q_terms))
-    idf_overlap = np.zeros(len(nums))
     for j, idf in enumerate(q_idf):
-        idf_overlap[hit[j]] += idf
+        x[hit[j], 2] += idf
         x[hit[j], slots[j]] += idf
-    x[:, 2] = idf_overlap / max(_EPS, sum(q_idf))
+    x[:, 2] /= max(_EPS, sum(q_idf))
     x[:, 3] = [math.log1p(n) / 10.0 for n in index.lengths[nums].tolist()]
     x[:, 4] = math.log1p(len(q_tokens)) / 10.0
     x[:, 5] = _bigram_fraction(index, q_tokens, nums)

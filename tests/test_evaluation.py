@@ -257,6 +257,22 @@ class TestEvaluateRun:
         report = evaluate_run(rankings, qrels, self.Q)
         assert report.mean == pytest.approx(0.75)
 
+    def test_reads_each_query_judgments_once(self, monkeypatch):
+        calls = []
+        docs_for = Qrels.docs_for
+
+        def counted(qrels, query_id):
+            calls.append(query_id)
+            return docs_for(qrels, query_id)
+
+        monkeypatch.setattr(Qrels, "docs_for", counted)
+        rankings = [_ranking("q1", ["d1"]), _ranking("q2", ["d1"]), _ranking("q3", ["d1"])]
+        qrels = Qrels({"q1": {"d1": 1}, "q2": {"d1": 0}})
+        for spec in (MetricSpec("ap"), MetricSpec("ndcg"), MetricSpec("mrr")):
+            calls.clear()
+            assert list(evaluate_run(rankings, qrels, spec).per_query) == ["q1"]
+            assert calls == ["q1", "q2", "q3"]
+
     def test_evaluate_all_keys_by_label(self):
         rankings = [_ranking("q1", ["d1"])]
         qrels = Qrels({"q1": {"d1": 1}})

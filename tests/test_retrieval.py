@@ -1,9 +1,12 @@
 """Tokenizer, inverted index, BM25 scoring, and top-k retrieval."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from rankforge import retrieval
 from rankforge.data import parse_corpus
 from rankforge.retrieval import (
     Bm25Params,
@@ -11,8 +14,10 @@ from rankforge.retrieval import (
     bm25_score,
     build_index,
     retrieve_topk,
+    term_weight,
     tokenize,
 )
+from rankforge.scorer import extract_features
 from rankforge.data import Query
 from rankforge.rng import SplitMix64
 
@@ -153,6 +158,69 @@ class TestRetrieveTopk:
         a = retrieve_topk(tiny_index, Bm25Params(), q, 5)
         b = retrieve_topk(tiny_index, Bm25Params(), q, 5)
         assert a == b
+
+
+class TestImpacts:
+    """Each posting's BM25 term weight is computed once per index and params."""
+
+    REPEATS = "d1\tcat cat dog\nd2\t\nd3\tdog fox fox fox\nd4\tcat\n"  # d2 is empty
+
+    @pytest.mark.parametrize(
+        "params",
+        [Bm25Params(), Bm25Params(k1=1.2, b=1.0), Bm25Params(k1=1.37, b=0.73)],
+        ids=["default", "b1", "uneven"],
+    )
+    @pytest.mark.parametrize("world", ["empty_doc", "random"])
+    def test_each_posting_is_its_term_weight(self, params, world):
+        text = self.REPEATS if world == "empty_doc" else _random_corpus(SplitMix64(5), 60)
+        index = build_index(parse_corpus(text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0, even at b = 1 with an empty document
+            got = index.impacts(params)
+        assert got.dtype == np.float64 and got.shape == index.docs.shape
+        names = {t: term for term, t in index.terms.items()}
+        want = []
+        for t in range(len(names)):
+            lo, hi = index.indptr[t], index.indptr[t + 1]
+            for num, tf in zip(index.docs[lo:hi].tolist(), index.tfs[lo:hi].tolist()):
+                length = int(index.lengths[num])
+                norm = params.k1 * (1.0 - params.b + params.b * length / index.avg_doc_length)
+                want.append(term_weight(index.idf(names[t]), tf, norm, params.k1))
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+    def test_idf_table_matches_the_formula(self):
+        index = build_index(parse_corpus(self.REPEATS))
+        for term in ("cat", "dog", "fox", "zzz"):
+            df = index.df(term)
+            want = math.log(1.0 + (index.size - df + 0.5) / (df + 0.5))
+            assert type(index.idf(term)) is float and index.idf(term).hex() == want.hex()
+
+    def test_held_per_params(self):
+        index = build_index(parse_corpus(self.REPEATS))
+        held = index.impacts(Bm25Params())
+        assert index.impacts(Bm25Params()) is held
+        assert not held.flags.writeable
+        other = index.impacts(Bm25Params(k1=1.2, b=1.0))
+        assert other is not held and not np.array_equal(other, held)
+        assert index.impacts(Bm25Params(k1=1.2, b=1.0)) is other
+
+    def test_second_query_computes_no_term_weight(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return term_weight(*args)
+
+        monkeypatch.setattr(retrieval, "term_weight", counted)
+        index = build_index(parse_corpus(self.REPEATS))
+        params = Bm25Params()
+        retrieve_topk(index, params, Query("q1", "cat dog"), 10)
+        assert len(calls) == 1
+        second = Query("q2", "fox dog dog cat")
+        ids = list(retrieve_topk(index, params, second, 10).ids)
+        extract_features(index, params, second, ids, 16)
+        bm25_score(index, params, tokenize(second.text), "d3")
+        assert len(calls) == 1
 
 
 def _random_corpus(rng: SplitMix64, n_docs: int) -> str:
