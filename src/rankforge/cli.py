@@ -182,14 +182,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    from .experiment import load_config, run_experiment
+    from .experiment import RQ_REPORTS, load_config, run_experiment
 
     cfg = load_config(args.config, seed=args.seed, out=args.out)
     started = time.perf_counter()
     summary = run_experiment(cfg)
     elapsed = time.perf_counter() - started
-    for name in ("rq1.md", "rq2.md", "rq3.md"):
-        print(f"wrote {cfg.out / name}")
+    for rel, *_ in RQ_REPORTS:
+        print(f"wrote {cfg.out / rel}")
     ndcg = {
         label: means.get("nDCG@10") for label, means in summary["means"].items()
     }

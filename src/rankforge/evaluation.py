@@ -11,7 +11,7 @@ statistics dependency is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -364,13 +364,8 @@ def build_table(
             sig = paired_ttest(va.reports[c], vb.reports[c]).significant
             for label, mine, other in ((la, ma, mb), (lb, mb, ma)):
                 if mine >= other:
-                    old = cells[label][c]
-                    cells[label][c] = _Cell(
-                        old.value,
-                        bold=True,
-                        sig_sibling=sig and mine > other,
-                        sig_baseline=old.sig_baseline,
-                        below=old.below,
+                    cells[label][c] = replace(
+                        cells[label][c], bold=True, sig_sibling=sig and mine > other
                     )
 
     labels = (baseline.label, *(v.label for v in variants))

@@ -91,7 +91,18 @@ _VALS_TAG = 0x56414C53
 _STAGE_TAG = 0x53544147
 _SAMPLER_TAG = 0x534D504C
 
-RQ_PLAN_NAMES = ("C", "D", "C->D", "D->C")
+# the baseline systems, each naming its directory, and the files beside them
+_BM25, _UNTRAINED, _FIRST_STAGE, _SUMMARY = "bm25", "untrained", "first_stage.txt", "summary.json"
+# The RQ reports: file, title, the rows ahead of the pair (the baseline
+# first), and the pair of plans it compares (None: the best of each earlier
+# pair by mean nDCG@10).
+RQ_REPORTS = (
+    ("rq1.md", "RQ1: single-stage fine-tuning", (_UNTRAINED, _BM25), ("C", "D")),
+    ("rq2.md", "RQ2: stage order in multi-stage fine-tuning", (_UNTRAINED,), ("C->D", "D->C")),
+    ("rq3.md", "RQ3: best single stage vs best multi stage", (_UNTRAINED,), None),
+)
+RQ_PLAN_NAMES = tuple(name for *_, pair in RQ_REPORTS if pair for name in pair)
+_TOP_LEVEL = {_BM25, _UNTRAINED, _FIRST_STAGE, _SUMMARY, *(rel for rel, *_ in RQ_REPORTS)}
 
 Plan = tuple[StageConfig, ...]
 
@@ -224,8 +235,9 @@ def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
 def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
     """Each plan's JSON list of stages, at least one, as a tuple seeded by
     stage position. A plan's directory name must be a single path
-    component of its own, not the bm25 or untrained system's, and holding
-    no whitespace (a run line's fields split on it)."""
+    component of its own, not a name the driver writes at the top level
+    (`_TOP_LEVEL`), and holding no whitespace (a run line's fields split
+    on it)."""
     if not isinstance(raw_plans, Mapping):
         raise DataError("config 'plans' must be a JSON object")
     plans: dict[str, Plan] = {}
@@ -233,7 +245,7 @@ def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
     for name, body in raw_plans.items():
         sub = plan_dir_name(name)
         spaced = sub.split() != [sub]  # also the empty name
-        if spaced or "/" in sub or "\\" in sub or sub in (".", "..", "bm25", "untrained"):
+        if spaced or "/" in sub or "\\" in sub or sub in {".", "..", *_TOP_LEVEL}:
             raise DataError(f"plan {name!r}: {sub!r} cannot name its artifact directory")
         if sub in owners:
             raise DataError(f"plans {owners[sub]!r} and {name!r} share the directory {sub!r}")
@@ -502,10 +514,6 @@ class _Workspace:
                 pass
 
 
-def _mean_ndcg10(system: SystemResult) -> float:
-    return system.reports["nDCG@10"].mean
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train all plans, re-rank, evaluate, and emit RQ1-RQ3 tables.
 
@@ -514,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     artifacts do not depend on the CPU count. A worker's exception is
     re-raised here with its type and message; no worker outlives the call.
 
-    Returns a summary dict (also written as summary.json). A config without
+    Returns a summary dict (also written as `_SUMMARY`). A config without
     the RQ plans or an nDCG@10 metric is rejected before anything is read or
     written. On any failure partially written outputs are removed.
     """
@@ -532,16 +540,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             # written while the workers train
             if cfg.first_stage == "build":
                 ordered = [prep.first_stage[qid] for qid in sorted(prep.first_stage)]
-                ws.write_text("first_stage.txt", write_run(ordered, tag="bm25"))
+                ws.write_text(_FIRST_STAGE, write_run(ordered, tag=_BM25))
 
             eval_qids = sorted(q.id for q in prep.eval_queries)
             fs_rankings = [prep.first_stage[qid] for qid in eval_qids]
-            bm25_system = SystemResult("bm25", evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
-            ws.write_text("bm25/metrics.csv", report_csv(bm25_system.reports))
+            bm25_system = SystemResult(_BM25, evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
+            ws.write_text(f"{_BM25}/metrics.csv", report_csv(bm25_system.reports))
 
             systems: dict[str, SystemResult] = {
-                "bm25": bm25_system,
-                "untrained": _write_system(ws, cfg, prep, "untrained", init_params(cfg.scorer)),
+                _BM25: bm25_system,
+                _UNTRAINED: _write_system(ws, cfg, prep, _UNTRAINED, init_params(cfg.scorer)),
             }
             trained = finish_training()
 
@@ -550,48 +558,38 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             _write_checkpoint(ws, name, params, logs)
             systems[name] = _write_system(ws, cfg, prep, name, params)
 
-        baseline = systems["untrained"]
-        rq1 = build_table(
-            baseline,
-            [systems["bm25"], systems["C"], systems["D"]],
-            pairings=[("C", "D")],
-        )
-        rq2 = build_table(
-            baseline,
-            [systems["C->D"], systems["D->C"]],
-            pairings=[("C->D", "D->C")],
-        )
-        best_single = max(("C", "D"), key=lambda n: (_mean_ndcg10(systems[n]), n))
-        best_multi = max(("C->D", "D->C"), key=lambda n: (_mean_ndcg10(systems[n]), n))
-        rq3 = build_table(
-            baseline,
-            [systems[best_single], systems[best_multi]],
-            pairings=[(best_single, best_multi)],
-        )
-        ws.write_text("rq1.md", "# RQ1: single-stage fine-tuning\n\n" + rq1.to_markdown())
-        ws.write_text("rq2.md", "# RQ2: stage order in multi-stage fine-tuning\n\n" + rq2.to_markdown())
-        ws.write_text("rq3.md", "# RQ3: best single stage vs best multi stage\n\n" + rq3.to_markdown())
+        def best(pair: tuple[str, str]) -> str:  # by mean nDCG@10, ties to the larger name
+            return max(pair, key=lambda n: (systems[n].reports["nDCG@10"].mean, n))
 
-        bm25_means = {col: rep.mean for col, rep in systems["bm25"].reports.items()}
+        winners: list[str] = []
+        for rel, title, rows, pair in RQ_REPORTS:
+            pair = pair or tuple(winners)
+            winners.append(best(pair))
+            baseline, *variants = (systems[n] for n in rows + pair)
+            table = build_table(baseline, variants, [pair])
+            ws.write_text(rel, f"# {title}\n\n" + table.to_markdown())
+        best_single, best_multi, _ = winners
+
+        means = {
+            label: {col: rep.mean for col, rep in system.reports.items()}
+            for label, system in systems.items()
+        }
         summary = {
             "seed": cfg.seed,
             "queries": {"train": len(prep.train_examples), "val": len(prep.val_examples),
                         "eval": len(prep.eval_queries)},
             "plans": {name: [s.max_steps for s in plan]
                       for name, plan in cfg.plans.items()},
-            "means": {
-                label: {col: rep.mean for col, rep in system.reports.items()}
-                for label, system in systems.items()
-            },
+            "means": means,
             "vs_bm25": {
-                label: {col: rep.mean - bm25_means[col] for col, rep in system.reports.items()}
-                for label, system in systems.items()
-                if label != "bm25"
+                label: {col: mean - means[_BM25][col] for col, mean in row.items()}
+                for label, row in means.items()
+                if label != _BM25
             },
             "best_single": best_single,
             "best_multi": best_multi,
         }
-        ws.write_text("summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        ws.write_text(_SUMMARY, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return summary
     except BaseException:
         ws.cleanup()

@@ -99,18 +99,6 @@ class InvertedIndex:
     def size(self) -> int:
         return len(self.doc_ids)
 
-    def postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc numbers, term frequencies) of `term`, ascending by number;
-        both empty for a term not in the index."""
-        t = self.terms.get(term)
-        if t is None:
-            return self.docs[:0], self.tfs[:0]
-        lo, hi = self.indptr[t], self.indptr[t + 1]
-        return self.docs[lo:hi], self.tfs[lo:hi]
-
-    def df(self, term: str) -> int:
-        return len(self.postings(term)[0])
-
     def idf(self, term: str) -> float:
         """Lucene-style smoothed idf from `idfs`; an unseen term has df 0."""
         t = self.terms.get(term)

@@ -264,6 +264,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("name", [
         "bm25", "untrained",  # the systems every RQ table compares against
+        "first_stage.txt", "rq1.md", "rq2.md", "rq3.md", "summary.json",  # files beside them
         "C-to-D",  # the directory of C->D
         "../escaped", "a/b", "a\\b", ".", "..", "",  # not one directory inside out
         "a b", "a\tb",  # would split a run line into more fields
@@ -472,15 +473,29 @@ class TestRunExperiment:
 
     def test_rq_tables(self, finished):
         _, summary, out = finished
-        rq1 = (out / "rq1.md").read_text(encoding="utf-8")
-        assert rq1.startswith("# RQ1: single-stage fine-tuning\n\n| System |")
-        for label in ("untrained", "bm25", "C", "D"):
-            assert f"| {label} |" in rq1
-        rq2 = (out / "rq2.md").read_text(encoding="utf-8")
-        assert "| C->D |" in rq2 and "| D->C |" in rq2
-        rq3 = (out / "rq3.md").read_text(encoding="utf-8")
-        assert f"| {summary['best_single']} |" in rq3
-        assert f"| {summary['best_multi']} |" in rq3
+        for rel, title, labels in (
+            ("rq1.md", "RQ1: single-stage fine-tuning", ["untrained", "bm25", "C", "D"]),
+            ("rq2.md", "RQ2: stage order in multi-stage fine-tuning",
+             ["untrained", "C->D", "D->C"]),
+            ("rq3.md", "RQ3: best single stage vs best multi stage",
+             ["untrained", summary["best_single"], summary["best_multi"]]),
+        ):
+            lines = (out / rel).read_text(encoding="utf-8").splitlines()
+            assert lines[:2] == [f"# {title}", ""], rel
+            assert lines[2].startswith("| System |") and lines[3].startswith("| --- |"), rel
+            assert [line.split(" | ")[0] for line in lines[4:]] == [f"| {x}" for x in labels], rel
+
+    def test_top_level_names_are_no_plan_names(self, finished, tmp_path):
+        # a plan whose directory took one of these names would clash with the file or system
+        cfg, _, out = finished
+        plan_dirs = {plan_dir_name(name) for name in cfg.plans}
+        written = sorted(p.name for p in out.iterdir() if p.name not in plan_dirs)
+        assert "summary.json" in written and "bm25" in written
+        for name in written:
+            plans = dict(_config_dict()["plans"], **{name: [_RK]})
+            path = _write_workspace(tmp_path, plans=plans)
+            with pytest.raises(DataError, match="cannot name its artifact directory"):
+                load_config(path)
 
     def test_first_stage_run_parses(self, finished):
         cfg, _, out = finished

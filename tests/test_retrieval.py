@@ -43,18 +43,18 @@ class TestTokenize:
 class TestBuildIndex:
     def test_counting(self):
         index = build_index(parse_corpus("d\tcat cat dog\n"))
-        docs, tfs = index.postings("cat")
-        assert docs.tolist() == [0] and tfs.tolist() == [2]
-        docs, tfs = index.postings("dog")
-        assert docs.tolist() == [0] and tfs.tolist() == [1]
-        assert index.df("cat") == 1
+        # term t's postings are docs and tfs over indptr[t]:indptr[t + 1]
+        assert index.terms == {"cat": 0, "dog": 1}
+        assert index.indptr.tolist() == [0, 1, 2]
+        assert index.docs.tolist() == [0, 0] and index.tfs.tolist() == [2, 1]
         assert index.avg_doc_length == 3.0
 
     def test_documents_numbered_in_id_order(self):
         index = build_index(parse_corpus("b\tdog cat\na\tcat cat\nc\t--\n"))
         assert index.doc_ids == ("a", "b", "c")
-        docs, tfs = index.postings("cat")
-        assert docs.tolist() == [0, 1] and tfs.tolist() == [2, 1]
+        t = index.terms["cat"]
+        lo, hi = index.indptr[t], index.indptr[t + 1]
+        assert index.docs[lo:hi].tolist() == [0, 1] and index.tfs[lo:hi].tolist() == [2, 1]
         assert index.lengths.tolist() == [2, 2, 0]
         # the token stream holds each document's term ids in text order
         names = {i: t for t, i in index.terms.items()}
@@ -72,13 +72,14 @@ class TestBuildIndex:
 
     def test_df_counts_documents_not_occurrences(self):
         index = build_index(parse_corpus("d1\tcat cat\nd2\tcat\n"))
-        assert index.df("cat") == 2
+        t = index.terms["cat"]
+        assert index.indptr[t + 1] - index.indptr[t] == 2  # not the 3 occurrences
 
     def test_unknown_term(self):
         index = build_index(parse_corpus("d1\ta\n"))
-        assert index.df("zzz") == 0
-        docs, tfs = index.postings("zzz")
-        assert len(docs) == 0 and len(tfs) == 0
+        # an unseen term has no id, so no postings
+        assert "zzz" not in index.terms
+        assert len(index.indptr) == len(index.terms) + 1
 
 
 class TestBm25:
@@ -190,8 +191,9 @@ class TestImpacts:
 
     def test_idf_table_matches_the_formula(self):
         index = build_index(parse_corpus(self.REPEATS))
+        dfs = np.diff(index.indptr)
         for term in ("cat", "dog", "fox", "zzz"):
-            df = index.df(term)
+            df = int(dfs[index.terms[term]]) if term in index.terms else 0
             want = math.log(1.0 + (index.size - df + 0.5) / (df + 0.5))
             assert type(index.idf(term)) is float and index.idf(term).hex() == want.hex()
 
