@@ -120,7 +120,7 @@ def rerank(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     docs = ranking.ids[:depth]
-    scores, _ = score_batch(params, *ctx.feature_matrix(query, docs))
+    scores, _ = score_batch(params, ctx.feature_matrix(query, docs))
     order = np.lexsort((np.arange(len(docs)), -scores))
     return Ranking(ranking.query_id, [docs[i] for i in order.tolist()], scores[order])
 

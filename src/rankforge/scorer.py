@@ -2,7 +2,7 @@
 
 A query-document pair is encoded as F = buckets + 6 interaction features:
 
-  [0] bm25 / (1 + bm25)
+  [0] bm25 / 10
   [1] |unique(q) & unique(d)| / max(1, |unique(q)|)
   [2] sum of idf over overlapping terms / max(eps, sum of idf over query terms)
   [3] ln(1 + doc token count) / 10
@@ -18,13 +18,7 @@ operations over the whole block: one search of each query term's postings
 finds where it occurs and its precomputed BM25 impact (`InvertedIndex.match`),
 lengths come from `lengths`, and [5] from adjacent term ids in the token
 stream. The index must be built from the same corpus; no document text
-is re-tokenized. A row of a query can be nonzero only in the query's
-columns: the N_DENSE features and its terms' distinct buckets, since the
-hashed block is written only at those buckets. So the extractor returns
-the narrow block over those columns, `ScoringContext` memoizes it per query
-and returns held rows as they are, and the scorer multiplies a block by
-the matching columns of W1; a full-width matrix is the case where the
-columns are all of them.
+is re-tokenized. `ScoringContext` memoizes the full-width rows per query.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
@@ -40,7 +34,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,7 +62,7 @@ def fnv1a64(data: bytes) -> int:
 
 @dataclass(frozen=True)
 class ScorerConfig:
-    buckets: int = 1024
+    buckets: int = 8
     hidden: int = 16
     seed: int = 0
 
@@ -143,19 +137,11 @@ class ScorerParams:
 
 
 def extract_features(
-    index: InvertedIndex,
-    params: Bm25Params,
-    query: Query,
-    doc_ids: Sequence[str],
-    buckets: int,
-    term_cols: Sequence[int] | None = None,
+    index: InvertedIndex, params: Bm25Params, query: Query, doc_ids: Sequence[str], buckets: int
 ) -> np.ndarray:
-    """The (len(doc_ids), len(cols)) feature block of the documents, one row
-    per document in order, over the query's columns cols (`_columns`; layout
-    in module docstring); every other feature is 0.
+    """The (len(doc_ids), buckets + N_DENSE) feature matrix of the documents,
+    one row per document in order (layout in module docstring).
 
-    `term_cols`, when given, is `term_columns` of the query's distinct terms
-    in sorted order, as a caller that already hashed them holds it.
     `index` must be built from the corpus the documents come from: every
     document-side quantity is read from its arrays, and no document text
     is tokenized. A document missing from the index raises ValueError.
@@ -164,18 +150,13 @@ def extract_features(
     q_tokens = tokenize(query.text)
     q_terms, hit, bm25 = index.match(params, q_tokens, nums)  # hit: (terms, docs)
     q_idf = [index.idf(t) for t in q_terms]
-    if term_cols is None:
-        term_cols = term_columns(q_terms, buckets)
-    cols = _columns(term_cols)
-    # each term's column within the block
-    slots = np.searchsorted(cols, term_cols).tolist()
 
-    x = np.zeros((len(nums), len(cols)), dtype=np.float64)
-    x[:, 0] = bm25 / (1.0 + bm25)
+    x = np.zeros((len(nums), buckets + N_DENSE), dtype=np.float64)
+    x[:, 0] = bm25 / 10.0
     x[:, 1] = hit.sum(axis=0) / max(1, len(q_terms))
-    for j, idf in enumerate(q_idf):
+    for j, (t, idf) in enumerate(zip(q_terms, q_idf)):
         x[hit[j], 2] += idf
-        x[hit[j], slots[j]] += idf
+        x[hit[j], N_DENSE + fnv1a64(t.encode("utf-8")) % buckets] += idf
     x[:, 2] /= max(_EPS, sum(q_idf))
     x[:, 3] = [math.log1p(n) / 10.0 for n in index.lengths[nums].tolist()]
     x[:, 4] = math.log1p(len(q_tokens)) / 10.0
@@ -185,17 +166,6 @@ def extract_features(
     norm = np.sqrt(np.einsum("ij,ij->i", hashed, hashed))[:, None]
     np.divide(hashed, norm, out=hashed, where=norm > 0.0)
     return x
-
-
-def term_columns(terms: Iterable[str], buckets: int) -> list[int]:
-    """The feature column of each term's hashed bucket, in order."""
-    return [N_DENSE + fnv1a64(t.encode("utf-8")) % buckets for t in terms]
-
-
-def _columns(term_cols: Iterable[int]) -> np.ndarray:
-    """A query's columns, the only ones its rows can fill: the N_DENSE dense
-    columns, then its terms' distinct bucket columns (these) ascending."""
-    return np.array([*range(N_DENSE), *sorted(set(term_cols))], dtype=np.intp)
 
 
 def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray) -> np.ndarray:
@@ -223,29 +193,21 @@ def _bigram_fraction(index: InvertedIndex, q_tokens: list[str], nums: np.ndarray
     return count / max(1, len(q_bigrams))
 
 
-def score_batch(
-    params: ScorerParams, x_mat: np.ndarray, cols: np.ndarray | slice = slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores for an (n, len(cols)) feature block over the feature columns
-    `cols`, every other feature 0 (by default a full-width (n, F) matrix);
-    also returns hidden activations for backward."""
-    a = np.tanh(x_mat @ params.w1[:, cols].T + params.b1)
+def score_batch(params: ScorerParams, x_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores for an (n, F) feature matrix; also returns hidden activations
+    for backward."""
+    a = np.tanh(x_mat @ params.w1.T + params.b1)
     return a @ params.w2 + params.b2, a
 
 
 def backward_batch(
-    params: ScorerParams,
-    x_mat: np.ndarray,
-    activations: np.ndarray,
-    upstream: np.ndarray,
-    cols: np.ndarray | slice = slice(None),
+    params: ScorerParams, x_mat: np.ndarray, activations: np.ndarray, upstream: np.ndarray
 ) -> ScorerParams:
     """Exact gradient of sum_i upstream_i * s_i w.r.t. every parameter, for
-    the block and columns `score_batch` was given, in the parameters' own
-    shape: its W1 is 0 outside `cols`."""
+    the (n, F) matrix `score_batch` was given, in the parameters' own shape."""
     dz = (upstream[:, None] * params.w2[None, :]) * (1.0 - activations * activations)
-    grads = ScorerParams.from_flat(np.zeros_like(params.flat), *params.w1.shape)
-    grads.w1[:, cols] = dz.T @ x_mat
+    grads = ScorerParams.from_flat(np.empty_like(params.flat), *params.w1.shape)
+    np.matmul(dz.T, x_mat, out=grads.w1)
     np.sum(dz, axis=0, out=grads.b1)
     np.matmul(activations.T, upstream, out=grads.w2)
     grads.b2 = upstream.sum()
@@ -267,7 +229,7 @@ def init_params(config: ScorerConfig) -> ScorerParams:
 
 
 _MAGIC = b"RFCP"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sHII")  # magic, version, buckets, hidden
 
 
@@ -297,21 +259,16 @@ def load_params(blob: bytes) -> ScorerParams:
 
 
 class _QueryFeatures:
-    """One query's extracted rows: a doc -> row map and the rows' values in
-    `cols`, the query's columns (`_columns`)."""
+    """One query's extracted rows: a doc -> row map and the rows' values."""
 
-    __slots__ = ("rows", "term_cols", "cols", "vals")
+    __slots__ = ("rows", "vals")
 
-    def __init__(self, query: Query, buckets: int):
+    def __init__(self, buckets: int):
         self.rows: dict[str, int] = {}
-        # hashed once here; every extraction for the query reuses them
-        self.term_cols = term_columns(sorted(set(tokenize(query.text))), buckets)
-        self.cols = _columns(self.term_cols)
-        self.cols.flags.writeable = False
-        self.vals = np.empty((0, len(self.cols)))
+        self.vals = np.empty((0, buckets + N_DENSE))
 
     def add(self, doc_ids: list[str], x: np.ndarray) -> None:
-        """Append the rows of x, the feature block of doc_ids not yet held."""
+        """Append the rows of x, the feature matrix of doc_ids not yet held."""
         base = len(self.rows)
         self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
         self.vals = np.concatenate([self.vals, x])
@@ -323,12 +280,10 @@ class ScoringContext:
     holds: a document missing from it is a DataError.
 
     Feature vectors are pure functions of (query, doc), so the memo never
-    invalidates. It is keyed by query id and holds each query's rows as
-    one block over the query's own columns (the dense features and its
-    terms' distinct buckets, so at most N_DENSE + distinct query terms
-    wide); every lookup returns a new block, so callers may modify it.
-    `index` must be built from `corpus`. Shared read-only across systems
-    being compared.
+    invalidates. It is keyed by query id and holds each query's full-width
+    rows as one (n, F) block; every lookup returns a new matrix, so callers
+    may modify it. `index` must be built from `corpus`. Shared read-only
+    across systems being compared.
     """
 
     def __init__(
@@ -341,27 +296,19 @@ class ScoringContext:
         self._memo: dict[str, _QueryFeatures] = {}
 
     def features(self, query: Query, doc_id: str) -> np.ndarray:
-        """One document's full-width (F,) feature row."""
-        x, cols = self.feature_matrix(query, [doc_id])
-        row = np.zeros(self.buckets + N_DENSE)
-        row[cols] = x[0]
-        return row
+        """One document's (F,) feature row."""
+        return self.feature_matrix(query, [doc_id])[0]
 
-    def feature_matrix(
-        self, query: Query, doc_ids: Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The (len(doc_ids), len(cols)) feature block and the query's
-        read-only columns cols (`_columns`); the docs not yet held are
+    def feature_matrix(self, query: Query, doc_ids: Sequence[str]) -> np.ndarray:
+        """The (len(doc_ids), F) feature matrix; the docs not yet held are
         extracted in one block. The memo's one entry point."""
         held = self._memo.get(query.id)
         if held is None:
-            held = self._memo[query.id] = _QueryFeatures(query, self.buckets)
+            held = self._memo[query.id] = _QueryFeatures(self.buckets)
         missing = [d for d in dict.fromkeys(doc_ids) if d not in held.rows]
         if missing:
             for d in missing:
                 if d not in self.corpus:
                     raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
-            held.add(missing, extract_features(
-                self.index, self.bm25, query, missing, self.buckets, held.term_cols
-            ))
-        return held.vals[[held.rows[d] for d in doc_ids]], held.cols
+            held.add(missing, extract_features(self.index, self.bm25, query, missing, self.buckets))
+        return held.vals[[held.rows[d] for d in doc_ids]]

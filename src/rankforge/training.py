@@ -12,16 +12,14 @@ Before its first step a stage decides every group. It builds each train
 and validation query's `stage_pool` (every document the stage can group
 with it: the teacher's head, or the positive its judgments give and the
 hard pool; a query without one is not trainable) and asks the feature memo
-for it once, which extracts it in one block and gives the query's
-columns; the stage keeps these blocks. Its schedule holds each step's
-query (the epoch shuffles end to end) and, for LCE/BCE stages, the rows
-of the step's group in that query's block, drawn by
-`sampling.sample_positions` in one numpy pass per pool length. A step
-gathers those rows. A row does not depend on the block it was extracted
-in, and a block draw holds the positions the scalar draw would, so no
-value changes. AdamW updates in place, in scratch vectors held by
-the optimizer state, the W1 columns the stage's queries reach; the other
-columns only decay (see `run_stage`).
+for it once, which extracts it in one block; the stage keeps these
+blocks. Its schedule holds each step's query (the epoch shuffles end to
+end) and, for LCE/BCE stages, the rows of the step's group in that query's
+block, drawn by `sampling.sample_positions` in one numpy pass per pool
+length. A step gathers those rows. A row does not depend on the block it
+was extracted in, and a block draw holds the positions the scalar draw
+would, so no value changes. AdamW updates every parameter in place, in
+scratch vectors held by the optimizer state.
 """
 
 from __future__ import annotations
@@ -234,18 +232,11 @@ def run_stage(
     a dedicated substream) and never gates training. Before the first step
     each train and val query's `stage_pool` is built, once, and ctx is asked
     for it, which extracts one block per query whose pool it does not hold
-    yet and gives the query's W1 columns. The stage keeps those blocks and
-    its schedule (each step's query and, for lce/bce, its group's rows in
-    the query's block, `[0, 1 + sorted draw]`; a ranknet group is the
-    whole block) until it returns, so its steps call neither ctx nor a
-    sampler.
-
-    Steps update in place a copy of the stage's reach, the W1 columns of its
-    train and val queries plus b1, w2 and b2, with moments of that size.
-    Any other W1 column's gradient is 0 at every step, so its moments stay
-    0 and its AdamW update is, rounding for rounding, w - lr * (wd * w),
-    applied max_steps times at the end (none at lr = 0): only a weight of
-    exactly -0.0 can differ, and then in the sign of zero.
+    yet. The stage keeps those blocks and its schedule (each step's query
+    and, for lce/bce, its group's rows in the query's block,
+    `[0, 1 + sorted draw]`; a ranknet group is the whole block) until it
+    returns, so its steps call neither ctx nor a sampler. Steps update a
+    copy of params in place.
     """
     if not train:
         raise DataError("training data is empty")
@@ -254,15 +245,8 @@ def run_stage(
 
     pools = [stage_pool(ex, stage) for ex in (*train, *val)]
     blocks = [ctx.feature_matrix(ex.query, pool) for ex, pool in zip((*train, *val), pools)]
-    reached = np.zeros(params.feature_dim, dtype=bool)
-    for _, cols in blocks:
-        reached[cols] = True
-    # slot[c] is reached column c's position among the live columns
-    slot = np.cumsum(reached) - 1
-    reach = np.flatnonzero(reached)
-    blocks = [(x, slot[cols]) for x, cols in blocks]
-    live = ScorerParams(params.w1[:, reach], params.b1, params.w2, params.b2)
-    state = OptimizerState(live)
+    params = params.copy()
+    state = OptimizerState(params)
 
     # the schedule: each step's query (epoch orders end to end) and, for
     # sampled groups, its rows in the query's block
@@ -283,35 +267,25 @@ def run_stage(
         val_rows = _group_positions(
             val_sampler, sizes[n:], np.arange(len(val)), np.zeros(len(val), dtype=np.intp)
         )
-        val_groups = [(x[rows], cols) for (x, cols), rows in zip(val_groups, val_rows)]
+        val_groups = [x[rows] for x, rows in zip(val_groups, val_rows)]
 
     for step, i in enumerate(queries.tolist()):
-        x_mat, cols = blocks[i]
+        x_mat = blocks[i]
         if positions is not None:
             x_mat = x_mat[positions[step]]
-        scores, acts = score_batch(live, x_mat, cols)
+        scores, acts = score_batch(params, x_mat)
         loss = _group_loss(stage, scores)
-        grads = backward_batch(live, x_mat, acts, loss.grad, cols)
-        adamw_step(live, grads, state, stage.lr)
+        grads = backward_batch(params, x_mat, acts, loss.grad)
+        adamw_step(params, grads, state, stage.lr)
         log.losses.append(loss.value)
 
         if (step + 1) % stage.val_interval == 0 and val_groups:
             total = 0.0
-            for x_mat, cols in val_groups:
-                v_scores, _ = score_batch(live, x_mat, cols)
+            for x_mat in val_groups:
+                v_scores, _ = score_batch(params, x_mat)
                 total += _group_loss(stage, v_scores).value
             log.val.append((step + 1, total / len(val_groups)))
 
-    w1 = params.w1.copy()
-    rest = np.flatnonzero(~reached)
-    if stage.lr != 0.0 and rest.size:
-        w = np.ascontiguousarray(w1[:, rest])
-        t = np.empty_like(w)
-        for _ in range(stage.max_steps):
-            w -= np.multiply(stage.lr, np.multiply(_WEIGHT_DECAY, w, out=t), out=t)
-        w1[:, rest] = w
-    w1[:, reach] = live.w1
-    params = ScorerParams(w1, live.b1, live.w2, live.b2)
     log.wall_seconds = time.perf_counter() - started
     return params, log
 

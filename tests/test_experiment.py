@@ -109,7 +109,7 @@ class TestLoadConfig:
         assert cfg.rerank_depth == 100
         assert cfg.eval_fraction == 0.2
         assert cfg.val_fraction == 0.01
-        assert cfg.scorer.buckets == 1024
+        assert cfg.scorer.buckets == 8
         assert cfg.scorer.hidden == 16
         assert (cfg.bm25.k1, cfg.bm25.b) == (0.9, 0.4)
         assert [m.label for m in cfg.metrics] == ["AP", "nDCG@10", "MRR@10"]

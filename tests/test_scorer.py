@@ -54,53 +54,35 @@ def feature_world():
     return corpus, build_index(corpus)
 
 
-def _query_cols(corpus, index, query, buckets):
-    """The query's feature columns, as the context's memo decides them."""
-    return ScoringContext(corpus, index, Bm25Params(), buckets).feature_matrix(query, [])[1]
-
-
-def _expected_cols(terms, buckets):
-    """The dense columns, then the terms' distinct bucket columns ascending."""
-    return [*range(N_DENSE), *sorted({N_DENSE + fnv1a64(t.encode()) % buckets for t in terms})]
-
-
-def _full_width(corpus, index, params, query, doc_ids, buckets):
-    """extract_features' block scattered into a full-width (n, F) matrix."""
-    block = extract_features(index, params, query, doc_ids, buckets)
-    x = np.zeros((len(doc_ids), buckets + N_DENSE))
-    x[:, _query_cols(corpus, index, query, buckets)] = block
-    return x
-
-
 class TestExtractFeatures:
 
     def test_full_overlap_f2(self, feature_world):
-        corpus, index = feature_world
-        x = _full_width(corpus, index, Bm25Params(), Query("q", "cat"), ["d1"], 16)[0]
+        _, index = feature_world
+        x = extract_features(index, Bm25Params(), Query("q", "cat"), ["d1"], 16)[0]
         assert x[1] == 1.0
 
     def test_disjoint_pair_zeros(self, feature_world):
-        corpus, index = feature_world
-        x = _full_width(corpus, index, Bm25Params(), Query("q", "owl"), ["d1"], 16)[0]
+        _, index = feature_world
+        x = extract_features(index, Bm25Params(), Query("q", "owl"), ["d1"], 16)[0]
         assert x[0] == 0.0 and x[1] == 0.0 and x[2] == 0.0 and x[5] == 0.0
         assert np.all(x[N_DENSE:] == 0.0)
 
     def test_hashed_block_norm_zero_or_one(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         for qtext in ("cat", "owl", "cat dog", "dog fox cat"):
             for did in ("d1", "d2", "d3"):
-                x = _full_width(corpus, index, Bm25Params(), Query("q", qtext), [did], 16)[0]
+                x = extract_features(index, Bm25Params(), Query("q", qtext), [did], 16)[0]
                 norm = float(np.linalg.norm(x[N_DENSE:]))
                 assert norm == pytest.approx(0.0, abs=1e-15) or norm == pytest.approx(
                     1.0, rel=1e-12
                 )
 
     def test_dense_feature_values(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         q = Query("q", "cat dog")
-        x = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]  # "cat dog runs fast"
+        x = extract_features(index, Bm25Params(), q, ["d3"], 16)[0]  # "cat dog runs fast"
         bm = bm25_score(index, Bm25Params(), ["cat", "dog"], "d3")
-        assert x[0] == pytest.approx(bm / (1 + bm), rel=1e-12)
+        assert x[0] == pytest.approx(bm / 10, rel=1e-12)
         assert x[1] == 1.0  # both query terms present
         assert x[2] == pytest.approx(1.0, rel=1e-9)  # full idf overlap
         assert x[3] == pytest.approx(math.log1p(4) / 10, rel=1e-12)
@@ -108,15 +90,16 @@ class TestExtractFeatures:
         assert x[5] == 1.0  # bigram "cat dog" contiguous in doc
 
     def test_bigram_fraction_partial(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         # "dog cat": doc d3 has "cat dog" but not "dog cat"
-        x = _full_width(corpus, index, Bm25Params(), Query("q", "dog cat"), ["d3"], 16)[0]
+        x = extract_features(index, Bm25Params(), Query("q", "dog cat"), ["d3"], 16)[0]
         assert x[5] == 0.0
 
     def test_bounded_features(self, feature_world):
-        corpus, index = feature_world
-        x = _full_width(corpus, index, Bm25Params(), Query("q", "cat dog"), ["d3"], 16)[0]
-        for i in (0, 1, 2, 5):
+        _, index = feature_world
+        x = extract_features(index, Bm25Params(), Query("q", "cat dog"), ["d3"], 16)[0]
+        assert x[0] >= 0.0  # bm25 / 10 has no upper bound
+        for i in (1, 2, 5):
             assert 0.0 <= x[i] <= 1.0
 
     def test_no_document_text_tokenized(self, feature_world, monkeypatch):
@@ -133,10 +116,10 @@ class TestExtractFeatures:
         assert seen == ["cat dog runs"]
 
     def test_purity(self, feature_world):
-        corpus, index = feature_world
+        _, index = feature_world
         q = Query("q", "cat dog")
-        a = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]
-        b = _full_width(corpus, index, Bm25Params(), q, ["d3"], 16)[0]
+        a = extract_features(index, Bm25Params(), q, ["d3"], 16)[0]
+        b = extract_features(index, Bm25Params(), q, ["d3"], 16)[0]
         np.testing.assert_array_equal(a, b)
 
 
@@ -151,7 +134,7 @@ def _reference_features(index, params, query, doc_id, text, buckets):
     x = np.zeros(buckets + N_DENSE, dtype=np.float64)
 
     bm25 = bm25_score(index, params, q_tokens, doc_id)
-    x[0] = bm25 / (1.0 + bm25)
+    x[0] = bm25 / 10.0
     x[1] = len(overlap) / max(1, len(q_set))
     idf_q = sum(index.idf(t) for t in sorted(q_set))
     idf_overlap = sum(index.idf(t) for t in sorted(overlap))
@@ -177,42 +160,38 @@ def _assert_bits_equal(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def _assert_matches_reference(block: np.ndarray, cols: np.ndarray, want: np.ndarray) -> None:
-    """block, over the feature columns cols, holds the full-width reference
-    rows `want`, which are 0 in every other column. The dense features
+def _assert_matches_reference(got: np.ndarray, want: np.ndarray) -> None:
+    """got holds the full-width reference rows `want`. The dense features
     match bit for bit; the hashed block to 2 ulp, since its norm sums the
-    same squares in another order than the reference's full-width dot."""
-    outside = np.ones(want.shape[1], dtype=bool)
-    outside[cols] = False
-    assert not want[:, outside].any()
-    assert block.shape == (len(want), len(cols))
-    _assert_bits_equal(block[:, :N_DENSE], want[:, :N_DENSE])
-    np.testing.assert_array_max_ulp(block[:, N_DENSE:], want[:, cols[N_DENSE:]], maxulp=2)
+    same squares in another order than the reference's dot."""
+    assert got.shape == want.shape
+    _assert_bits_equal(got[:, :N_DENSE], want[:, :N_DENSE])
+    np.testing.assert_array_max_ulp(got[:, N_DENSE:], want[:, N_DENSE:], maxulp=2)
 
 
 def _reference_block(corpus, index, params, query, doc_ids, buckets):
-    """The reference rows of doc_ids, and the query's columns."""
-    want = np.stack([
+    """The reference rows of doc_ids."""
+    return np.stack([
         _reference_features(index, params, query, d, corpus[d], buckets) for d in doc_ids
     ])
-    return want, _query_cols(corpus, index, query, buckets)
 
 
 class TestExtractionMatchesReference:
-    """The batch extractor and the context's compact memo reproduce the
-    per-pair reference on the query's columns."""
+    """The batch extractor and the context's memo reproduce the per-pair
+    reference."""
 
-    @pytest.mark.parametrize("buckets", [64, 1])  # 1: every term collides
+    @pytest.mark.parametrize("buckets", [64, 8, 1])  # 8: the default; 1: every term collides
     def test_generated_world_top100(self, small_world, buckets):
         w = small_world
         bm25 = Bm25Params()
         for q in w.queries:
             ids = list(retrieve_topk(w.index, bm25, q, 100).ids)
-            want, cols = _reference_block(w.corpus, w.index, bm25, q, ids, buckets)
-            _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), cols, want)
+            want = _reference_block(w.corpus, w.index, bm25, q, ids, buckets)
+            _assert_matches_reference(extract_features(w.index, bm25, q, ids, buckets), want)
 
     @pytest.mark.parametrize("buckets, first", [
         (64, "every third"),
+        (8, "every third"),
         (1, "every third"),  # every term shares one column
         (64, "no shared term"),  # the first block's hashed columns are all 0
     ])
@@ -231,10 +210,8 @@ class TestExtractionMatchesReference:
             # so rows come from two extractions and are gathered out of order
             ctx.feature_matrix(q, head)
             asked = ids[::-1] + head[:1]
-            want, cols = _reference_block(w.corpus, w.index, Bm25Params(), q, asked, buckets)
-            block, held_cols = ctx.feature_matrix(q, asked)
-            np.testing.assert_array_equal(held_cols, cols)
-            _assert_matches_reference(block, cols, want)
+            want = _reference_block(w.corpus, w.index, Bm25Params(), q, asked, buckets)
+            _assert_matches_reference(ctx.feature_matrix(q, asked), want)
 
     @pytest.mark.parametrize("qtext", [
         "cat cat dog cat",  # repeated terms
@@ -245,9 +222,9 @@ class TestExtractionMatchesReference:
     def test_edge_queries(self, feature_world, qtext):
         corpus, index = feature_world
         q = Query("q", qtext)
-        want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
+        want = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
         got = extract_features(index, Bm25Params(), q, list(corpus), 16)
-        _assert_matches_reference(got, cols, want)
+        _assert_matches_reference(got, want)
 
     @pytest.mark.parametrize("qtext", [
         "fox owl",  # last token of d1, first token of d2: spans a document end
@@ -262,9 +239,9 @@ class TestExtractionMatchesReference:
         corpus = parse_corpus("d1\tcat dog fox\nd2\towl cat\nd3\t--\nd4\tdog owl cat\n")
         index = build_index(corpus)
         q = Query("q", qtext)
-        want, cols = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
+        want = _reference_block(corpus, index, Bm25Params(), q, list(corpus), 16)
         got = extract_features(index, Bm25Params(), q, list(corpus), 16)
-        _assert_matches_reference(got, cols, want)
+        _assert_matches_reference(got, want)
 
     def test_doc_missing_from_index_raises(self, feature_world):
         _, index = feature_world
@@ -467,7 +444,7 @@ class TestInitParams:
     def test_default_checkpoint_bytes_pinned(self):
         blob = save_params(init_params(ScorerConfig()))
         assert hashlib.sha256(blob).hexdigest() == (
-            "62030ec5e9be3b8c7fb03592a247bb03c51ad38290739f33c8d68cb437d89d81"
+            "60b333354bae1ddca6072cc0f6d8e8879665daa89be6edabbd8e2575952ddd18"
         )
 
     def test_config_validated(self):
@@ -481,7 +458,7 @@ def _empty_checkpoint(buckets: int, hidden: int) -> bytes:
     """A checkpoint of zeros whose header has this shape, which ScorerConfig
     would reject when either is 0."""
     size = hidden * (buckets + N_DENSE) + 2 * hidden + 1
-    return struct.pack("<4sHII", b"RFCP", 1, buckets, hidden) + bytes(8 * size)
+    return struct.pack("<4sHII", b"RFCP", scorer._VERSION, buckets, hidden) + bytes(8 * size)
 
 
 class TestCheckpoint:
@@ -505,9 +482,12 @@ class TestCheckpoint:
 
     def test_wrong_version_rejected(self):
         blob = bytearray(save_params(init_params(ScorerConfig(16, 3, seed=1))))
-        blob[4] = 99
-        with pytest.raises(DataError):
-            load_params(bytes(blob))
+        # 1: written before feature [0] became bm25 / 10, so its weights
+        # would score today's features wrongly
+        for version in (99, 1):
+            blob[4] = version
+            with pytest.raises(DataError, match=f"version {version}"):
+                load_params(bytes(blob))
 
     @pytest.mark.parametrize("buckets, hidden", [(0, 3), (16, 0)])
     def test_empty_shape_rejected(self, buckets, hidden):
@@ -524,14 +504,9 @@ class TestScoringContext:
     def test_features_match_direct_extraction(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat dog")
-        via_ctx = ctx.features(q, "d2")
-        direct = _full_width(tiny_corpus, tiny_index, Bm25Params(), q, ["d2"], 16)[0]
-        np.testing.assert_array_equal(via_ctx, direct)
-        block, cols = ctx.feature_matrix(q, ["d2"])
-        np.testing.assert_array_equal(cols, _expected_cols(["cat", "dog"], 16))
-        np.testing.assert_array_equal(
-            block, extract_features(tiny_index, Bm25Params(), q, ["d2"], 16)
-        )
+        direct = extract_features(tiny_index, Bm25Params(), q, ["d2"], 16)
+        np.testing.assert_array_equal(ctx.features(q, "d2"), direct[0])
+        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d2"]), direct)
 
     def test_memo_extracts_each_pair_once(self, tiny_corpus, tiny_index, monkeypatch):
         extracted = []
@@ -573,6 +548,7 @@ class TestScoringContext:
         assert extracted == [["d1"], ["d3", "d2"]]
 
     def test_each_query_term_hashed_once(self, tiny_corpus, tiny_index, monkeypatch):
+        """Once per extraction: a lookup the memo holds hashes nothing."""
         hashed = []
         real = scorer.fnv1a64
 
@@ -583,15 +559,12 @@ class TestScoringContext:
         monkeypatch.setattr(scorer, "fnv1a64", counting)
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat dog cat zebra")
-        block, cols = ctx.feature_matrix(q, ["d1", "d2"])
-        assert sorted(hashed) == [b"cat", b"dog", b"zebra"]
-        ctx.feature_matrix(q, ["d3", "d1"])
-        assert len(hashed) == 3
-        # the shared bucket list gives the same block as a fresh extraction
-        np.testing.assert_array_equal(
-            block, extract_features(tiny_index, Bm25Params(), q, ["d1", "d2"], 16)
-        )
-        np.testing.assert_array_equal(cols, _expected_cols(["cat", "dog", "zebra"], 16))
+        ctx.feature_matrix(q, ["d1", "d2"])
+        assert hashed == [b"cat", b"dog", b"zebra"]
+        ctx.feature_matrix(q, ["d3", "d1"])  # extracts d3 alone
+        assert hashed == [b"cat", b"dog", b"zebra"] * 2
+        ctx.feature_matrix(q, ["d2", "d3", "d1"])
+        assert len(hashed) == 6
 
     def test_returned_arrays_are_independent(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -600,11 +573,9 @@ class TestScoringContext:
         want = x.copy()
         x[:] = -1.0
         np.testing.assert_array_equal(ctx.features(q, "d1"), want)
-        mat, cols = ctx.feature_matrix(q, ["d1", "d1"])
+        mat = ctx.feature_matrix(q, ["d1", "d1"])
         mat[0] = 7.0
-        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0][0], want[cols])
-        with pytest.raises(ValueError):
-            cols[0] = 3
+        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0], want)
 
     def test_missing_doc_raises(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
@@ -614,43 +585,7 @@ class TestScoringContext:
     def test_feature_matrix_rows(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         q = Query("q", "cat")
-        mat, cols = ctx.feature_matrix(q, ["d1", "d2"])
-        np.testing.assert_array_equal(mat[0], ctx.features(q, "d1")[cols])
-        np.testing.assert_array_equal(mat[1], ctx.features(q, "d2")[cols])
+        mat = ctx.feature_matrix(q, ["d1", "d2"])
+        np.testing.assert_array_equal(mat[0], ctx.features(q, "d1"))
+        np.testing.assert_array_equal(mat[1], ctx.features(q, "d2"))
 
-
-def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
-    """Equal to rtol 1e-12 of the largest value: the same terms summed in
-    another order, where values near 0 are cancellations of larger terms."""
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
-class TestNarrowBlock:
-    """A query's feature block over its columns scores and trains as the
-    full-width matrix it stands for."""
-
-    @pytest.mark.parametrize("buckets", [1024, 8, 1])
-    def test_block_matches_full_width(self, small_world, buckets):
-        w = small_world
-        ctx = ScoringContext(w.corpus, w.index, Bm25Params(), buckets)
-        params = init_params(ScorerConfig(buckets, hidden=8, seed=buckets))
-        rng = np.random.default_rng(buckets)
-        for q in w.queries:
-            block, cols = ctx.feature_matrix(q, list(w.rankings[q.id].ids))
-            full = np.zeros((len(block), params.feature_dim))
-            full[:, cols] = block
-            scores, acts = score_batch(params, block, cols)
-            full_scores, full_acts = score_batch(params, full)
-            _assert_close(scores, full_scores)
-
-            upstream = rng.normal(size=len(block))
-            grads = backward_batch(params, block, acts, upstream, cols)
-            full_grads = backward_batch(params, full, full_acts, upstream)
-            # the block gradient has the parameters' shape, and its W1 is 0
-            # outside cols, as is the full-width gradient's
-            assert grads.flat.shape == params.flat.shape
-            _assert_close(grads.flat, full_grads.flat)
-            outside = np.ones(params.feature_dim, dtype=bool)
-            outside[cols] = False
-            assert not grads.w1[:, outside].any()
-            assert not full_grads.w1[:, outside].any()
