@@ -114,11 +114,13 @@ def cmd_rerank(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot read {args.params}: {exc.strerror or exc}") from exc
     index = build_index(corpus)
-    ctx = ScoringContext(corpus, index, Bm25Params(k1=args.k1, b=args.b), params.buckets)
+    bm25 = Bm25Params(k1=args.k1, b=args.b)
     out_rankings = []
     for ranking in rankings:
         if ranking.query_id not in queries:
             raise DataError(f"run query {ranking.query_id} missing from queries file")
+        # each query is re-ranked once, so its context holds only its own rows
+        ctx = ScoringContext(corpus, index, bm25, params.buckets)
         out_rankings.append(
             rerank(params, ctx, queries[ranking.query_id], ranking, args.depth)
         )

@@ -121,7 +121,7 @@ def rerank(
         raise ValueError(f"depth must be >= 1, got {depth}")
     docs = ranking.ids[:depth]
     scores, _ = score_batch(params, ctx.feature_matrix(query, docs))
-    order = np.lexsort((np.arange(len(docs)), -scores))
+    order = np.argsort(-scores, kind="stable")
     return Ranking(ranking.query_id, [docs[i] for i in order.tolist()], scores[order])
 
 

@@ -24,7 +24,6 @@ import contextlib
 import json
 import os
 import pickle
-import shutil
 import signal
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -470,16 +469,27 @@ def plan_dir_name(name: str) -> str:
 
 @dataclass
 class _Workspace:
-    """Tracks artifacts so a failed run leaves nothing half-written; an
-    output directory that did not exist when it was made goes entirely."""
+    """The one owner of a run's output tree, as a context manager. Entering
+    creates `out` and any missing parent; an artifact is `name` or
+    `sub/name`, so a write creates at most its plan directory. An exception
+    leaving the block removes what the run made, newest first: every file
+    it wrote, and every directory it created that is empty by then."""
 
     out: Path
-    files: list[Path] = field(default_factory=list)
-    dirs: list[Path] = field(default_factory=list)
-    created_out: bool = field(init=False)
+    made: list[Path] = field(default_factory=list)  # in creation order
 
-    def __post_init__(self):
-        self.created_out = not self.out.exists()
+    def __enter__(self) -> _Workspace:
+        missing = [d for d in (self.out, *self.out.parents) if not d.exists()]
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.made.extend(reversed(missing))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for path in reversed(self.made):
+            with contextlib.suppress(OSError):  # a directory another writer filled stays
+                (path.rmdir if path.is_dir() else path.unlink)()
 
     def write_text(self, rel: str, text: str) -> Path:
         return self.write_bytes(rel, text.encode("utf-8"))
@@ -487,31 +497,11 @@ class _Workspace:
     def write_bytes(self, rel: str, blob: bytes) -> Path:
         path = self.out / rel
         if not path.parent.exists():
-            self._mkdirs(path.parent)
+            path.parent.mkdir()
+            self.made.append(path.parent)
+        self.made.append(path)  # before the write, so a partial file goes too
         path.write_bytes(blob)
-        self.files.append(path)
         return path
-
-    def _mkdirs(self, directory: Path) -> None:
-        missing = []
-        walk = directory
-        while not walk.exists():
-            missing.append(walk)
-            walk = walk.parent
-        directory.mkdir(parents=True, exist_ok=True)
-        self.dirs.extend(reversed(missing))
-
-    def cleanup(self) -> None:
-        if self.created_out:
-            shutil.rmtree(self.out, ignore_errors=True)
-            return
-        for f in self.files:
-            f.unlink(missing_ok=True)
-        for d in reversed(self.dirs):
-            try:
-                d.rmdir()
-            except OSError:
-                pass
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -524,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     Returns a summary dict (also written as `_SUMMARY`). A config without
     the RQ plans or an nDCG@10 metric is rejected before anything is read or
-    written. On any failure partially written outputs are removed.
+    written. A failure removes what the run wrote and created (`_Workspace`).
     """
     missing = [n for n in RQ_PLAN_NAMES if n not in cfg.plans]
     if missing:
@@ -532,9 +522,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if "nDCG@10" not in {m.label for m in cfg.metrics}:
         raise DataError("experiment requires an nDCG@10 metric for best-plan selection")
 
-    ws = _Workspace(cfg.out)
-    try:
-        cfg.out.mkdir(parents=True, exist_ok=True)
+    with _Workspace(cfg.out) as ws:
         prep = prepare(cfg)
         with _subtree_training(cfg, prep) as finish_training:
             # written while the workers train
@@ -591,9 +579,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         }
         ws.write_text(_SUMMARY, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return summary
-    except BaseException:
-        ws.cleanup()
-        raise
 
 
 def _usable_cpus() -> int:
@@ -749,12 +734,8 @@ def train_plan(cfg: ExperimentConfig, name: str) -> tuple[Path, list[TrainLog]]:
     cfg = replace(cfg, plans={name: plan})
     prep = prepare(cfg)
     params, logs = run_plan(cfg.scorer, plan, prep.train_examples, prep.val_examples, prep.ctx)
-    ws = _Workspace(cfg.out)
-    try:
+    with _Workspace(cfg.out) as ws:
         sub = _write_checkpoint(ws, name, params, logs)
-    except BaseException:
-        ws.cleanup()
-        raise
     return cfg.out / sub, logs
 
 

@@ -33,8 +33,8 @@ _HARD_TAG = 0x48415244  # "HARD"
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    negatives: int = 99
-    pool_depth: int = 200
+    negatives: int = 20
+    pool_depth: int = 50
     seed: int = 0
 
     def __post_init__(self):

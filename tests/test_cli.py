@@ -18,7 +18,7 @@ import rankforge.training
 from rankforge.cli import _build_parser, main
 from rankforge.data import Ranking, parse_run, write_run
 from rankforge.errors import DataError
-from rankforge.scorer import N_DENSE
+from rankforge.scorer import N_DENSE, ScoringContext
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -183,6 +183,19 @@ class TestTrain:
         assert (tmp_path / "C-to-D" / "params.bin").is_file()
         assert "trained plan C->D: 45 steps" in capsys.readouterr().out
 
+    def test_lce_stage_with_sampler_defaults_trains(self, ws, tmp_path):
+        # no negatives, pool_depth or retrieve_depth: every default applies
+        config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
+        del config["retrieve_depth"]
+        config["plans"] = {"C": [{"loss": "lce", "lr": 1e-3, "steps": 20}]}
+        for key in ("corpus", "queries", "qrels", "teacher"):
+            config[key] = str(ws / config[key])
+        (tmp_path / "exp.json").write_text(json.dumps(config), encoding="utf-8")
+        rc = main(["train", "--config", str(tmp_path / "exp.json"), "--plan", "C",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert (tmp_path / "out" / "C" / "params.bin").is_file()
+
 
 class TestRerank:
     def test_round_trip(self, ws, tmp_path, capsys):
@@ -233,6 +246,27 @@ class TestRerank:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_each_context_serves_one_query(self, ws, tmp_path, monkeypatch):
+        # each query is re-ranked once, so no context should hold two queries' rows
+        served: dict[ScoringContext, set[str]] = {}  # keeps every context alive
+        real = ScoringContext.feature_matrix
+
+        def feature_matrix(self, query, doc_ids):
+            served.setdefault(self, set()).add(query.id)
+            return real(self, query, doc_ids)
+
+        monkeypatch.setattr(ScoringContext, "feature_matrix", feature_matrix)
+        rc = main([
+            "rerank", "--corpus", str(ws / "data" / "corpus.tsv"),
+            "--queries", str(ws / "data" / "queries.tsv"),
+            "--run", str(ws / "bm25.txt"),
+            "--params", str(ws / "trained" / "C" / "params.bin"),
+            "--out", str(tmp_path / "reranked.txt"),
+        ])
+        assert rc == 0
+        assert len(served) == len(parse_run((ws / "bm25.txt").read_text(encoding="utf-8")))
+        assert all(len(qids) == 1 for qids in served.values())
 
     def test_missing_params_file(self, ws, capsys):
         rc = main([

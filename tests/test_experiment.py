@@ -26,6 +26,7 @@ from rankforge.experiment import (
     plan_dir_name,
     prepare,
     run_experiment,
+    train_plan,
 )
 from rankforge.synth import SynthSpec, generate, write_dataset
 from rankforge.training import QueryExample, TrainLog, stage_pool
@@ -615,6 +616,29 @@ class TestRunExperiment:
         assert not (out / "first_stage.txt").exists()
         assert not (out / "bm25").exists()
         assert not (out / "untrained").exists()
+
+    def test_failure_removes_created_parents(self, tmp_path, monkeypatch):
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "a" / "b" / "out")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr("rankforge.experiment.run_plan", boom)
+        with pytest.raises(RuntimeError, match="forced"):
+            run_experiment(cfg)
+        assert not (tmp_path / "a").exists()
+
+    def test_train_failure_removes_created_parents(self, tmp_path, monkeypatch):
+        # params.bin is written, then the training curve fails
+        cfg = load_config(_write_workspace(tmp_path), out=tmp_path / "x" / "y" / "out")
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr("rankforge.experiment.merged_train_csv", boom)
+        with pytest.raises(RuntimeError, match="forced"):
+            train_plan(cfg, "C")
+        assert not (tmp_path / "x").exists()
 
 
 def _patch_stages(monkeypatch, in_parent, in_worker) -> None:

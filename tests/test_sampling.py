@@ -39,8 +39,9 @@ def _sample(ranking, positive_id, config, query_ordinal, epoch):
 class TestSamplerConfig:
     def test_defaults(self):
         cfg = SamplerConfig()
-        assert cfg.negatives == 99
-        assert cfg.pool_depth == 200
+        # the values every default plan states, which train at the default retrieve_depth
+        assert cfg.negatives == 20
+        assert cfg.pool_depth == 50
 
     def test_negatives_positive(self):
         with pytest.raises(ValueError, match="negatives"):
