@@ -14,10 +14,9 @@ from rankforge.evaluation import (
     rerank,
 )
 from rankforge.retrieval import Bm25Params, build_index, retrieve_topk
-from rankforge.sampling import SamplerConfig
 from rankforge.scorer import ScorerConfig, ScoringContext
 from rankforge.synth import SynthSpec, generate
-from rankforge.training import QueryExample, StageConfig, run_plan
+from rankforge.training import QueryExample, SamplerConfig, StageConfig, run_plan
 
 spec = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25,
                  queries=40, noise=0.0, seed=5)

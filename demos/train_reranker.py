@@ -7,10 +7,15 @@ negatives, run one training stage, then compare nDCG@10 before and after.
 from rankforge.data import parse_corpus, parse_qrels, parse_queries, parse_teacher
 from rankforge.evaluation import MetricReport, MetricSpec, compute_metric, rerank
 from rankforge.retrieval import Bm25Params, build_index, retrieve_topk
-from rankforge.sampling import SamplerConfig
 from rankforge.scorer import ScorerConfig, ScoringContext, init_params
 from rankforge.synth import SynthSpec, generate
-from rankforge.training import QueryExample, StageConfig, run_plan, split_train_val
+from rankforge.training import (
+    QueryExample,
+    SamplerConfig,
+    StageConfig,
+    run_plan,
+    split_train_val,
+)
 
 spec = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25,
                  queries=40, noise=0.0, seed=3)

@@ -55,7 +55,6 @@ from .evaluation import (
 )
 from .retrieval import Bm25Params, build_index, retrieve_topk
 from .rng import substream
-from .sampling import SamplerConfig
 from .scorer import (
     ScorerConfig,
     ScorerParams,
@@ -65,6 +64,7 @@ from .scorer import (
 )
 from .training import (
     QueryExample,
+    SamplerConfig,
     StageConfig,
     TrainLog,
     run_plan,
@@ -127,7 +127,7 @@ class ExperimentConfig:
 
 def default_plan_specs() -> dict:
     """Desk-scale plan definitions used when a config omits `plans`."""
-    lce = {"loss": "lce", "lr": 1e-3, "steps": 2000, "negatives": 20, "pool_depth": 50}
+    lce = {"loss": "lce", "lr": 1e-3, "steps": 2000}
     return {
         "C": [lce],
         "D": [{"loss": "ranknet", "lr": 1e-3, "steps": 2000}],
@@ -184,7 +184,9 @@ def _number(raw: Mapping, key: str, where: str, default: float | None = None) ->
         raise DataError(f"{where}: {key!r} is too large for a float") from None
 
 
-def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig:
+def _stage_from_dict(raw: object, plan_name: str, stage_idx: int, seed: int) -> StageConfig:
+    """The stage at stage_idx of its plan, with seeds drawn from the master
+    seed and that position only."""
     where = f"plan {plan_name} stage {stage_idx}"
     loss = raw.get("loss") if isinstance(raw, Mapping) else None
     # a ranknet stage draws no negatives; an unknown loss is left to StageConfig
@@ -198,6 +200,7 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
             sampler = SamplerConfig(
                 negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
                 pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
+                seed=substream(seed, _SAMPLER_TAG, stage_idx),
             )
         return StageConfig(
             loss=loss,
@@ -205,6 +208,7 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
             max_steps=_integer(raw, "steps", where),
             val_interval=_integer(raw, "val_interval", where, StageConfig.val_interval),
             sampler=sampler,
+            seed=substream(seed, _STAGE_TAG, stage_idx),
         )
     except ValueError as exc:  # a value the sampler or the stage rejects
         raise DataError(f"{where}: {exc}") from None
@@ -212,7 +216,11 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int) -> StageConfig
 
 def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
     where = f"metric {idx}"
-    raw = _object(raw, where, _METRIC_KEYS)
+    kind = raw.get("kind") if isinstance(raw, Mapping) else None
+    # gain weighs nDCG's grades, threshold binarizes them for AP and MRR;
+    # an unknown kind is left to MetricSpec
+    unused = {"threshold"} if kind == "ndcg" else {"gain"} if kind in ("ap", "mrr") else set()
+    raw = _object(raw, where, _METRIC_KEYS - unused)
     if "kind" not in raw:
         raise DataError(f"{where} missing 'kind'")
     return MetricSpec(
@@ -221,14 +229,6 @@ def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
         threshold=_integer(raw, "threshold", where, MetricSpec.threshold),
         gain=raw.get("gain", MetricSpec.gain),
     )
-
-
-def _seeded(stage: StageConfig, seed: int, stage_idx: int) -> StageConfig:
-    """The stage with seeds drawn from the master seed and its position only."""
-    sampler = stage.sampler
-    if sampler is not None:
-        sampler = replace(sampler, seed=substream(seed, _SAMPLER_TAG, stage_idx))
-    return replace(stage, sampler=sampler, seed=substream(seed, _STAGE_TAG, stage_idx))
 
 
 def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
@@ -251,9 +251,7 @@ def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
         owners[sub] = name
         if not isinstance(body, list) or not body:
             raise DataError(f"plan {name}: expected a list of stages, at least one")
-        plans[name] = tuple(
-            _seeded(_stage_from_dict(stage, name, i), seed, i) for i, stage in enumerate(body)
-        )
+        plans[name] = tuple(_stage_from_dict(stage, name, i, seed) for i, stage in enumerate(body))
     return plans
 
 

@@ -1,8 +1,10 @@
-"""AdamW optimization and single- or multi-stage fine-tuning.
+"""AdamW optimization, training groups, and single- or multi-stage fine-tuning.
 
 One optimizer step consumes one query group: a sampled contrastive instance
-(1 positive + h negatives) for LCE/BCE stages, which carry a sampler, or
-the teacher's list (up to 20 docs) for RankNet stages, which carry none.
+(1 positive + h hard negatives from the top of the first-stage ranking, as
+localized contrastive estimation draws them; Gao, Dai & Callan, ECIR 2021)
+for LCE/BCE stages, which carry a sampler, or the teacher's list (up to 20
+docs) for RankNet stages, which carry none.
 Queries are visited in a seeded shuffle, reshuffled every epoch. AdamW's
 hyperparameters are fixed (beta1 0.9, beta2 0.999, eps 1e-8, weight decay
 0.01); its state (step count and moments) is reset at stage boundaries;
@@ -15,11 +17,14 @@ hard pool; a query without one is not trainable) and asks the feature memo
 for it once, which extracts it in one block; the stage keeps these
 blocks. Its schedule holds each step's query (the epoch shuffles end to
 end) and, for LCE/BCE stages, the rows of the step's group in that query's
-block, drawn by `sampling.sample_positions` in one numpy pass per pool
-length. A step gathers those rows. A row does not depend on the block it
-was extracted in, and a block draw holds the positions the scalar draw
-would, so no value changes. AdamW updates every parameter in place, in
-scratch vectors held by the optimizer state.
+block, drawn by `sample_positions` in one numpy pass per pool length. Each
+draw comes from a counter-based substream keyed by (seed, epoch,
+query_ordinal), so any group of the training stream can be reproduced
+without replaying earlier draws, and per-epoch resampling is free. A step
+gathers those rows. A row does not depend on the block it was extracted
+in, and a block draw holds the positions the scalar draw would, so no
+value changes. AdamW updates every parameter in place, in scratch vectors
+held by the optimizer state.
 """
 
 from __future__ import annotations
@@ -30,12 +35,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import Query, Ranking, TeacherRanking
+from .data import ContrastiveInstance, Query, Ranking, TeacherRanking
 from .errors import DataError
 from .losses import LossOutput, bce, lce, ranknet
-from .rng import SplitMix64, substream
-from .sampling import SamplerConfig, sample_positions
-from .sampling import sample_instance  # noqa: F401  (perfbench's trace wraps it here)
+from .rng import SplitMix64, state_sample, substream, substreams
 from .scorer import (
     ScorerConfig,
     ScorerParams,
@@ -47,16 +50,20 @@ from .scorer import (
 
 __all__ = [
     "OptimizerState",
+    "SamplerConfig",
     "StageConfig",
     "TrainLog",
     "QueryExample",
     "adamw_step",
     "run_stage",
     "run_plan",
+    "sample_instance",
+    "sample_positions",
     "stage_pool",
     "split_train_val",
 ]
 
+_HARD_TAG = 0x48415244  # "HARD"
 _SHUFFLE_TAG = 0x53485546
 _SPLIT_TAG = 0x53504C54
 _VAL_TAG = 0x56414C00
@@ -115,6 +122,24 @@ def adamw_step(
         step = np.divide(m_hat, np.add(np.sqrt(v_hat, out=b), _EPS, out=b), out=a)
         step += np.multiply(_WEIGHT_DECAY, w, out=b)
         w -= np.multiply(lr, step, out=a)
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    """How an LCE/BCE stage draws each group's hard negatives: `negatives`
+    of the `pool_depth`-deep pool that `stage_pool` gives, keyed by seed."""
+
+    negatives: int = 20
+    pool_depth: int = 50
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.negatives < 1:
+            raise ValueError(f"negatives must be >= 1, got {self.negatives}")
+        if self.pool_depth < self.negatives:
+            raise ValueError(
+                f"pool depth {self.pool_depth} smaller than negative count {self.negatives}"
+            )
 
 
 @dataclass(frozen=True)
@@ -193,6 +218,39 @@ def stage_pool(example: QueryExample, stage: StageConfig) -> list[str]:
     if len(pool) < h:
         raise DataError(f"query {qid}: only {len(pool)} eligible negatives in pool, need {h}")
     return [positive, *pool]
+
+
+def sample_positions(
+    config: SamplerConfig, n: int, epochs: Sequence[int], ordinals: Sequence[int]
+) -> np.ndarray:
+    """The (len(epochs), negatives) positions in a pool of n docs that the
+    draws keyed (epochs[r], ordinals[r]) choose, each row ascending, from
+    `rng.state_sample` over one substream per row. A row holds the same
+    positions as
+    `SplitMix64(substream(seed, _HARD_TAG, epoch, ordinal)).sample(range(n),
+    negatives)`, sorted.
+
+    Keys are non-negative and below 2^64.
+    """
+    state = substreams(config.seed, _HARD_TAG, epochs, ordinals)
+    return np.sort(state_sample(state, n, config.negatives), axis=1)
+
+
+def sample_instance(
+    query_id: str,
+    positive_id: str,
+    pool: list[str],
+    config: SamplerConfig,
+    query_ordinal: int,
+    epoch: int,
+) -> ContrastiveInstance:
+    """The one-row case of `sample_positions`: a uniform h-subset of a hard
+    pool (the negatives of a `stage_pool`, at least h docs), in pool (rank)
+    order. Training draws through `sample_positions` and never calls this:
+    it exists for perfbench's trace, which wraps it here, and goes once
+    that trace counts the schedule's draws instead."""
+    chosen = sample_positions(config, len(pool), [epoch], [query_ordinal])[0]
+    return ContrastiveInstance(query_id, positive_id, tuple(pool[i] for i in chosen))
 
 
 def _group_positions(

@@ -29,9 +29,8 @@ from rankforge.evaluation import (
 )
 from rankforge.losses import bce, lce, ranknet
 from rankforge.retrieval import Bm25Params, bm25_score, build_index, retrieve_topk, tokenize
-from rankforge.sampling import SamplerConfig
 from rankforge.scorer import N_DENSE, ScorerParams, load_params, save_params, score_batch, backward_batch
-from rankforge.training import StageConfig, run_plan
+from rankforge.training import SamplerConfig, StageConfig, run_plan
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -462,7 +462,7 @@ class TestCommandImports:
     start no training, evaluation or scoring code."""
 
     RUN_ONLY = {f"rankforge.{m}" for m in
-                ("experiment", "training", "evaluation", "sampling", "losses", "scorer")}
+                ("experiment", "training", "evaluation", "losses", "scorer")}
 
     @staticmethod
     def loaded_after(*argv: str) -> set[str]:

@@ -18,6 +18,8 @@ from rankforge.cli import main
 from rankforge.data import Query, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
+    _SAMPLER_TAG,
+    _STAGE_TAG,
     _lanes,
     default_plan_specs,
     load_config,
@@ -28,8 +30,9 @@ from rankforge.experiment import (
     run_experiment,
     train_plan,
 )
+from rankforge.rng import substream
 from rankforge.synth import SynthSpec, generate, write_dataset
-from rankforge.training import QueryExample, TrainLog, stage_pool
+from rankforge.training import QueryExample, SamplerConfig, StageConfig, TrainLog, stage_pool
 
 SPEC = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25, queries=40, noise=0.5, seed=7)
 
@@ -243,6 +246,14 @@ class TestLoadConfig:
         ({"scorer": {"seed": 1}}, r"'scorer' has unknown keys \['seed'\]"),
         # a plan trains at least one stage
         ({"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
+        # a key the metric's kind ignores
+        ({"metrics": [{"kind": "ndcg", "cutoff": 10, "threshold": 3}]},
+         r"metric 0 has unknown keys \['threshold'\]"),
+        ({"metrics": [{"kind": "ap", "gain": "exponential"}]},
+         r"metric 0 has unknown keys \['gain'\]"),
+        ({"metrics": [{"kind": "ap"}, {"kind": "mrr", "cutoff": 10, "gain": "exponential"}]},
+         r"metric 1 has unknown keys \['gain'\]"),
+        ({"metrics": [{"kind": "map", "gain": "linear"}]}, "unknown metric kind 'map'"),
     ])
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -290,6 +301,22 @@ class TestLoadConfig:
         assert plans["D->C"][1].seed != plans["C"][0].seed
         assert plans["D->C"][1].sampler.seed != plans["C"][0].sampler.seed
 
+    @pytest.mark.parametrize("seed", [42, 13])
+    def test_default_plan_stages_and_seeds(self, tmp_path, seed):
+        path = _write_workspace(tmp_path)
+        minimal = {k: _config_dict()[k] for k in ("corpus", "queries", "qrels", "out")}
+        path.write_text(json.dumps(minimal), encoding="utf-8")
+        plans = load_config(path, seed=seed).plans
+
+        def lce(steps, position):
+            sampler = SamplerConfig(20, 50, seed=substream(seed, _SAMPLER_TAG, position))
+            return StageConfig("lce", 1e-3, steps, sampler=sampler,
+                               seed=substream(seed, _STAGE_TAG, position))
+
+        assert plans["C"] == (lce(2000, 0),)
+        assert plans["D->C"][1] == lce(2500, 1)
+        assert plans["D->C"][0].seed == substream(seed, _STAGE_TAG, 0)
+
     def test_custom_metrics(self, tmp_path):
         path = _write_workspace(
             tmp_path,
@@ -320,7 +347,8 @@ class TestDefaultPlanSpecs:
         assert list(specs) == ["C", "D", "C->D", "D->C"]
         assert [s["loss"] for s in specs["C->D"]] == ["lce", "ranknet"]
         assert specs["D->C"][1]["steps"] == 2500
-        assert specs["C"][0]["negatives"] == 20
+        sampler = rankforge.experiment._resolve_plans(specs, 0)["C"][0].sampler
+        assert (sampler.negatives, sampler.pool_depth) == (20, 50)
 
 
 class TestPlanDirName:

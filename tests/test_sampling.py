@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from rankforge.data import ContrastiveInstance, Query, Ranking
 from rankforge.errors import DataError
 from rankforge.rng import SplitMix64, substream
-from rankforge.sampling import (
+from rankforge.training import (
     _HARD_TAG,
+    QueryExample,
     SamplerConfig,
+    StageConfig,
     sample_instance,
     sample_positions,
+    stage_pool,
 )
-from rankforge.training import QueryExample, StageConfig, stage_pool
 
 
 def _ranking(n: int = 10) -> Ranking:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import rankforge.sampling
 import rankforge.scorer
 import rankforge.training
 from rankforge.data import Query, Ranking, TeacherRanking
@@ -14,7 +13,6 @@ from rankforge.experiment import merged_train_csv, merged_val_csv
 from rankforge.losses import bce, ranknet
 from rankforge.retrieval import Bm25Params
 from rankforge.rng import SplitMix64, substream
-from rankforge.sampling import SamplerConfig, sample_instance
 from rankforge.scorer import (
     ScorerConfig,
     ScorerParams,
@@ -25,11 +23,13 @@ from rankforge.scorer import (
 from rankforge.training import (
     OptimizerState,
     QueryExample,
+    SamplerConfig,
     StageConfig,
     TrainLog,
     adamw_step,
     run_plan,
     run_stage,
+    sample_instance,
     split_train_val,
     stage_pool,
 )
@@ -177,7 +177,7 @@ def _oracle_group(example, stage, sampler_seed, ordinal, epoch):
     pool = stage_pool(example, stage)
     if stage.loss == "ranknet":
         return pool
-    rng = SplitMix64(substream(sampler_seed, rankforge.sampling._HARD_TAG, epoch, ordinal))
+    rng = SplitMix64(substream(sampler_seed, rankforge.training._HARD_TAG, epoch, ordinal))
     chosen = sorted(rng.sample(range(len(pool) - 1), stage.sampler.negatives))
     return [pool[0], *(pool[1 + c] for c in chosen)]
 
