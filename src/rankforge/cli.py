@@ -40,9 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_metrics(spec: str, threshold: int, gain: str) -> tuple[MetricSpec, ...]:
-    """Parse 'ap,ndcg@10,mrr@10' style metric lists."""
+    """Parse 'ap,ndcg@10,mrr@10' style metric lists. Each flag goes to the
+    metrics that read it (`MetricSpec.READS`); a non-default one that no
+    metric reads is a DataError."""
     from .evaluation import MetricSpec
 
+    flags = {"threshold": threshold, "gain": gain}
     out = []
     for item in spec.split(","):
         item = item.strip().lower()
@@ -55,9 +58,15 @@ def _parse_metrics(spec: str, threshold: int, gain: str) -> tuple[MetricSpec, ..
                 cutoff = int(cut)
             except ValueError:
                 raise DataError(f"bad metric cutoff in {item!r}") from None
-        out.append(MetricSpec(kind=name, cutoff=cutoff, threshold=threshold, gain=gain))
+        field = MetricSpec.READS.get(name)  # None for an unknown kind, left to MetricSpec
+        out.append(MetricSpec(kind=name, cutoff=cutoff, **({field: flags[field]} if field else {})))
     if not out:
         raise DataError("no metrics given")
+    read = {MetricSpec.READS[m.kind] for m in out}
+    for flag, value in flags.items():
+        if flag not in read and value != getattr(MetricSpec, flag):
+            readers = " and ".join(k for k, f in MetricSpec.READS.items() if f == flag)
+            raise DataError(f"--{flag} is read by {readers} only, and no such metric is given")
     return tuple(out)
 
 

@@ -92,9 +92,12 @@ class Ranking:
 
     Invariants: no duplicate id, every score finite, scores non-increasing
     with rank (ties allowed). `Ranking(query_id, ids, scores)` builds one
-    from ids and scores already in final order. With `scores` omitted, the
-    second argument holds RunEntry objects instead (as `parse_run` and
-    `entries` give them), whose ranks must be exactly 1..n.
+    from ids and scores already in final order and checks every invariant,
+    as `parse_run` does through it. With `scores` omitted, the second
+    argument holds RunEntry objects instead (as `parse_run` and `entries`
+    give them), whose ranks must be exactly 1..n. The rankings the program
+    builds itself (`retrieve_topk`, `evaluation.rerank`) come through
+    `_sorted`, which checks finiteness only.
     """
 
     __slots__ = ("query_id", "ids", "scores")
@@ -116,6 +119,20 @@ class Ranking:
                 f"(expected {broken + 1}, got {entries[broken].rank})"
             )
         _check_ranking(query_id, ids, scores)
+        self._hold(query_id, ids, scores)
+
+    @classmethod
+    def _sorted(cls, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> "Ranking":
+        """A Ranking of distinct ids whose float64 `scores` (taken, not
+        copied) were sorted non-increasing: only finiteness is left to check,
+        since a checkpoint may hold non-finite weights."""
+        if not np.isfinite(scores).all():
+            _check_ranking(query_id, ids, scores)  # raises at the first such rank
+        ranking = cls.__new__(cls)
+        ranking._hold(query_id, ids, scores)
+        return ranking
+
+    def _hold(self, query_id: str, ids: tuple[str, ...], scores: np.ndarray) -> None:
         scores.flags.writeable = False
         object.__setattr__(self, "query_id", query_id)
         object.__setattr__(self, "ids", ids)

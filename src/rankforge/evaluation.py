@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +45,12 @@ class MetricSpec:
     cutoff None means full ranking depth; nDCG and MRR default to 10.
     threshold binarizes graded judgments for AP/MRR (grade >= threshold is
     relevant); the DL-style convention uses 2. gain applies to nDCG only.
+    A kind rejects a non-default value of the field it does not read.
     """
+
+    # the one field besides cutoff that each kind reads; the CLI and the
+    # config loader route and check the other fields by it
+    READS: ClassVar[Mapping[str, str]] = {"ap": "threshold", "mrr": "threshold", "ndcg": "gain"}
 
     kind: str  # "ap" | "ndcg" | "mrr"
     cutoff: int | None = None
@@ -53,7 +58,7 @@ class MetricSpec:
     gain: str = "linear"  # "linear" | "exponential"
 
     def __post_init__(self):
-        if self.kind not in ("ap", "ndcg", "mrr"):
+        if self.kind not in self.READS:
             raise ValueError(f"unknown metric kind {self.kind!r}")
         if self.kind in ("ndcg", "mrr") and self.cutoff is None:
             object.__setattr__(self, "cutoff", 10)
@@ -63,6 +68,10 @@ class MetricSpec:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
         if self.gain not in ("linear", "exponential"):
             raise ValueError(f"unknown gain {self.gain!r}")
+        reads = self.READS[self.kind]
+        for name in set(self.READS.values()) - {reads}:
+            if getattr(self, name) != getattr(MetricSpec, name):
+                raise ValueError(f"{self.kind} reads {reads}, not {name}")
 
     @property
     def label(self) -> str:
@@ -122,7 +131,8 @@ def rerank(
     docs = ranking.ids[:depth]
     scores, _ = score_batch(params, ctx.feature_matrix(query, docs))
     order = np.argsort(-scores, kind="stable")
-    return Ranking(ranking.query_id, [docs[i] for i in order.tolist()], scores[order])
+    ids = tuple(map(docs.__getitem__, order.tolist()))
+    return Ranking._sorted(ranking.query_id, ids, scores[order])
 
 
 def _gain(grade: int, spec: MetricSpec) -> float:
@@ -143,8 +153,7 @@ def compute_metric(ranking: Ranking, qrels: Qrels, spec: MetricSpec) -> float:
 
 def _metric(ranking: Ranking, judged: Mapping[str, int], spec: MetricSpec) -> float | None:
     """compute_metric given the query's judgments; None when none is relevant."""
-    threshold = 1 if spec.kind == "ndcg" else spec.threshold
-    if not any(g >= threshold for g in judged.values()):
+    if not any(g >= spec.threshold for g in judged.values()):  # nDCG's threshold is 1
         return None
     top = ranking.ids[: spec.cutoff]
 

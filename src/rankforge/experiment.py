@@ -217,9 +217,9 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int, seed: int) -> 
 def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
     where = f"metric {idx}"
     kind = raw.get("kind") if isinstance(raw, Mapping) else None
-    # gain weighs nDCG's grades, threshold binarizes them for AP and MRR;
-    # an unknown kind is left to MetricSpec
-    unused = {"threshold"} if kind == "ndcg" else {"gain"} if kind in ("ap", "mrr") else set()
+    # a kind sets only the field it reads; an unknown kind is left to MetricSpec
+    reads = MetricSpec.READS.get(kind) if isinstance(kind, str) else None
+    unused = set(MetricSpec.READS.values()) - {reads} if reads else set()
     raw = _object(raw, where, _METRIC_KEYS - unused)
     if "kind" not in raw:
         raise DataError(f"{where} missing 'kind'")

@@ -15,6 +15,10 @@ tokenize a document after indexing.
 The query-independent half of BM25 lives in the index: each term's idf, and
 each posting's `term_weight` once per `Bm25Params` (`InvertedIndex.impacts`).
 Every BM25 score is a sum of impacts over the query tokens, in query order.
+`InvertedIndex.match` reads, for a block of documents, which query terms
+each holds and their impacts, with one search of each term's postings. The
+index also holds each document's `math.log1p(length)` for the scorer's
+length feature.
 """
 
 from __future__ import annotations
@@ -79,6 +83,8 @@ class InvertedIndex:
     tokens, starts  the corpus as one int32 stream of term ids: document i
                     is tokens[starts[i]:starts[i+1]]
     idfs            float64 idf per term id
+    log1p_lengths   float64 math.log1p of each length (libm's, bit for
+                    bit, which np.log1p need not be)
     _impacts        Bm25Params -> impacts(params), filled on first use
     """
 
@@ -92,6 +98,7 @@ class InvertedIndex:
     tokens: np.ndarray
     starts: np.ndarray
     idfs: np.ndarray
+    log1p_lengths: np.ndarray
     avg_doc_length: float
     _impacts: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -107,7 +114,7 @@ class InvertedIndex:
     def doc_numbers(self, doc_ids: Iterable[str]) -> np.ndarray:
         """int32 numbers of `doc_ids`; ValueError names one not in the index."""
         try:
-            return np.array([self.numbers[d] for d in doc_ids], dtype=np.int32)
+            return np.fromiter(map(self.numbers.__getitem__, doc_ids), np.int32)
         except KeyError as missing:
             raise ValueError(f"doc id {missing.args[0]!r} not in index") from None
 
@@ -134,12 +141,16 @@ class InvertedIndex:
         terms = sorted(set(query_tokens))
         hit = np.zeros((len(terms), len(nums)), dtype=bool)
         weight = np.empty((len(terms), len(nums)))
+        impacts = self.impacts(params)
         for row, t in enumerate(map(self.terms.get, terms)):
             if t is not None:
-                lo, hi = self.indptr[t], self.indptr[t + 1]
-                at = lo + np.minimum(np.searchsorted(self.docs[lo:hi], nums), hi - lo - 1)
-                hit[row] = self.docs[at] == nums
-                weight[row] = self.impacts(params)[at]
+                lo, hi = self.indptr[t : t + 2].tolist()
+                # the posting at or after each document, clamped to the last
+                at = self.docs[lo:hi].searchsorted(nums)
+                np.minimum(at, hi - lo - 1, out=at)
+                at += lo
+                np.equal(self.docs[at], nums, out=hit[row])
+                weight[row] = impacts[at]
         bm25 = np.zeros(len(nums))
         for j in map(terms.index, query_tokens):
             np.add(bm25, weight[j], out=bm25, where=hit[j])
@@ -184,10 +195,11 @@ def build_index(corpus: Mapping[str, str]) -> InvertedIndex:
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=indptr[1:])
 
     idfs = np.array([_idf(len(doc_ids), df) for df in np.diff(indptr).tolist()], dtype=np.float64)
+    log1p_lengths = np.array([math.log1p(n) for n in lengths.tolist()], dtype=np.float64)
     avg = int(starts[-1]) / len(doc_ids) if doc_ids else 0.0
     return InvertedIndex(
         doc_ids, {d: i for i, d in enumerate(doc_ids)}, lengths, terms,
-        indptr, docs, tfs, tokens, starts, idfs, avg,
+        indptr, docs, tfs, tokens, starts, idfs, log1p_lengths, avg,
     )
 
 
@@ -224,4 +236,5 @@ def retrieve_topk(
     # positive scores; the stable sort keeps ties in number order, which is id order
     cand = np.flatnonzero(scores > 0.0)
     top = cand[np.argsort(-scores[cand], kind="stable")[:k]]
-    return Ranking(query.id, [index.doc_ids[i] for i in top.tolist()], scores[top])
+    ids = tuple(map(index.doc_ids.__getitem__, top.tolist()))
+    return Ranking._sorted(query.id, ids, scores[top])

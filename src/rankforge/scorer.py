@@ -16,9 +16,10 @@ once. The query side (tokens, idf, buckets, bigrams) is done once per call,
 and the document side is read from the inverted index's arrays with numpy
 operations over the whole block: one search of each query term's postings
 finds where it occurs and its precomputed BM25 impact (`InvertedIndex.match`),
-lengths come from `lengths`, and [5] from adjacent term ids in the token
-stream. The index must be built from the same corpus; no document text
-is re-tokenized. `ScoringContext` memoizes the full-width rows per query.
+[3] is gathered from the index's `log1p_lengths` table, and [5] comes from
+adjacent term ids in the token stream. The index must be built from the
+same corpus; no document text is re-tokenized. `ScoringContext` memoizes
+the full-width rows per query.
 
 The scorer itself is a one-hidden-layer MLP, s = w2 . tanh(W1 x + b1) + b2,
 small enough that its backward pass is written out exactly and checked
@@ -154,11 +155,13 @@ def extract_features(
     x = np.zeros((len(nums), buckets + N_DENSE), dtype=np.float64)
     x[:, 0] = bm25 / 10.0
     x[:, 1] = hit.sum(axis=0) / max(1, len(q_terms))
+    overlap = x[:, 2]
     for j, (t, idf) in enumerate(zip(q_terms, q_idf)):
-        x[hit[j], 2] += idf
-        x[hit[j], N_DENSE + fnv1a64(t.encode("utf-8")) % buckets] += idf
-    x[:, 2] /= max(_EPS, sum(q_idf))
-    x[:, 3] = [math.log1p(n) / 10.0 for n in index.lengths[nums].tolist()]
+        bucket = x[:, N_DENSE + fnv1a64(t.encode("utf-8")) % buckets]
+        np.add(overlap, idf, out=overlap, where=hit[j])
+        np.add(bucket, idf, out=bucket, where=hit[j])
+    overlap /= max(_EPS, sum(q_idf))
+    np.divide(index.log1p_lengths[nums], 10.0, out=x[:, 3])
     x[:, 4] = math.log1p(len(q_tokens)) / 10.0
     x[:, 5] = _bigram_fraction(index, q_tokens, nums)
     # every idf is > 0, so exactly the rows with a hit have a nonzero norm
@@ -269,9 +272,9 @@ class _QueryFeatures:
 
     def add(self, doc_ids: list[str], x: np.ndarray) -> None:
         """Append the rows of x, the feature matrix of doc_ids not yet held."""
+        self.vals = np.concatenate([self.vals, x]) if self.rows else x
         base = len(self.rows)
-        self.rows.update((d, base + i) for i, d in enumerate(doc_ids))
-        self.vals = np.concatenate([self.vals, x])
+        self.rows.update(zip(doc_ids, range(base, base + len(doc_ids))))
 
 
 class ScoringContext:
@@ -311,4 +314,5 @@ class ScoringContext:
                 if d not in self.corpus:
                     raise DataError(f"query {query.id}: document {d!r} has no text in corpus")
             held.add(missing, extract_features(self.index, self.bm25, query, missing, self.buckets))
-        return held.vals[[held.rows[d] for d in doc_ids]]
+        at = np.fromiter(map(held.rows.__getitem__, doc_ids), np.intp, len(doc_ids))
+        return held.vals.take(at, axis=0)

@@ -164,12 +164,11 @@ def test_03_metrics_match_brute_force_oracle():
         judged = {d: rng.choice((0, 0, 1, 2, 3)) for d in pool if rng.random() < 0.7}
         retrieved = rng.sample(pool, rng.randint(1, len(pool)))
         kind = rng.choice(("ap", "ndcg", "mrr"))
-        spec = MetricSpec(
-            kind,
-            cutoff=rng.choice((None, rng.randint(1, 15))) if kind == "ap" else rng.randint(1, 15),
-            threshold=rng.randint(1, 3),
-            gain=rng.choice(("linear", "exponential")),
-        )
+        cutoff = rng.choice((None, rng.randint(1, 15))) if kind == "ap" else rng.randint(1, 15)
+        threshold, gain = rng.randint(1, 3), rng.choice(("linear", "exponential"))
+        # each kind takes only the field it reads: gain for nDCG, threshold otherwise
+        read = {"gain": gain} if kind == "ndcg" else {"threshold": threshold}
+        spec = MetricSpec(kind, cutoff=cutoff, **read)
         ranking = Ranking("q", retrieved, np.arange(len(retrieved), 0, -1.0))
         qrels = Qrels({"q": judged})
         want = _naive_metric(retrieved, judged, spec)

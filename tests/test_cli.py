@@ -341,6 +341,30 @@ class TestEvaluate:
         assert rc == 2
         assert "no metrics" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics, flag, message", [
+        ("ndcg@10", ["--threshold", "2"], "--threshold is read by ap and mrr only"),
+        ("ap,mrr@10", ["--gain", "exponential"], "--gain is read by ndcg only"),
+    ])
+    def test_flag_no_metric_reads(self, ws, capsys, metrics, flag, message):
+        rc = main([
+            "evaluate", "--run", str(ws / "bm25.txt"),
+            "--qrels", str(ws / "data" / "qrels.txt"), "--metrics", metrics, *flag,
+        ])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_flags_go_to_the_metrics_that_read_them(self, ws, tmp_path):
+        argv = ["evaluate", "--run", str(ws / "bm25.txt"),
+                "--qrels", str(ws / "data" / "qrels.txt"), "--metrics", "ap,ndcg@10"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--threshold", "2", "--out", str(flagged)]) == 0
+        plain, flagged = (dict(line.rsplit(",", 1) for line in p.read_text().splitlines())
+                          for p in (plain, flagged))
+        # the threshold moves AP only; nDCG@10 reads every positive grade as before
+        assert plain["all,nDCG@10"] == flagged["all,nDCG@10"]
+        assert plain["all,AP"] != flagged["all,AP"]
+
 
 @pytest.fixture(scope="module")
 def variant_runs(ws, tmp_path_factory):
@@ -384,6 +408,15 @@ class TestCompare:
         ])
         assert rc == 0
         assert out_path.read_text(encoding="utf-8").startswith("| System |")
+
+    def test_gain_without_ndcg(self, ws, variant_runs, capsys):
+        rc = main([
+            "compare", "--qrels", str(ws / "data" / "qrels.txt"),
+            "--baseline", str(ws / "bm25.txt"), str(variant_runs / "sysA.txt"),
+            "--metrics", "ap", "--gain", "exponential",
+        ])
+        assert rc == 2
+        assert "--gain is read by ndcg only" in capsys.readouterr().err
 
     def test_bad_pairs(self, ws, variant_runs, capsys):
         rc = main([

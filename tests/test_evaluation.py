@@ -25,7 +25,8 @@ from rankforge.evaluation import (
     report_csv,
     rerank,
 )
-from rankforge.scorer import ScorerParams, init_params
+from rankforge.retrieval import Bm25Params, retrieve_topk
+from rankforge.scorer import ScorerParams, init_params, load_params, save_params
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +60,16 @@ class TestMetricSpec:
             MetricSpec("ap", threshold=0)
         with pytest.raises(ValueError, match="gain"):
             MetricSpec("ndcg", gain="log")
+
+    def test_rejects_a_field_its_kind_does_not_read(self):
+        with pytest.raises(ValueError, match="ndcg reads gain, not threshold"):
+            MetricSpec("ndcg", threshold=3)
+        for kind in ("ap", "mrr"):
+            with pytest.raises(ValueError, match=f"{kind} reads threshold, not gain"):
+                MetricSpec(kind, gain="exponential")
+        # the defaults stay accepted by every kind
+        assert MetricSpec("ndcg", threshold=1).threshold == 1
+        assert MetricSpec("ap", gain="linear").gain == "linear"
 
 
 class TestAveragePrecision:
@@ -131,10 +142,10 @@ class TestNdcg:
         assert compute_metric(ranking, qrels, MetricSpec("ndcg")) == pytest.approx(1.0)
 
     def test_grade_one_doc_makes_query_evaluable(self):
-        # ndcg eligibility ignores the AP/MRR threshold
+        # ndcg counts every positive grade as relevant
         ranking = _ranking("q", ["d1"])
         qrels = _qrels("q", {"d1": 1})
-        spec = MetricSpec("ndcg", threshold=2)
+        spec = MetricSpec("ndcg")
         assert compute_metric(ranking, qrels, spec) == pytest.approx(1.0)
 
 
@@ -541,3 +552,28 @@ class TestRerank:
         a = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=100)
         b = rerank(params, small_world.ctx, ex.query, ex.ranking, depth=100)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "weight, bad", [("b2", math.nan), ("b2", math.inf), ("b2", -math.inf), ("w2", math.nan)]
+    )
+    def test_non_finite_checkpoint_fails(self, small_world, weight, bad):
+        params = init_params(small_world.scorer_config)
+        if weight == "b2":
+            params.b2 = bad
+        else:
+            params.w2[0] = bad
+        params = load_params(save_params(params))  # which accepts any weight
+        ex = small_world.examples[0]
+        with pytest.raises(ValueError, match=r"non-finite score at rank 1\b"):
+            rerank(params, small_world.ctx, ex.query, ex.ranking, depth=10)
+
+    def test_served_rankings_pass_the_checked_constructor(self, small_world):
+        """retrieve_topk and rerank skip the public checks; what they return
+        is what the checked Ranking(...) builds from the same ids and scores."""
+        params = init_params(small_world.scorer_config)
+        for q in small_world.queries:
+            first = retrieve_topk(small_world.index, Bm25Params(), q, 50)
+            ranked = rerank(params, small_world.ctx, q, first, 30)
+            for r in (first, ranked):
+                assert r == Ranking(r.query_id, list(r.ids), r.scores.tolist())
+                assert type(r.ids) is tuple and not r.scores.flags.writeable

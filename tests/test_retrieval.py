@@ -225,6 +225,17 @@ class TestImpacts:
         assert len(calls) == 1
 
 
+class TestLog1pLengths:
+    """Each document's log1p(length), held in the index for feature [3]."""
+
+    def test_bit_equal_to_math_log1p(self):
+        text = TestImpacts.REPEATS + _random_corpus(SplitMix64(9), 60)
+        index = build_index(parse_corpus(text))
+        want = [math.log1p(n) for n in index.lengths.tolist()]
+        assert index.log1p_lengths.dtype == np.float64
+        assert index.log1p_lengths.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
 def _random_corpus(rng: SplitMix64, n_docs: int) -> str:
     words = [f"w{i}" for i in range(30)]
     lines = []

@@ -577,6 +577,34 @@ class TestScoringContext:
         mat[0] = 7.0
         np.testing.assert_array_equal(ctx.feature_matrix(q, ["d1"])[0], want)
 
+    def test_cold_lookup_returns_a_copy(self, tiny_corpus, tiny_index):
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
+        q = Query("q", "cat dog")
+        mat = ctx.feature_matrix(q, ["d2", "d1", "d3"])  # the query's first lookup
+        want = mat.copy()
+        mat[:] = -1.0
+        np.testing.assert_array_equal(ctx.feature_matrix(q, ["d2", "d1", "d3"]), want)
+
+    def test_cold_lookup_with_repeated_docs(self, tiny_corpus, tiny_index, monkeypatch):
+        extracted = []
+        real = scorer.extract_features
+
+        def counting(index, params, query, doc_ids, *rest):
+            extracted.append(list(doc_ids))
+            return real(index, params, query, doc_ids, *rest)
+
+        monkeypatch.setattr(scorer, "extract_features", counting)
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
+        q = Query("q", "cat dog")
+        mat = ctx.feature_matrix(q, ["d2", "d1", "d2", "d1"])
+        assert extracted == [["d2", "d1"]]
+        direct = real(tiny_index, Bm25Params(), q, ["d2", "d1"], 16)
+        np.testing.assert_array_equal(mat, direct[[0, 1, 0, 1]])
+
+    def test_empty_lookup(self, tiny_corpus, tiny_index):
+        ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
+        assert ctx.feature_matrix(Query("q", "cat"), []).shape == (0, 16 + N_DENSE)
+
     def test_missing_doc_raises(self, tiny_corpus, tiny_index):
         ctx = ScoringContext(tiny_corpus, tiny_index, Bm25Params(), buckets=16)
         with pytest.raises(DataError, match="d99"):
