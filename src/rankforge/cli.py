@@ -201,14 +201,10 @@ def cmd_experiment(args) -> int:
     elapsed = time.perf_counter() - started
     for rel, *_ in RQ_REPORTS:
         print(f"wrote {cfg.out / rel}")
-    ndcg = {
-        label: means.get("nDCG@10") for label, means in summary["means"].items()
-    }
-    for label in sorted(ndcg):
-        if ndcg[label] is not None:
-            delta = summary["vs_bm25"].get(label, {}).get("nDCG@10")
-            vs = "" if delta is None else f" ({delta:+.4f} vs bm25)"
-            print(f"nDCG@10 {label}: {ndcg[label]:.4f}{vs}")
+    means, vs_bm25 = summary["means"], summary["vs_bm25"]
+    for label in sorted(means):  # every system but bm25 has a delta to it
+        vs = f" ({vs_bm25[label]['nDCG@10']:+.4f} vs bm25)" if label in vs_bm25 else ""
+        print(f"nDCG@10 {label}: {means[label]['nDCG@10']:.4f}{vs}")
     print(f"best single: {summary['best_single']}, best multi: {summary['best_multi']}")
     print(f"completed in {elapsed:.1f}s")
     return 0

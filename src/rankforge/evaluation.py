@@ -48,8 +48,8 @@ class MetricSpec:
     A kind rejects a non-default value of the field it does not read.
     """
 
-    # the one field besides cutoff that each kind reads; the CLI and the
-    # config loader route and check the other fields by it
+    # the one field besides cutoff that each kind reads; the CLI routes its
+    # flags by it, and __post_init__ rejects a set field the kind ignores
     READS: ClassVar[Mapping[str, str]] = {"ap": "threshold", "mrr": "threshold", "ndcg": "gain"}
 
     kind: str  # "ap" | "ndcg" | "mrr"

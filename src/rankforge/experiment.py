@@ -1,7 +1,9 @@
 """Experiment configuration and the RQ1/RQ2/RQ3 comparison driver.
 
-A JSON config is the single source of truth: data paths, scorer and sampler
-settings, named train plans, metric specs, and seeds. The driver trains
+A JSON config names the data paths, scorer and sampler settings, named
+train plans, and seeds. The protocol is fixed: a BM25 first stage with
+Anserini's defaults (k1 0.9, b 0.4), re-ranked, then scored by AP, nDCG@10
+and MRR@10, with nDCG@10 picking the best plans. `run_experiment` trains
 every named plan from one shared initialization, training each distinct
 stage prefix once: a multi-stage plan such as C->D continues from the
 checkpoint of C, whose stage it starts with. Plans with different first
@@ -102,6 +104,10 @@ RQ_REPORTS = (
 )
 RQ_PLAN_NAMES = tuple(name for *_, pair in RQ_REPORTS if pair for name in pair)
 _TOP_LEVEL = {_BM25, _UNTRAINED, _FIRST_STAGE, _SUMMARY, *(rel for rel, *_ in RQ_REPORTS)}
+# the protocol every run follows: the first stage's BM25 settings, and the
+# metrics every system reports
+_BM25_PARAMS = Bm25Params()
+_METRIC_SPECS = (MetricSpec("ap"), MetricSpec("ndcg", 10), MetricSpec("mrr", 10))
 
 Plan = tuple[StageConfig, ...]
 
@@ -120,8 +126,6 @@ class ExperimentConfig:
     eval_fraction: float
     val_fraction: float
     scorer: ScorerConfig
-    bm25: Bm25Params
-    metrics: tuple[MetricSpec, ...]
     plans: dict[str, Plan]  # in config order
 
 
@@ -142,13 +146,11 @@ def default_plan_specs() -> dict:
 _TOP_KEYS = {
     "corpus", "queries", "qrels", "teacher", "first_stage", "out", "seed",
     "retrieve_depth", "rerank_depth", "eval_fraction", "val_fraction",
-    "scorer", "bm25", "metrics", "plans",
+    "scorer", "plans",
 }
 _STAGE_KEYS = {"loss", "lr", "steps", "val_interval"}
 _SAMPLER_KEYS = {"negatives", "pool_depth"}
 _SCORER_KEYS = {"buckets", "hidden"}
-_BM25_KEYS = {"k1", "b"}
-_METRIC_KEYS = {"kind", "cutoff", "threshold", "gain"}
 
 
 def _object(value: object, where: str, keys: set[str]) -> Mapping:
@@ -212,23 +214,6 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int, seed: int) -> 
         )
     except ValueError as exc:  # a value the sampler or the stage rejects
         raise DataError(f"{where}: {exc}") from None
-
-
-def _metric_from_dict(raw: object, idx: int) -> MetricSpec:
-    where = f"metric {idx}"
-    kind = raw.get("kind") if isinstance(raw, Mapping) else None
-    # a kind sets only the field it reads; an unknown kind is left to MetricSpec
-    reads = MetricSpec.READS.get(kind) if isinstance(kind, str) else None
-    unused = set(MetricSpec.READS.values()) - {reads} if reads else set()
-    raw = _object(raw, where, _METRIC_KEYS - unused)
-    if "kind" not in raw:
-        raise DataError(f"{where} missing 'kind'")
-    return MetricSpec(
-        kind=raw["kind"],
-        cutoff=_integer(raw, "cutoff", where),
-        threshold=_integer(raw, "threshold", where, MetricSpec.threshold),
-        gain=raw.get("gain", MetricSpec.gain),
-    )
 
 
 def _resolve_plans(raw_plans: object, seed: int) -> dict[str, Plan]:
@@ -333,22 +318,6 @@ def _config_from_dict(
         hidden=_integer(scorer_raw, "hidden", where, ScorerConfig.hidden),
         seed=substream(master_seed, _INIT_TAG),
     )
-    where = "config 'bm25'"
-    bm25_raw = _object(raw.get("bm25", {}), where, _BM25_KEYS)
-    bm25 = Bm25Params(
-        k1=_number(bm25_raw, "k1", where, Bm25Params.k1),
-        b=_number(bm25_raw, "b", where, Bm25Params.b),
-    )
-    metrics_raw = raw.get(
-        "metrics",
-        [{"kind": "ap"}, {"kind": "ndcg", "cutoff": 10}, {"kind": "mrr", "cutoff": 10}],
-    )
-    if not isinstance(metrics_raw, list):
-        raise DataError("config 'metrics' must be a list of objects")
-    metrics = tuple(_metric_from_dict(m, i) for i, m in enumerate(metrics_raw))
-    labels = [m.label for m in metrics]
-    if len(set(labels)) != len(labels):
-        raise DataError("metric labels must be unique")
 
     depths = {key: _integer(raw, key, "config", 100) for key in ("retrieve_depth", "rerank_depth")}
     for key, depth in depths.items():
@@ -373,8 +342,6 @@ def _config_from_dict(
         out=out_path,
         seed=master_seed,
         scorer=scorer,
-        bm25=bm25,
-        metrics=metrics,
         plans=plans,
         **depths,
         **fractions,
@@ -410,11 +377,11 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
         teachers = {t.query_id: t for t in parse_path(cfg.teacher, parse_teacher)}
 
     index = build_index(corpus)
-    ctx = ScoringContext(corpus, index, cfg.bm25, cfg.scorer.buckets)
+    ctx = ScoringContext(corpus, index, _BM25_PARAMS, cfg.scorer.buckets)
 
     if cfg.first_stage == "build":
         first_stage = {
-            qid: retrieve_topk(index, cfg.bm25, queries[qid], cfg.retrieve_depth)
+            qid: retrieve_topk(index, _BM25_PARAMS, queries[qid], cfg.retrieve_depth)
             for qid in sorted(queries)
         }
     else:
@@ -511,14 +478,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     re-raised here with its type and message; no worker outlives the call.
 
     Returns a summary dict (also written as `_SUMMARY`). A config without
-    the RQ plans or an nDCG@10 metric is rejected before anything is read or
-    written. A failure removes what the run wrote and created (`_Workspace`).
+    the RQ plans is rejected before anything is read or written. A failure
+    removes what the run wrote and created (`_Workspace`).
     """
     missing = [n for n in RQ_PLAN_NAMES if n not in cfg.plans]
     if missing:
         raise DataError(f"experiment needs plans {list(RQ_PLAN_NAMES)}; missing {missing}")
-    if "nDCG@10" not in {m.label for m in cfg.metrics}:
-        raise DataError("experiment requires an nDCG@10 metric for best-plan selection")
 
     with _Workspace(cfg.out) as ws:
         prep = prepare(cfg)
@@ -530,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
             eval_qids = sorted(q.id for q in prep.eval_queries)
             fs_rankings = [prep.first_stage[qid] for qid in eval_qids]
-            bm25_system = SystemResult(_BM25, evaluate_all(fs_rankings, prep.qrels, cfg.metrics))
+            bm25_system = SystemResult(_BM25, evaluate_all(fs_rankings, prep.qrels, _METRIC_SPECS))
             ws.write_text(f"{_BM25}/metrics.csv", report_csv(bm25_system.reports))
 
             systems: dict[str, SystemResult] = {
@@ -702,7 +667,7 @@ def _write_system(
         for q in sorted(prep.eval_queries, key=lambda q: q.id)
     ]
     ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))
-    system = SystemResult(name, evaluate_all(rankings, prep.qrels, cfg.metrics))
+    system = SystemResult(name, evaluate_all(rankings, prep.qrels, _METRIC_SPECS))
     ws.write_text(f"{sub}/metrics.csv", report_csv(system.reports))
     return system
 

@@ -1,6 +1,8 @@
-"""Shared fixtures: a tiny hand-built corpus and a small generated world."""
+"""Shared fixtures: a tiny hand-built corpus, a small generated world, and
+the benchmark's child module."""
 
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +23,8 @@ from rankforge.retrieval import Bm25Params, InvertedIndex, build_index, retrieve
 from rankforge.scorer import ScorerConfig, ScoringContext
 from rankforge.synth import SynthSpec, generate
 from rankforge.training import QueryExample
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TINY_CORPUS_TSV = (
     "d1\tthe cat sat on the mat\n"
@@ -112,3 +116,18 @@ def small_world() -> SynthWorld:
     return SynthWorld(
         corpus, queries, qrels, teachers, index, ctx, SMALL_SCORER, rankings, examples
     )
+
+
+@pytest.fixture
+def child():
+    """perfbench/child.py, imported with its sibling modules, which leave
+    sys.modules again afterwards."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import child
+
+        yield child
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        for name in ("child", "layers", "spans", "spec"):
+            sys.modules.pop(name, None)

@@ -544,6 +544,30 @@ class TestExperimentCommand:
         assert "best single:" in out and "best multi:" in out
         assert "completed in" in out
 
+    def test_cli_defaults_reproduce_the_experiment(self, ws, tmp_path):
+        """`retrieve` and `rerank` at their default BM25 settings, at the
+        config's depths, give the ids and scores the experiment wrote; only
+        the tags differ."""
+        config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(ws / "exp.json"), "--out", str(out)]) == 0
+        data = ["--corpus", str(ws / "data" / "corpus.tsv"),
+                "--queries", str(ws / "data" / "queries.tsv")]
+        first, served = tmp_path / "first.txt", tmp_path / "served.txt"
+        assert main(["retrieve", *data, "--depth", str(config["retrieve_depth"]),
+                     "--out", str(first)]) == 0
+        assert main(["rerank", *data, "--run", str(first),
+                     "--params", str(out / "C" / "params.bin"),
+                     "--depth", str(config["rerank_depth"]), "--out", str(served)]) == 0
+
+        def lists(path: Path) -> dict:
+            return {r.query_id: [(e.doc_id, e.score) for e in r.entries]
+                    for r in parse_run(path.read_text(encoding="utf-8"))}
+
+        assert lists(first) == lists(out / "first_stage.txt")
+        expected, reranked = lists(out / "C" / "rerank.txt"), lists(served)
+        assert {qid: reranked[qid] for qid in expected} == expected  # the evaluation queries
+
     def test_numpy_ma_not_imported(self, ws, tmp_path):
         """numpy's set routines (np.unique and its kin) import numpy.ma, half
         a megabyte of module code; an experiment uses none of them."""
@@ -649,12 +673,12 @@ class TestExperimentCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section", [
-        {"metrics": [{"cutoff": 10}]},
-        {"metrics": [{"kind": "ap"}]},
+        {"metrics": [{"kind": "ap"}]},  # the protocol's metrics are fixed
+        {"retrieve_depth": 0},
         {"scorer": [1]},
         {"scorer": {"buckets": 8.7}},
         {"scorer": {"bucket": 8}},
-        {"bm25": {"k1": 0.9, "k": 1}},
+        {"scorer": {"hidden": 0}},
         {"plans": {"C->D": {"preset": "reference", "variant": "base", "scale": 0.1}}},
         {"plans": {"D": [{"loss": "ranknet", "lr": 1e-3, "steps": 5, "negatives": 7}]}},
         {"eval_fraction": 1.5},
@@ -662,7 +686,7 @@ class TestExperimentCommand:
         # json.loads accepts NaN and Infinity, which are not JSON
         {"plans": {"C": [dict(_LCE, lr=math.nan)]}},
         {"plans": {"C": [dict(_LCE, lr=math.inf)]}},
-        {"bm25": {"k1": math.nan}},
+        {"eval_fraction": math.nan},
     ])
     def test_malformed_section_exits_two(self, ws, tmp_path, capsys, section):
         config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))

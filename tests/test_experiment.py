@@ -18,6 +18,8 @@ from rankforge.cli import main
 from rankforge.data import Query, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
+    _BM25_PARAMS,
+    _METRIC_SPECS,
     _SAMPLER_TAG,
     _STAGE_TAG,
     _lanes,
@@ -92,6 +94,12 @@ def _assert_same_tree(a: Path, b: Path) -> None:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def _numbered(cases):
+    """Each (n, over, match) case as a param whose id, `over{n}-{match}`, is
+    the one pytest gives it at position n."""
+    return [pytest.param(over, match, id=f"over{n}-{match}") for n, over, match in cases]
+
+
 @pytest.fixture(scope="module")
 def finished(tmp_path_factory):
     """One full driver run shared by the artifact inspections below."""
@@ -115,8 +123,9 @@ class TestLoadConfig:
         assert cfg.val_fraction == 0.01
         assert cfg.scorer.buckets == 8
         assert cfg.scorer.hidden == 16
-        assert (cfg.bm25.k1, cfg.bm25.b) == (0.9, 0.4)
-        assert [m.label for m in cfg.metrics] == ["AP", "nDCG@10", "MRR@10"]
+        # the protocol's settings, which a config cannot change
+        assert (_BM25_PARAMS.k1, _BM25_PARAMS.b) == (0.9, 0.4)
+        assert [m.label for m in _METRIC_SPECS] == ["AP", "nDCG@10", "MRR@10"]
         assert list(cfg.plans) == ["C", "D", "C->D", "D->C"]
         assert cfg.teacher is None
         assert cfg.first_stage == "build"
@@ -208,53 +217,45 @@ class TestLoadConfig:
         sampler = plan[0].sampler
         assert (sampler.negatives, sampler.pool_depth) == (7, 9)
 
-    @pytest.mark.parametrize("over, match", [
-        ({"metrics": [{"cutoff": 10}]}, "metric 0 missing 'kind'"),
-        ({"metrics": [{"kind": "ap"}, "ndcg"]}, "metric 1 must be"),
-        ({"metrics": [{"kind": "ap", "cutof": 5}]}, "cutof"),
-        ({"metrics": {"kind": "ap"}}, "'metrics' must be a list"),
-        ({"scorer": [1]}, "'scorer' must be"),
-        ({"scorer": {"bucket": 8}}, "bucket"),
-        ({"scorer": {"buckets": None}}, "NoneType"),
-        ({"bm25": 0.9}, "'bm25' must be"),
-        ({"bm25": {"k1": 0.9, "k": 1}}, r"\['k'\]"),
-        ({"plans": ["C"]}, "'plans' must be"),
-        ({"plans": {"C": [1]}}, "plan C stage 0 must be"),
-        ({"plans": {"C": {"preset": "reference", "scal": 2}}}, "expected a list of stages"),
-        ({"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
-        ({"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
-        ({"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
-        ({"plans": {"C": [dict(_LCE, policy="random")]}}, r"unknown keys \['policy'\]"),
-        ({"plans": {"D": [dict(_RK, negatives=7)]}},
-         r"plan D stage 0 has unknown keys \['negatives'\]"),
-        ({"plans": {"D": [dict(_RK, pool_depth=9)]}}, r"unknown keys \['pool_depth'\]"),
-        ({"eval_fraction": 1.5}, r"'eval_fraction' must be in \(0, 1\), got 1.5"),
-        ({"val_fraction": 0}, r"'val_fraction' must be in \(0, 1\), got 0.0"),
-        ({"retrieve_depth": 0}, "'retrieve_depth' must be >= 1, got 0"),
-        ({"rerank_depth": -3}, "'rerank_depth' must be >= 1, got -3"),
+    # a case keeps the number it was first given, so removing one leaves the
+    # others' test ids as they were
+    @pytest.mark.parametrize("over, match", _numbered([
+        (4, {"scorer": [1]}, "'scorer' must be"),
+        (5, {"scorer": {"bucket": 8}}, "bucket"),
+        (6, {"scorer": {"buckets": None}}, "NoneType"),
+        (9, {"plans": ["C"]}, "'plans' must be"),
+        (10, {"plans": {"C": [1]}}, "plan C stage 0 must be"),
+        (11, {"plans": {"C": {"preset": "reference", "scal": 2}}}, "expected a list of stages"),
+        (12, {"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
+        (13, {"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
+        (14, {"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
+        (15, {"plans": {"C": [dict(_LCE, policy="random")]}}, r"unknown keys \['policy'\]"),
+        (16, {"plans": {"D": [dict(_RK, negatives=7)]}},
+             r"plan D stage 0 has unknown keys \['negatives'\]"),
+        (17, {"plans": {"D": [dict(_RK, pool_depth=9)]}}, r"unknown keys \['pool_depth'\]"),
+        (18, {"eval_fraction": 1.5}, r"'eval_fraction' must be in \(0, 1\), got 1.5"),
+        (19, {"val_fraction": 0}, r"'val_fraction' must be in \(0, 1\), got 0.0"),
+        (20, {"retrieve_depth": 0}, "'retrieve_depth' must be >= 1, got 0"),
+        (21, {"rerank_depth": -3}, "'rerank_depth' must be >= 1, got -3"),
         # json.loads accepts NaN and Infinity, which are not JSON
-        ({"plans": {"C": [dict(_LCE, lr=math.nan)]}}, "NaN is not a JSON number"),
-        ({"bm25": {"k1": math.inf}}, "Infinity is not a JSON number"),
-        ({"bm25": {"k1": -math.inf}}, "-Infinity is not a JSON number"),
-        ({"eval_fraction": 10**400}, "'eval_fraction' is too large for a float"),
+        (22, {"plans": {"C": [dict(_LCE, lr=math.nan)]}}, "NaN is not a JSON number"),
+        (23, {"eval_fraction": math.inf}, "Infinity is not a JSON number"),
+        (24, {"eval_fraction": -math.inf}, "-Infinity is not a JSON number"),
+        (25, {"eval_fraction": 10**400}, "'eval_fraction' is too large for a float"),
         # values a component's own validation rejects
-        ({"plans": {"C": [dict(_LCE, pool_depth=5)]}},
-         "plan C stage 0: pool depth 5 smaller than negative count 10"),
-        ({"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
-        ({"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
+        (26, {"plans": {"C": [dict(_LCE, pool_depth=5)]}},
+             "plan C stage 0: pool depth 5 smaller than negative count 10"),
+        (27, {"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
+        (28, {"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
         # the initialization seed follows the master seed only
-        ({"scorer": {"seed": 1}}, r"'scorer' has unknown keys \['seed'\]"),
+        (29, {"scorer": {"seed": 1}}, r"'scorer' has unknown keys \['seed'\]"),
         # a plan trains at least one stage
-        ({"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
-        # a key the metric's kind ignores
-        ({"metrics": [{"kind": "ndcg", "cutoff": 10, "threshold": 3}]},
-         r"metric 0 has unknown keys \['threshold'\]"),
-        ({"metrics": [{"kind": "ap", "gain": "exponential"}]},
-         r"metric 0 has unknown keys \['gain'\]"),
-        ({"metrics": [{"kind": "ap"}, {"kind": "mrr", "cutoff": 10, "gain": "exponential"}]},
-         r"metric 1 has unknown keys \['gain'\]"),
-        ({"metrics": [{"kind": "map", "gain": "linear"}]}, "unknown metric kind 'map'"),
-    ])
+        (30, {"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
+        # the protocol's BM25 settings and metrics are not config keys
+        (35, {"bm25": {"k1": 1.2}}, r"config .*exp\.json has unknown keys \['bm25'\]"),
+        (36, {"metrics": [{"kind": "ap"}]},
+         r"config .*exp\.json has unknown keys \['metrics'\]"),
+    ]))
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
         with pytest.raises(DataError, match=match):
@@ -287,11 +288,6 @@ class TestLoadConfig:
         with pytest.raises(DataError, match=re.escape(repr(name))):
             load_config(path)
 
-    def test_duplicate_metric_labels(self, tmp_path):
-        path = _write_workspace(tmp_path, metrics=[{"kind": "ap"}, {"kind": "ap"}])
-        with pytest.raises(DataError, match="unique"):
-            load_config(path)
-
     def test_shared_leading_stages_are_equal(self, tmp_path):
         cfg = load_config(_write_workspace(tmp_path))
         plans = cfg.plans
@@ -316,17 +312,6 @@ class TestLoadConfig:
         assert plans["C"] == (lce(2000, 0),)
         assert plans["D->C"][1] == lce(2500, 1)
         assert plans["D->C"][0].seed == substream(seed, _STAGE_TAG, 0)
-
-    def test_custom_metrics(self, tmp_path):
-        path = _write_workspace(
-            tmp_path,
-            metrics=[{"kind": "ndcg", "cutoff": 5, "gain": "exponential"},
-                     {"kind": "ap", "threshold": 2}],
-        )
-        cfg = load_config(path)
-        assert [m.label for m in cfg.metrics] == ["nDCG@5", "AP"]
-        assert cfg.metrics[0].gain == "exponential"
-        assert cfg.metrics[1].threshold == 2
 
     def test_readme_example_shows_the_defaults(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -601,18 +586,6 @@ class TestRunExperiment:
         path = _write_workspace(tmp_path, plans={"C": [_LCE]})
         cfg = load_config(path, out=tmp_path / "out")
         with pytest.raises(DataError, match="missing"):
-            run_experiment(cfg)
-        assert not (tmp_path / "out").exists()
-
-    def test_requires_ndcg10_metric_before_any_work(self, tmp_path, monkeypatch):
-        path = _write_workspace(tmp_path, metrics=[{"kind": "ap"}])
-        cfg = load_config(path, out=tmp_path / "out")
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("prepared data for a config it should reject")
-
-        monkeypatch.setattr("rankforge.experiment.prepare", boom)
-        with pytest.raises(DataError, match="nDCG@10"):
             run_experiment(cfg)
         assert not (tmp_path / "out").exists()
 

@@ -8,30 +8,10 @@ that breaks the check fails here, in the test suite, instead of only in
 perfbench's own tests.
 """
 
-import sys
-from pathlib import Path
-
-import pytest
-
 from rankforge.data import Ranking
 from rankforge.evaluation import rerank
 from rankforge.retrieval import Bm25Params, retrieve_topk
 from rankforge.scorer import ScorerConfig, ScoringContext, init_params, save_params
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture
-def child():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import child
-
-        yield child
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        for name in ("child", "layers", "spans", "spec"):
-            sys.modules.pop(name, None)
 
 
 def test_check_served(child, small_world):
