@@ -11,7 +11,7 @@ from pathlib import Path
 from rankforge.experiment import load_config, run_experiment
 from rankforge.synth import SynthSpec, generate, write_dataset
 
-LCE = {"loss": "lce", "lr": 1e-3, "steps": 200, "negatives": 10, "pool_depth": 40}
+LCE = {"loss": "lce", "lr": 1e-3, "steps": 200}
 RANKNET = {"loss": "ranknet", "lr": 1e-3, "steps": 200}
 
 with tempfile.TemporaryDirectory() as scratch:

@@ -123,7 +123,7 @@ def cmd_rerank(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot read {args.params}: {exc.strerror or exc}") from exc
     index = build_index(corpus)
-    bm25 = Bm25Params(k1=args.k1, b=args.b)
+    bm25 = Bm25Params()  # the settings every checkpoint was trained on
     out_rankings = []
     for ranking in rankings:
         if ranking.query_id not in queries:
@@ -242,8 +242,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--run", required=True, help="first-stage TREC run")
     p.add_argument("--params", required=True, help="checkpoint file")
     p.add_argument("--depth", type=int, default=100, help="rerank depth (default 100)")
-    p.add_argument("--k1", type=float, default=Bm25Params.k1)
-    p.add_argument("--b", type=float, default=Bm25Params.b)
     p.add_argument("--out", default=None, help="run file (stdout if omitted)")
 
     p = add("evaluate", cmd_evaluate, "evaluate a run against qrels, CSV output")

@@ -1,17 +1,20 @@
 """Experiment configuration and the RQ1/RQ2/RQ3 comparison driver.
 
-A JSON config names the data paths, scorer and sampler settings, named
-train plans, and seeds. The protocol is fixed: a BM25 first stage with
-Anserini's defaults (k1 0.9, b 0.4), re-ranked, then scored by AP, nDCG@10
-and MRR@10, with nDCG@10 picking the best plans. `run_experiment` trains
-every named plan from one shared initialization, training each distinct
-stage prefix once: a multi-stage plan such as C->D continues from the
-checkpoint of C, whose stage it starts with. Plans with different first
-stages share nothing, so these subtrees train in parallel in forked
-workers, one lane per usable CPU. It re-ranks the
-first-stage run with each checkpoint (plus the untrained scorer as
-baseline), evaluates, and emits three markdown tables: single-stage C vs D,
-C->D vs D->C, and best-single vs best-multi by mean nDCG@10.
+A JSON config names the data paths, the master seed and the named train
+plans (each stage's loss, lr and steps). The rest of the protocol is fixed:
+a BM25 first stage with Anserini's defaults (k1 0.9, b 0.4) at depth 100,
+re-ranked to depth 100; 20% of the queries held out for evaluation and 1%
+of the trainable rest for validation; the scorer's and each LCE/BCE
+sampler's class defaults; and AP, nDCG@10 and MRR@10, with nDCG@10 picking
+the best plans. `run_experiment` trains every named plan from one shared
+initialization, training each distinct stage prefix once: a multi-stage
+plan such as C->D continues from the checkpoint of C, whose stage it
+starts with. Plans with different first stages share nothing, so these
+subtrees train in parallel in forked workers, one lane per usable CPU. It
+re-ranks the first-stage run with each checkpoint (plus the untrained
+scorer as baseline), evaluates, and emits three markdown tables:
+single-stage C vs D, C->D vs D->C, and best-single vs best-multi by mean
+nDCG@10.
 
 All component randomness is derived from the master seed via tagged
 substreams, so outputs are byte-identical across runs on one platform.
@@ -104,9 +107,12 @@ RQ_REPORTS = (
 )
 RQ_PLAN_NAMES = tuple(name for *_, pair in RQ_REPORTS if pair for name in pair)
 _TOP_LEVEL = {_BM25, _UNTRAINED, _FIRST_STAGE, _SUMMARY, *(rel for rel, *_ in RQ_REPORTS)}
-# the protocol every run follows: the first stage's BM25 settings, and the
-# metrics every system reports
+# the protocol every run follows: the first stage's BM25 settings and
+# depth, the depth re-ranked, the held-out shares of the queries (evaluation)
+# and of the trainable rest (validation), and the metrics every system reports
 _BM25_PARAMS = Bm25Params()
+_RETRIEVE_DEPTH = _RERANK_DEPTH = 100
+_EVAL_FRACTION, _VAL_FRACTION = 0.2, 0.01
 _METRIC_SPECS = (MetricSpec("ap"), MetricSpec("ndcg", 10), MetricSpec("mrr", 10))
 
 Plan = tuple[StageConfig, ...]
@@ -121,10 +127,6 @@ class ExperimentConfig:
     first_stage: str  # "build" or a run-file path (resolved)
     out: Path
     seed: int
-    retrieve_depth: int
-    rerank_depth: int
-    eval_fraction: float
-    val_fraction: float
     scorer: ScorerConfig
     plans: dict[str, Plan]  # in config order
 
@@ -143,14 +145,8 @@ def default_plan_specs() -> dict:
     }
 
 
-_TOP_KEYS = {
-    "corpus", "queries", "qrels", "teacher", "first_stage", "out", "seed",
-    "retrieve_depth", "rerank_depth", "eval_fraction", "val_fraction",
-    "scorer", "plans",
-}
-_STAGE_KEYS = {"loss", "lr", "steps", "val_interval"}
-_SAMPLER_KEYS = {"negatives", "pool_depth"}
-_SCORER_KEYS = {"buckets", "hidden"}
+_TOP_KEYS = {"corpus", "queries", "qrels", "teacher", "first_stage", "out", "seed", "plans"}
+_STAGE_KEYS = {"loss", "lr", "steps"}
 
 
 def _object(value: object, where: str, keys: set[str]) -> Mapping:
@@ -173,10 +169,8 @@ def _integer(raw: Mapping, key: str, where: str, default: int | None = None) -> 
     return value
 
 
-def _number(raw: Mapping, key: str, where: str, default: float | None = None) -> float | None:
-    """raw[key] as a float, checked to be a JSON number (not a bool); default when absent."""
-    if key not in raw:
-        return default
+def _number(raw: Mapping, key: str, where: str) -> float:
+    """raw[key] as a float, checked to be a JSON number (not a bool)."""
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{where}: {key!r} must be a JSON number, not {type(value).__name__}")
@@ -190,29 +184,23 @@ def _stage_from_dict(raw: object, plan_name: str, stage_idx: int, seed: int) -> 
     """The stage at stage_idx of its plan, with seeds drawn from the master
     seed and that position only."""
     where = f"plan {plan_name} stage {stage_idx}"
-    loss = raw.get("loss") if isinstance(raw, Mapping) else None
-    # a ranknet stage draws no negatives; an unknown loss is left to StageConfig
-    raw = _object(raw, where, _STAGE_KEYS if loss == "ranknet" else _STAGE_KEYS | _SAMPLER_KEYS)
+    raw = _object(raw, where, _STAGE_KEYS)
     for key in ("loss", "lr", "steps"):
         if key not in raw:
             raise DataError(f"{where} missing {key!r}")
+    # a ranknet stage draws no negatives; an unknown loss is left to StageConfig
     sampler = None
+    if raw["loss"] in ("lce", "bce"):
+        sampler = SamplerConfig(seed=substream(seed, _SAMPLER_TAG, stage_idx))
     try:
-        if loss in ("lce", "bce"):
-            sampler = SamplerConfig(
-                negatives=_integer(raw, "negatives", where, SamplerConfig.negatives),
-                pool_depth=_integer(raw, "pool_depth", where, SamplerConfig.pool_depth),
-                seed=substream(seed, _SAMPLER_TAG, stage_idx),
-            )
         return StageConfig(
-            loss=loss,
+            loss=raw["loss"],
             lr=_number(raw, "lr", where),
             max_steps=_integer(raw, "steps", where),
-            val_interval=_integer(raw, "val_interval", where, StageConfig.val_interval),
             sampler=sampler,
             seed=substream(seed, _STAGE_TAG, stage_idx),
         )
-    except ValueError as exc:  # a value the sampler or the stage rejects
+    except ValueError as exc:  # a value the stage rejects
         raise DataError(f"{where}: {exc}") from None
 
 
@@ -311,26 +299,6 @@ def _config_from_dict(
     else:
         raise DataError("config missing output directory (key 'out' or --out)")
 
-    where = "config 'scorer'"
-    scorer_raw = _object(raw.get("scorer", {}), where, _SCORER_KEYS)
-    scorer = ScorerConfig(
-        buckets=_integer(scorer_raw, "buckets", where, ScorerConfig.buckets),
-        hidden=_integer(scorer_raw, "hidden", where, ScorerConfig.hidden),
-        seed=substream(master_seed, _INIT_TAG),
-    )
-
-    depths = {key: _integer(raw, key, "config", 100) for key in ("retrieve_depth", "rerank_depth")}
-    for key, depth in depths.items():
-        if depth < 1:
-            raise DataError(f"config: {key!r} must be >= 1, got {depth}")
-    fractions = {
-        key: _number(raw, key, "config", default)
-        for key, default in (("eval_fraction", 0.2), ("val_fraction", 0.01))
-    }
-    for key, fraction in fractions.items():
-        if not 0.0 < fraction < 1.0:
-            raise DataError(f"config: {key!r} must be in (0, 1), got {fraction}")
-
     plans = _resolve_plans(raw.get("plans", default_plan_specs()), master_seed)
 
     return ExperimentConfig(
@@ -341,10 +309,8 @@ def _config_from_dict(
         first_stage=first_stage,
         out=out_path,
         seed=master_seed,
-        scorer=scorer,
+        scorer=ScorerConfig(seed=substream(master_seed, _INIT_TAG)),
         plans=plans,
-        **depths,
-        **fractions,
     )
 
 
@@ -381,7 +347,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
 
     if cfg.first_stage == "build":
         first_stage = {
-            qid: retrieve_topk(index, _BM25_PARAMS, queries[qid], cfg.retrieve_depth)
+            qid: retrieve_topk(index, _BM25_PARAMS, queries[qid], _RETRIEVE_DEPTH)
             for qid in sorted(queries)
         }
     else:
@@ -389,7 +355,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
 
     query_list = [queries[qid] for qid in sorted(queries)]
     train_pool, eval_queries = split_train_val(
-        query_list, cfg.eval_fraction, seed=substream(cfg.seed, _EVAL_TAG)
+        query_list, _EVAL_FRACTION, seed=substream(cfg.seed, _EVAL_TAG)
     )
     for q in eval_queries:
         if q.id not in first_stage:
@@ -415,7 +381,7 @@ def prepare(cfg: ExperimentConfig) -> PreparedData:
             + (f"; first dropped {dropped[0]}" if dropped else "")
         )
     train_examples, val_examples = split_train_val(
-        examples, cfg.val_fraction, seed=substream(cfg.seed, _VALS_TAG)
+        examples, _VAL_FRACTION, seed=substream(cfg.seed, _VALS_TAG)
     )
 
     return PreparedData(
@@ -500,14 +466,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
             systems: dict[str, SystemResult] = {
                 _BM25: bm25_system,
-                _UNTRAINED: _write_system(ws, cfg, prep, _UNTRAINED, init_params(cfg.scorer)),
+                _UNTRAINED: _write_system(ws, prep, _UNTRAINED, init_params(cfg.scorer)),
             }
             trained = finish_training()
 
         for name, plan in cfg.plans.items():
             params, logs = trained[plan]
             _write_checkpoint(ws, name, params, logs)
-            systems[name] = _write_system(ws, cfg, prep, name, params)
+            systems[name] = _write_system(ws, prep, name, params)
 
         def best(pair: tuple[str, str]) -> str:  # by mean nDCG@10, ties to the larger name
             return max(pair, key=lambda n: (systems[n].reports["nDCG@10"].mean, n))
@@ -658,12 +624,12 @@ def _subtree_training(cfg: ExperimentConfig, prep: PreparedData) -> Iterator[Cal
 
 
 def _write_system(
-    ws: _Workspace, cfg: ExperimentConfig, prep: PreparedData, name: str, params: ScorerParams
+    ws: _Workspace, prep: PreparedData, name: str, params: ScorerParams
 ) -> SystemResult:
     """Re-rank the eval queries, write the system's rerank.txt and metrics.csv."""
     sub = plan_dir_name(name)
     rankings = [
-        rerank(params, prep.ctx, q, prep.first_stage[q.id], cfg.rerank_depth)
+        rerank(params, prep.ctx, q, prep.first_stage[q.id], _RERANK_DEPTH)
         for q in sorted(prep.eval_queries, key=lambda q: q.id)
     ]
     ws.write_text(f"{sub}/rerank.txt", write_run(rankings, tag=sub))

@@ -16,15 +16,14 @@ import pytest
 import rankforge.experiment
 import rankforge.training
 from rankforge.cli import _build_parser, main
-from rankforge.data import Ranking, parse_run, write_run
+from rankforge.data import Ranking, parse_qrels, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.scorer import N_DENSE, ScoringContext
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
-_LCE = {"loss": "lce", "lr": 1e-3, "steps": 30, "negatives": 10, "pool_depth": 30,
-        "val_interval": 10}
-_RK = {"loss": "ranknet", "lr": 1e-3, "steps": 30, "val_interval": 10}
+_LCE = {"loss": "lce", "lr": 1e-3, "steps": 30}
+_RK = {"loss": "ranknet", "lr": 1e-3, "steps": 30}
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +42,6 @@ def ws(tmp_path_factory):
         "teacher": "data/teacher.jsonl",
         "out": "out",
         "seed": 42,
-        "retrieve_depth": 50,
-        "rerank_depth": 50,
-        "eval_fraction": 0.2,
-        "val_fraction": 0.15,
-        "scorer": {"buckets": 64, "hidden": 8},
         "plans": {
             "C": [_LCE],
             "D": [_RK],
@@ -184,9 +178,8 @@ class TestTrain:
         assert "trained plan C->D: 45 steps" in capsys.readouterr().out
 
     def test_lce_stage_with_sampler_defaults_trains(self, ws, tmp_path):
-        # no negatives, pool_depth or retrieve_depth: every default applies
+        # the sampler's 20 negatives of a 50-deep pool, at retrieval depth 100
         config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
-        del config["retrieve_depth"]
         config["plans"] = {"C": [{"loss": "lce", "lr": 1e-3, "steps": 20}]}
         for key in ("corpus", "queries", "qrels", "teacher"):
             config[key] = str(ws / config[key])
@@ -231,6 +224,18 @@ class TestRerank:
         for r in reranked:
             scores = [e.score for e in r.entries]
             assert scores == sorted(scores, reverse=True)
+
+    def test_bm25_settings_are_not_flags(self, ws, capsys):
+        # params.bin does not record them, and every checkpoint is trained
+        # on the experiment's
+        rc = main([
+            "rerank", "--corpus", str(ws / "data" / "corpus.tsv"),
+            "--queries", str(ws / "data" / "queries.tsv"),
+            "--run", str(ws / "bm25.txt"),
+            "--params", str(ws / "trained" / "C" / "params.bin"), "--k1", "1.2",
+        ])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: unrecognized arguments: --k1 1.2\n")
 
     @pytest.mark.parametrize("buckets, hidden", [(0, 3), (16, 0)])
     def test_empty_shape_checkpoint_exits_two(self, ws, tmp_path, capsys, buckets, hidden):
@@ -545,20 +550,17 @@ class TestExperimentCommand:
         assert "completed in" in out
 
     def test_cli_defaults_reproduce_the_experiment(self, ws, tmp_path):
-        """`retrieve` and `rerank` at their default BM25 settings, at the
-        config's depths, give the ids and scores the experiment wrote; only
-        the tags differ."""
-        config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))
+        """`retrieve` and `rerank` at their defaults (the experiment's BM25
+        settings and depths) give the ids and scores the experiment wrote;
+        only the tags differ."""
         out = tmp_path / "out"
         assert main(["experiment", "--config", str(ws / "exp.json"), "--out", str(out)]) == 0
         data = ["--corpus", str(ws / "data" / "corpus.tsv"),
                 "--queries", str(ws / "data" / "queries.tsv")]
         first, served = tmp_path / "first.txt", tmp_path / "served.txt"
-        assert main(["retrieve", *data, "--depth", str(config["retrieve_depth"]),
-                     "--out", str(first)]) == 0
+        assert main(["retrieve", *data, "--out", str(first)]) == 0
         assert main(["rerank", *data, "--run", str(first),
-                     "--params", str(out / "C" / "params.bin"),
-                     "--depth", str(config["rerank_depth"]), "--out", str(served)]) == 0
+                     "--params", str(out / "C" / "params.bin"), "--out", str(served)]) == 0
 
         def lists(path: Path) -> dict:
             return {r.query_id: [(e.doc_id, e.score) for e in r.entries]
@@ -594,16 +596,28 @@ class TestExperimentCommand:
         assert err.startswith(f"error: cannot read config {path}: ") and err.count("\n") == 1
 
     def test_pool_as_deep_as_the_negative_count(self, tmp_path):
-        # every pool of a query whose positive ranks in the top 20 of its
-        # docs not judged relevant holds 19 negatives; those queries are
-        # dropped before training, not mid-stage
-        assert main(["synth", "--out", str(tmp_path / "data"), "--seed", "42",
-                     "--noise", "0.0"]) == 0
-        lce = dict(_LCE, steps=20, negatives=20, pool_depth=20)
+        # the first-stage rankings of even-numbered queries end at their 20th
+        # doc not judged relevant, of odd-numbered ones at their 19th: the
+        # odd ones' pools hold 19 negatives, one short of the sampler's 20,
+        # so they are dropped before training, not mid-stage
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "42", "--noise", "0.0"]) == 0
+        assert main(["retrieve", "--corpus", str(data / "corpus.tsv"),
+                     "--queries", str(data / "queries.tsv"),
+                     "--out", str(tmp_path / "bm25.txt")]) == 0
+        qrels = parse_qrels((data / "qrels.txt").read_text(encoding="utf-8")).by_query
+        cut = []
+        for r in parse_run((tmp_path / "bm25.txt").read_text(encoding="utf-8")):
+            unjudged = [i for i, d in enumerate(r.ids) if qrels[r.query_id].get(d, 0) < 1]
+            end = unjudged[19 - int(r.query_id[1:]) % 2] + 1
+            cut.append(Ranking(r.query_id, r.ids[:end], r.scores[:end]))
+        (tmp_path / "cut.txt").write_text(write_run(cut, tag="bm25"), encoding="utf-8")
+        lce = dict(_LCE, steps=20)
         rk = dict(_RK, steps=20)
         config = {
             "corpus": "data/corpus.tsv", "queries": "data/queries.tsv",
-            "qrels": "data/qrels.txt", "teacher": "data/teacher.jsonl", "seed": 42,
+            "qrels": "data/qrels.txt", "teacher": "data/teacher.jsonl",
+            "first_stage": "cut.txt", "seed": 42,
             "plans": {"C": [lce], "D": [rk], "C->D": [lce, rk], "D->C": [rk, lce]},
         }
         (tmp_path / "exp.json").write_text(json.dumps(config), encoding="utf-8")
@@ -611,7 +625,12 @@ class TestExperimentCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
-        assert summary["queries"] == {"eval": 50, "train": 60, "val": 1}
+        assert summary["queries"] == {"eval": 50, "train": 97, "val": 1}
+        # the trained queries are the even-numbered ones not held out
+        held_out = {r.query_id for r in parse_run(
+            (tmp_path / "out" / "untrained" / "rerank.txt").read_text(encoding="utf-8"))}
+        even = {r.query_id for r in cut if int(r.query_id[1:]) % 2 == 0}
+        assert summary["queries"]["train"] + summary["queries"]["val"] == len(even - held_out)
 
     def test_document_missing_from_corpus_drops_query(self, tmp_path):
         # the last teacher entry names a document the corpus does not hold:
@@ -624,7 +643,7 @@ class TestExperimentCommand:
         assert last["qid"] == "q0249"
         last["ranked"].insert(0, "zz_missing")
         teacher.write_text("\n".join([*lines[:-1], json.dumps(last)]) + "\n", encoding="utf-8")
-        lce = dict(_LCE, steps=20, negatives=20, pool_depth=50)
+        lce = dict(_LCE, steps=20)
         rk = dict(_RK, steps=20)
         config = {
             "corpus": "data/corpus.tsv", "queries": "data/queries.tsv",
@@ -674,19 +693,19 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("section", [
         {"metrics": [{"kind": "ap"}]},  # the protocol's metrics are fixed
-        {"retrieve_depth": 0},
-        {"scorer": [1]},
-        {"scorer": {"buckets": 8.7}},
-        {"scorer": {"bucket": 8}},
-        {"scorer": {"hidden": 0}},
+        {"seed": True},
+        {"plans": ["C"]},
+        {"seed": 8.7},
+        {"retrieve_depth": 100},  # so are its depths, even at the fixed value
+        {"plans": {"C": [dict(_LCE, steps=0)]}},
         {"plans": {"C->D": {"preset": "reference", "variant": "base", "scale": 0.1}}},
         {"plans": {"D": [{"loss": "ranknet", "lr": 1e-3, "steps": 5, "negatives": 7}]}},
-        {"eval_fraction": 1.5},
-        {"eval_fraction": 10**400},  # an integer no float holds
+        {"plans": {"C": [dict(_LCE, lr=-1.5)]}},
+        {"plans": {"C": [dict(_LCE, lr=10**400)]}},  # an integer no float holds
         # json.loads accepts NaN and Infinity, which are not JSON
         {"plans": {"C": [dict(_LCE, lr=math.nan)]}},
         {"plans": {"C": [dict(_LCE, lr=math.inf)]}},
-        {"eval_fraction": math.nan},
+        {"seed": math.nan},
     ])
     def test_malformed_section_exits_two(self, ws, tmp_path, capsys, section):
         config = json.loads((ws / "exp.json").read_text(encoding="utf-8"))

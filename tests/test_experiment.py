@@ -15,13 +15,18 @@ import pytest
 import rankforge.experiment
 import rankforge.training
 from rankforge.cli import main
-from rankforge.data import Query, parse_path, parse_queries, parse_run, write_run
+from rankforge.data import Query, Ranking, parse_path, parse_queries, parse_run, write_run
 from rankforge.errors import DataError
 from rankforge.experiment import (
     _BM25_PARAMS,
+    _EVAL_FRACTION,
+    _INIT_TAG,
     _METRIC_SPECS,
+    _RERANK_DEPTH,
+    _RETRIEVE_DEPTH,
     _SAMPLER_TAG,
     _STAGE_TAG,
+    _VAL_FRACTION,
     _lanes,
     default_plan_specs,
     load_config,
@@ -33,14 +38,14 @@ from rankforge.experiment import (
     train_plan,
 )
 from rankforge.rng import substream
+from rankforge.scorer import ScorerConfig
 from rankforge.synth import SynthSpec, generate, write_dataset
 from rankforge.training import QueryExample, SamplerConfig, StageConfig, TrainLog, stage_pool
 
 SPEC = SynthSpec(vocab_size=800, topics=4, docs_per_topic=25, queries=40, noise=0.5, seed=7)
 
-_LCE = {"loss": "lce", "lr": 1e-3, "steps": 30, "negatives": 10, "pool_depth": 30,
-        "val_interval": 10}
-_RK = {"loss": "ranknet", "lr": 1e-3, "steps": 30, "val_interval": 10}
+_LCE = {"loss": "lce", "lr": 1e-3, "steps": 30}
+_RK = {"loss": "ranknet", "lr": 1e-3, "steps": 30}
 
 
 def _config_dict(**over):
@@ -52,11 +57,6 @@ def _config_dict(**over):
         "first_stage": "build",
         "out": "out",
         "seed": 42,
-        "retrieve_depth": 50,
-        "rerank_depth": 50,
-        "eval_fraction": 0.2,
-        "val_fraction": 0.15,
-        "scorer": {"buckets": 64, "hidden": 8},
         "plans": {
             "C": [_LCE],
             "D": [_RK],
@@ -94,6 +94,23 @@ def _assert_same_tree(a: Path, b: Path) -> None:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def _cut_first_stage(config: Path, negatives) -> Path:
+    """A first-stage run beside config, returned, that holds each query's
+    ranking as config builds it, cut after its negatives(qid)-th document
+    not judged relevant: an LCE/BCE stage's pool for the query then holds
+    exactly that many negatives."""
+    built = prepare(load_config(config))
+    rankings = []
+    for qid in sorted(built.first_stage):
+        ranking, judged = built.first_stage[qid], built.qrels.by_query.get(qid, {})
+        unjudged = [i for i, d in enumerate(ranking.ids) if judged.get(d, 0) < 1]
+        end = unjudged[negatives(qid) - 1] + 1
+        rankings.append(Ranking(qid, ranking.ids[:end], ranking.scores[:end]))
+    path = config.parent / "cut.txt"
+    path.write_text(write_run(rankings, tag="bm25"), encoding="utf-8")
+    return path
+
+
 def _numbered(cases):
     """Each (n, over, match) case as a param whose id, `over{n}-{match}`, is
     the one pytest gives it at position n."""
@@ -117,13 +134,10 @@ class TestLoadConfig:
         path.write_text(json.dumps(minimal), encoding="utf-8")
         cfg = load_config(path)
         assert cfg.seed == 0
-        assert cfg.retrieve_depth == 100
-        assert cfg.rerank_depth == 100
-        assert cfg.eval_fraction == 0.2
-        assert cfg.val_fraction == 0.01
-        assert cfg.scorer.buckets == 8
-        assert cfg.scorer.hidden == 16
+        assert cfg.scorer == ScorerConfig(buckets=8, hidden=16, seed=substream(0, _INIT_TAG))
         # the protocol's settings, which a config cannot change
+        assert (_RETRIEVE_DEPTH, _RERANK_DEPTH) == (100, 100)
+        assert (_EVAL_FRACTION, _VAL_FRACTION) == (0.2, 0.01)
         assert (_BM25_PARAMS.k1, _BM25_PARAMS.b) == (0.9, 0.4)
         assert [m.label for m in _METRIC_SPECS] == ["AP", "nDCG@10", "MRR@10"]
         assert list(cfg.plans) == ["C", "D", "C->D", "D->C"]
@@ -209,52 +223,52 @@ class TestLoadConfig:
         with pytest.raises(DataError, match="plan C stage 0: unknown loss kind 'lcee'"):
             load_config(path)
 
-    def test_sampler_keys_belong_to_sampled_stages(self, tmp_path):
-        path = _write_workspace(
-            tmp_path, plans={"C": [dict(_LCE, loss="bce", negatives=7, pool_depth=9)]}
-        )
+    def test_sampled_stages_draw_with_the_default_sampler(self, tmp_path):
+        path = _write_workspace(tmp_path, plans={"C": [dict(_LCE, loss="bce"), _RK]})
         (plan,) = load_config(path).plans.values()
-        sampler = plan[0].sampler
-        assert (sampler.negatives, sampler.pool_depth) == (7, 9)
+        assert plan[0].sampler == SamplerConfig(20, 50, seed=substream(42, _SAMPLER_TAG, 0))
+        assert plan[1].sampler is None
 
     # a case keeps the number it was first given, so removing one leaves the
     # others' test ids as they were
     @pytest.mark.parametrize("over, match", _numbered([
-        (4, {"scorer": [1]}, "'scorer' must be"),
-        (5, {"scorer": {"bucket": 8}}, "bucket"),
-        (6, {"scorer": {"buckets": None}}, "NoneType"),
+        (6, {"seed": None}, "NoneType"),
         (9, {"plans": ["C"]}, "'plans' must be"),
         (10, {"plans": {"C": [1]}}, "plan C stage 0 must be"),
         (11, {"plans": {"C": {"preset": "reference", "scal": 2}}}, "expected a list of stages"),
-        (12, {"scorer": {"buckets": 8.7}}, "'buckets' must be a JSON integer, not float"),
-        (13, {"retrieve_depth": True}, "'retrieve_depth' must be a JSON integer, not bool"),
+        (12, {"plans": {"C": [dict(_LCE, steps=8.7)]}},
+             "'steps' must be a JSON integer, not float"),
+        (13, {"seed": True}, "'seed' must be a JSON integer, not bool"),
         (14, {"plans": {"C": [dict(_LCE, lr="0.001")]}}, "'lr' must be a JSON number, not str"),
         (15, {"plans": {"C": [dict(_LCE, policy="random")]}}, r"unknown keys \['policy'\]"),
         (16, {"plans": {"D": [dict(_RK, negatives=7)]}},
              r"plan D stage 0 has unknown keys \['negatives'\]"),
         (17, {"plans": {"D": [dict(_RK, pool_depth=9)]}}, r"unknown keys \['pool_depth'\]"),
-        (18, {"eval_fraction": 1.5}, r"'eval_fraction' must be in \(0, 1\), got 1.5"),
-        (19, {"val_fraction": 0}, r"'val_fraction' must be in \(0, 1\), got 0.0"),
-        (20, {"retrieve_depth": 0}, "'retrieve_depth' must be >= 1, got 0"),
-        (21, {"rerank_depth": -3}, "'rerank_depth' must be >= 1, got -3"),
         # json.loads accepts NaN and Infinity, which are not JSON
         (22, {"plans": {"C": [dict(_LCE, lr=math.nan)]}}, "NaN is not a JSON number"),
-        (23, {"eval_fraction": math.inf}, "Infinity is not a JSON number"),
-        (24, {"eval_fraction": -math.inf}, "-Infinity is not a JSON number"),
-        (25, {"eval_fraction": 10**400}, "'eval_fraction' is too large for a float"),
-        # values a component's own validation rejects
-        (26, {"plans": {"C": [dict(_LCE, pool_depth=5)]}},
-             "plan C stage 0: pool depth 5 smaller than negative count 10"),
-        (27, {"plans": {"C": [dict(_LCE, negatives=0)]}}, "plan C stage 0: negatives must be >= 1"),
-        (28, {"scorer": {"buckets": 0}}, r"config .*exp\.json: buckets and hidden must be >= 1"),
-        # the initialization seed follows the master seed only
-        (29, {"scorer": {"seed": 1}}, r"'scorer' has unknown keys \['seed'\]"),
+        (23, {"seed": math.inf}, "Infinity is not a JSON number"),
+        (24, {"plans": {"C": [dict(_LCE, lr=-math.inf)]}}, "-Infinity is not a JSON number"),
+        (25, {"plans": {"C": [dict(_LCE, lr=10**400)]}}, "'lr' is too large for a float"),
         # a plan trains at least one stage
         (30, {"plans": {"C": []}}, "plan C: expected a list of stages, at least one"),
         # the protocol's BM25 settings and metrics are not config keys
         (35, {"bm25": {"k1": 1.2}}, r"config .*exp\.json has unknown keys \['bm25'\]"),
         (36, {"metrics": [{"kind": "ap"}]},
          r"config .*exp\.json has unknown keys \['metrics'\]"),
+        # nor are its depths, splits, scorer shape and sampler settings, even
+        # at the values the protocol fixes
+        (37, {"retrieve_depth": 100}, r"config .*exp\.json has unknown keys \['retrieve_depth'\]"),
+        (38, {"rerank_depth": 100}, r"config .*exp\.json has unknown keys \['rerank_depth'\]"),
+        (39, {"eval_fraction": 0.2}, r"config .*exp\.json has unknown keys \['eval_fraction'\]"),
+        (40, {"val_fraction": 0.01}, r"config .*exp\.json has unknown keys \['val_fraction'\]"),
+        (41, {"scorer": {"buckets": 8, "hidden": 16}},
+             r"config .*exp\.json has unknown keys \['scorer'\]"),
+        (42, {"plans": {"C": [dict(_LCE, val_interval=500)]}},
+             r"plan C stage 0 has unknown keys \['val_interval'\]"),
+        (43, {"plans": {"C": [dict(_LCE, negatives=20)]}},
+             r"plan C stage 0 has unknown keys \['negatives'\]"),
+        (44, {"plans": {"C": [dict(_LCE, pool_depth=50)]}},
+             r"plan C stage 0 has unknown keys \['pool_depth'\]"),
     ]))
     def test_malformed_section(self, tmp_path, over, match):
         path = _write_workspace(tmp_path, **over)
@@ -350,7 +364,7 @@ class TestPrepare:
         assert set(prep.first_stage) == {q.id for q in parse_path(cfg.queries, parse_queries)}
         assert len(prep.eval_queries) == 8  # 20% of 40
         n_train, n_val = len(prep.train_examples), len(prep.val_examples)
-        assert n_val == round((n_train + n_val) * 0.15)
+        assert n_val == max(1, round((n_train + n_val) * 0.01)) == 1
         eval_ids = {q.id for q in prep.eval_queries}
         train_ids = {e.query.id for e in prep.train_examples}
         assert not (eval_ids & train_ids)
@@ -366,38 +380,34 @@ class TestPrepare:
             prepare(cfg)
 
     def test_dropped_query_reason_is_reported(self, tmp_path):
-        # on this small dataset every train query ranks its positive in the
-        # top 20 of its docs not judged relevant, so every pool holds 19
-        # negatives
-        lce = dict(_LCE, negatives=20, pool_depth=20)
-        cfg = load_config(_write_workspace(tmp_path, plans={"C": [lce]}))
+        # every first-stage ranking ends at its 19th doc not judged relevant,
+        # so every pool holds 19 negatives, one short of the sampler's 20
+        run = _cut_first_stage(_write_workspace(tmp_path), lambda qid: 19)
+        cfg = load_config(_write_workspace(tmp_path, first_stage=str(run), plans={"C": [_LCE]}))
         with pytest.raises(DataError, match="only 0 trainable queries; first dropped query "
                            r"q\d+: only 19 eligible negatives in pool, need 20"):
             prepare(cfg)
 
     def test_pool_as_deep_as_the_negative_count(self, tmp_path):
-        write_dataset(generate(SynthSpec(seed=42, noise=0.0)), tmp_path / "data")
-        lce = dict(_LCE, negatives=20, pool_depth=20)
-        plans = {"C": [lce], "D": [_RK], "C->D": [lce, _RK], "D->C": [_RK, lce]}
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps(_config_dict(
-            plans=plans, retrieve_depth=100, rerank_depth=100, val_fraction=0.01,
-        )), encoding="utf-8")
-        cfg = load_config(path)
+        # the rankings of even-numbered queries end at their 20th doc not
+        # judged relevant, of odd-numbered ones at their 19th
+        run = _cut_first_stage(_write_workspace(tmp_path), lambda qid: 20 - int(qid[1:]) % 2)
+        cfg = load_config(_write_workspace(tmp_path, first_stage=str(run)))
         prep = prepare(cfg)
         kept = prep.train_examples + prep.val_examples
-        assert (len(prep.train_examples), len(prep.val_examples)) == (60, 1)
+        assert (len(prep.train_examples), len(prep.val_examples)) == (13, 1)
+        eval_ids = {q.id for q in prep.eval_queries}
+        even = {qid for qid in prep.first_stage if int(qid[1:]) % 2 == 0}
+        assert {ex.query.id for ex in kept} == even - eval_ids
         stage = cfg.plans["C"][0]
         for ex in kept:
             _, *pool = stage_pool(ex, stage)
-            assert len(pool) >= 20
+            assert len(pool) == 20
             # no negative the pool offers is judged relevant
             assert all(ex.judged.get(d, 0) < 1 for d in pool)
-        # every query dropped ranks its positive inside the pool
-        kept_ids = {ex.query.id for ex in kept}
-        eval_ids = {q.id for q in prep.eval_queries}
+        # every odd-numbered query is one negative short
         for qid, ranking in prep.first_stage.items():
-            if qid not in kept_ids | eval_ids:
+            if qid not in even | eval_ids:
                 dropped = QueryExample(Query(qid, ""), prep.qrels.by_query.get(qid), ranking)
                 with pytest.raises(DataError, match="only 19 eligible negatives"):
                     stage_pool(dropped, stage)
@@ -515,7 +525,7 @@ class TestRunExperiment:
         cfg, _, out = finished
         rankings = parse_run((out / "first_stage.txt").read_text(encoding="utf-8"))
         assert len(rankings) == SPEC.queries
-        assert all(len(r.ids) <= cfg.retrieve_depth for r in rankings)
+        assert all(len(r.ids) <= _RETRIEVE_DEPTH for r in rankings)
 
     def test_training_curves_parse(self, finished):
         _, _, out = finished
@@ -524,9 +534,9 @@ class TestRunExperiment:
         assert len(train) == 1 + 30 + 15  # merged across both stages
         steps = [int(row.split(",")[0]) for row in train[1:]]
         assert steps == list(range(1, 46))
+        # validation runs every 500 steps, so no stage this short reaches it
         val = (out / "C" / "val.csv").read_text(encoding="utf-8").splitlines()
-        assert val[0] == "step,val_loss"
-        assert [int(r.split(",")[0]) for r in val[1:]] == [10, 20, 30]
+        assert val == ["step,val_loss"]
 
     def test_deterministic_across_runs(self, finished, tmp_path):
         cfg, _, out = finished
